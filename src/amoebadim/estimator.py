@@ -7,6 +7,14 @@ generic point that rank is the dimension of the log image, so the
 estimator returns the max over samples: rank can only drop on a measure
 zero locus, never jump.
 
+Samples are processed in blocks of BLOCK: sample k still gets child k
+of SeedSequence(seed) and draws from it in a fixed order, a block's
+points go through one exponent-matrix evaluation (and, for an implicit
+input, one batched Durand-Kerner solve), and the block's Jacobians are
+ranked by one stacked SVD.  Every operation is elementwise per sample,
+so a sample's numbers do not depend on where it sits in a block, and
+the first k samples of any run are those of a run of k trials.
+
 Everything here is double precision on purpose.  The module never
 certifies anything; cross_check reports disagreement instead of hiding
 it, and an unlucky run shows up as a mismatch verdict, not a wrong
@@ -22,12 +30,13 @@ import numpy as np
 
 from .polyhedral import SpanComplex
 from .subspace_search import amoeba_dim
-from .roots import RootFindingError, polynomial_roots
+from .roots import batch_roots
 
 DEFAULT_TRIALS = 20
 DEFAULT_TOL = 1e-8
 _LOG_WINDOW = 3.0
 _ROOT_MIN, _ROOT_MAX = 1e-6, 1e6
+BLOCK = 256  # samples generated, evaluated and ranked together
 
 
 class VarietyFormatError(ValueError):
@@ -102,10 +111,9 @@ class Parametrization:
         object.__setattr__(self, "components", tuple(cooked))
 
     def evaluate(self, z) -> tuple:
-        z = tuple(z)
-        if len(z) != self.domain_dim:
-            raise ValueError("point has the wrong number of coordinates")
-        return tuple(_eval_terms(terms, z) for terms in self.components)
+        z = _point(z, self.domain_dim)
+        poly = _Monomials(self.components, self.domain_dim)
+        return tuple(poly.evaluate(z)[0][0].tolist())
 
 
 @dataclass(frozen=True)
@@ -135,10 +143,9 @@ class ImplicitHypersurface:
         )
 
     def evaluate(self, x) -> complex:
-        x = tuple(x)
-        if len(x) != self.ambient_dim:
-            raise ValueError("point has the wrong number of coordinates")
-        return _eval_terms(self.terms, x)
+        x = _point(x, self.ambient_dim)
+        poly = _Monomials((self.terms,), self.ambient_dim)
+        return complex(poly.evaluate(x)[0][0, 0])
 
 
 @dataclass(frozen=True)
@@ -184,36 +191,91 @@ class CrossCheckResult:
         }
 
 
-def _eval_terms(terms, z):
-    total = 0j
-    for coeff, exponents in terms:
-        v = coeff
-        for zj, e in zip(z, exponents):
-            if e:
-                v *= zj ** e
-        total += v
-    return total
+class _Monomials:
+    """Polynomials in m variables, evaluated through one exponent matrix.
+
+    The terms of all polynomials are stacked: `coeffs` (T,), `exponents`
+    (T, m), and `owners`, the polynomial each term belongs to.  Everything
+    is elementwise over a batch of points (B, m), term after term, with
+    no reduction and no complex matrix product: those pick their float
+    kernel by array shape, and a sample's value must not depend on the
+    size of the batch it is evaluated in.
+    """
+
+    def __init__(self, polys, nvars):
+        terms = [(p, c, e) for p, poly in enumerate(polys) for c, e in poly]
+        self.count = len(polys)
+        self.owners = [p for p, _, _ in terms]
+        self.coeffs = np.array([c for _, c, _ in terms], dtype=complex)
+        self.exponents = np.array(
+            [e for _, _, e in terms], dtype=np.int64).reshape(len(terms), nvars)
+
+    def _terms(self, z):
+        """Coefficient times monomial, one (B,) array per term."""
+        for owner, coeff, exponents in zip(self.owners, self.coeffs,
+                                           self.exponents):
+            v = np.full(len(z), coeff)
+            for j in np.flatnonzero(exponents):
+                v = v * z[:, j] ** exponents[j]
+            yield owner, exponents, v
+
+    def evaluate(self, z):
+        """Values (B, P) of every polynomial at every point, and their
+        complex partials (B, P, m), which need nonzero coordinates."""
+        values = np.zeros((len(z), self.count), dtype=complex)
+        partials = np.zeros(values.shape + (z.shape[1],), dtype=complex)
+        with np.errstate(all="ignore"):
+            for owner, exponents, v in self._terms(z):
+                values[:, owner] = values[:, owner] + v
+                for j in np.flatnonzero(exponents):
+                    partials[:, owner, j] = (partials[:, owner, j]
+                                             + v * exponents[j] / z[:, j])
+        return values, partials
 
 
-def _eval_with_gradient(terms, z):
-    """Value and all complex partials at z (no zero coordinates)."""
-    m = len(z)
-    value = 0j
-    grad = [0j] * m
-    for coeff, exponents in terms:
-        v = coeff
-        for zj, e in zip(z, exponents):
-            if e:
-                v *= zj ** e
-        value += v
-        for j, e in enumerate(exponents):
-            if e:
-                grad[j] += v * e / z[j]
-    return value, grad
+def _point(z, nvars) -> np.ndarray:
+    z = np.array([[complex(c) for c in z]], dtype=complex).reshape(1, -1)
+    if z.shape[1] != nvars:
+        raise ValueError("point has the wrong number of coordinates")
+    return z
 
 
-def _finite(q: complex) -> bool:
-    return math.isfinite(q.real) and math.isfinite(q.imag)
+def _first_failure(count, *checks):
+    """Per sample, the code of the first (code, failed mask) check it
+    fails, 0 where it passes them all."""
+    reasons = np.zeros(count, dtype=np.int8)
+    for code, failed in reversed(checks):
+        reasons[failed] = code
+    return reasons
+
+
+# Rejection codes of _log_jacobians, indexing the messages below.
+_REJECTIONS = (
+    None,
+    "zero coordinate in the sample point",
+    "non-finite coordinate in the sample point",
+    "a component vanishes at the sample point",
+    "non-finite derivative entry",
+)
+
+
+def _log_jacobians(poly: _Monomials, z):
+    """Jacobians of log|phi| at the points z (B, m) and a rejection code
+    per point (0: usable), see log_jacobian."""
+    values, partials = poly.evaluate(z)
+    with np.errstate(all="ignore"):
+        q = partials / values[:, :, None]
+    reasons = _first_failure(
+        len(z),
+        (1, (z == 0).any(axis=1)),
+        (2, ~np.isfinite(z).all(axis=1)),
+        (3, (values == 0).any(axis=1)),
+        (4, ~np.isfinite(q).all(axis=(1, 2))),
+    )
+    matrices = np.empty(q.shape[:2] + (2 * q.shape[2],))
+    matrices[:, :, 0::2] = q.real
+    matrices[:, :, 1::2] = -q.imag
+    return matrices, reasons
 
 
 def log_jacobian(phi: Parametrization, z) -> np.ndarray:
@@ -222,48 +284,47 @@ def log_jacobian(phi: Parametrization, z) -> np.ndarray:
     Differentiating log|phi_i| through the Cauchy-Riemann equations gives
     d/dRe(z_j) = Re(q), d/dIm(z_j) = -Im(q) with q = (d phi_i/d z_j)/phi_i.
     Rejects the point (SampleRejected) when any coordinate or component
-    value is zero or the arithmetic leaves the finite range.
+    value is zero or the arithmetic leaves the finite range.  A batch of
+    one for the kernel estimate_rank runs on whole blocks.
     """
-    z = tuple(complex(c) for c in z)
-    if len(z) != phi.domain_dim:
-        raise ValueError("point has the wrong number of coordinates")
-    for c in z:
-        if c == 0:
-            raise SampleRejected("zero coordinate in the sample point")
-        if not _finite(c):
-            raise SampleRejected("non-finite coordinate in the sample point")
-    rows = []
-    for terms in phi.components:
-        value, grad = _eval_with_gradient(terms, z)
-        if value == 0:
-            raise SampleRejected("a component vanishes at the sample point")
-        row = []
-        for g in grad:
-            q = g / value
-            if not _finite(q):
-                raise SampleRejected("non-finite derivative entry")
-            row.extend((q.real, -q.imag))
-        rows.append(row)
-    return np.array(rows, dtype=float)
+    z = _point(z, phi.domain_dim)
+    matrices, reasons = _log_jacobians(
+        _Monomials(phi.components, phi.domain_dim), z)
+    if reasons[0]:
+        raise SampleRejected(_REJECTIONS[reasons[0]])
+    return matrices[0]
 
 
-def _sample_coordinates(rng, count):
-    radii = np.exp(rng.uniform(-_LOG_WINDOW, _LOG_WINDOW, count))
-    angles = rng.uniform(0.0, 2.0 * math.pi, count)
-    return tuple(
-        complex(r * math.cos(a), r * math.sin(a))
-        for r, a in zip(radii, angles)
-    )
+def _sample_coordinates(rngs, count):
+    """(B, count) points r e^{i theta}, one row per generator, each drawing
+    its log radii and then its angles."""
+    log_radii = np.array([rng.uniform(-_LOG_WINDOW, _LOG_WINDOW, count)
+                          for rng in rngs]).reshape(len(rngs), count)
+    angles = np.array([rng.uniform(0.0, 2.0 * math.pi, count)
+                       for rng in rngs]).reshape(len(rngs), count)
+    radii = np.exp(log_radii)
+    z = np.empty(radii.shape, dtype=complex)
+    z.real = radii * np.cos(angles)
+    z.imag = radii * np.sin(angles)
+    return z
 
 
-def _rank_and_gap(matrix: np.ndarray, tol: float):
-    sigma = np.linalg.svd(matrix, compute_uv=False)
-    if sigma.size == 0 or sigma[0] == 0.0:
-        return 0, math.inf
-    rank = int(np.count_nonzero(sigma / sigma[0] > tol))
-    if rank < sigma.size and sigma[rank] > 0.0:
-        return rank, float(sigma[rank - 1] / sigma[rank])
-    return rank, math.inf
+def _ranks_and_gaps(matrices: np.ndarray, tol: float):
+    """Numerical rank and singular value gap of each matrix of a stack,
+    from one stacked SVD."""
+    count = matrices.shape[0]
+    if count == 0 or 0 in matrices.shape[1:]:
+        return np.zeros(count, dtype=int), np.full(count, math.inf)
+    sigma = np.linalg.svd(matrices, compute_uv=False)
+    with np.errstate(invalid="ignore"):
+        ranks = np.count_nonzero(sigma / sigma[:, :1] > tol, axis=1)
+    rows = np.arange(count)
+    kept = sigma[rows, np.maximum(ranks - 1, 0)]
+    dropped = sigma[rows, np.minimum(ranks, sigma.shape[1] - 1)]
+    split = (ranks > 0) & (ranks < sigma.shape[1]) & (dropped > 0.0)
+    gaps = np.full(count, math.inf)
+    gaps[split] = kept[split] / dropped[split]
+    return ranks, gaps
 
 
 def _check_estimator_params(trials, tol):
@@ -273,13 +334,23 @@ def _check_estimator_params(trials, tol):
         raise ValueError("tol must lie strictly between 0 and 1")
 
 
-def _collect(samples, trials):
+def _estimate(block_matrices, trials, tol, seed) -> RankEstimate:
+    """Run `block_matrices` on blocks of generators and rank what it keeps.
+
+    Sample k always gets child k of SeedSequence(seed): consecutive
+    `spawn` calls continue the numbering, so blocking changes nothing
+    about which sample sees which generator.
+    """
+    _check_estimator_params(trials, tol)
+    parent = np.random.SeedSequence(seed)
     ranks = []
     gaps = []
-    for matrix, tol in samples:
-        rank, gap = _rank_and_gap(matrix, tol)
-        ranks.append(rank)
-        gaps.append(gap)
+    for start in range(0, trials, BLOCK):
+        rngs = [np.random.default_rng(child)
+                for child in parent.spawn(min(BLOCK, trials - start))]
+        block_ranks, block_gaps = _ranks_and_gaps(block_matrices(rngs), tol)
+        ranks += block_ranks.tolist()
+        gaps += block_gaps.tolist()
     if not ranks:
         raise EstimatorError(f"all {trials} samples were rejected")
     return RankEstimate(
@@ -298,67 +369,32 @@ def estimate_rank(phi: Parametrization, trials: int = DEFAULT_TRIALS,
     Coordinates are drawn as r e^{i theta} with log r uniform on the
     window [-3, 3]; each sample gets its own child of the seed sequence,
     so the first k samples of any run agree with a run of k trials and
-    results do not depend on evaluation order.
+    results do not depend on evaluation order.  Samples are evaluated
+    and ranked in blocks of BLOCK.
     """
-    _check_estimator_params(trials, tol)
-    samples = []
-    for child in np.random.SeedSequence(seed).spawn(trials):
-        rng = np.random.default_rng(child)
-        z = _sample_coordinates(rng, phi.domain_dim)
-        try:
-            samples.append((log_jacobian(phi, z), tol))
-        except SampleRejected:
-            continue
-    return _collect(samples, trials)
+    poly = _Monomials(phi.components, phi.domain_dim)
+
+    def block_matrices(rngs):
+        matrices, reasons = _log_jacobians(
+            poly, _sample_coordinates(rngs, phi.domain_dim))
+        return matrices[reasons == 0]
+
+    return _estimate(block_matrices, trials, tol, seed)
 
 
-def _specialize(h: ImplicitHypersurface, xs):
-    """Coefficients of f(xs, t) as a polynomial in the last variable."""
-    degree = max(t[1][-1] for t in h.terms)
-    coeffs = [0j] * (degree + 1)
-    for coeff, exponents in h.terms:
-        v = coeff
-        for xj, e in zip(xs, exponents):
-            if e:
-                v *= xj ** e
-        coeffs[exponents[-1]] += v
-    return coeffs
+def _solved_form(h: ImplicitHypersurface):
+    """The terms of h divided by their largest common monomial factor,
+    and the last variable that still occurs in them.
 
-
-def _implicit_matrix(h: ImplicitHypersurface, rng, tol):
+    The division leaves the zero set in the torus unchanged, and a
+    polynomial in which no variable occurs is a constant there (its
+    samples are then all rejected).
+    """
     n = h.ambient_dim
-    xs = _sample_coordinates(rng, n - 1)
-    coeffs = _specialize(h, xs)
-    candidates = []
-    try:
-        for root in polynomial_roots(coeffs):
-            if _finite(root) and _ROOT_MIN <= abs(root) <= _ROOT_MAX:
-                candidates.append(root)
-    except (RootFindingError, ValueError):
-        raise SampleRejected("root finding failed")
-    if not candidates:
-        raise SampleRejected("no root inside the usable magnitude range")
-    last = candidates[int(rng.integers(len(candidates)))]
-    point = xs + (last,)
-    _, grad = _eval_with_gradient(h.terms, point)
-    fn = grad[-1]
-    if fn == 0 or not _finite(fn):
-        raise SampleRejected("critical point: df/dx_n vanishes at the root")
-    rows = []
-    for i in range(n - 1):
-        q = 1 / point[i]
-        row = [0.0] * (2 * (n - 1))
-        row[2 * i] = q.real
-        row[2 * i + 1] = -q.imag
-        rows.append(row)
-    bottom = []
-    for j in range(n - 1):
-        q = -(grad[j] / fn) / last
-        if not _finite(q):
-            raise SampleRejected("non-finite derivative entry")
-        bottom.extend((q.real, -q.imag))
-    rows.append(bottom)
-    return np.array(rows, dtype=float)
+    low = [min(e[j] for _, e in h.terms) for j in range(n)]
+    terms = [(c, tuple(a - b for a, b in zip(e, low))) for c, e in h.terms]
+    occurring = [j for j in range(n) if any(e[j] for _, e in terms)]
+    return terms, occurring[-1] if occurring else n - 1
 
 
 def estimate_rank_implicit(h: ImplicitHypersurface,
@@ -367,21 +403,57 @@ def estimate_rank_implicit(h: ImplicitHypersurface,
                            seed: int = 0) -> RankEstimate:
     """Like estimate_rank, for a hypersurface given by one polynomial.
 
-    Per sample the first n-1 coordinates are drawn at random, the last
-    one is solved for (picking one usable root at random), and the
-    composed Jacobian of log|.| restricted to the graph is ranked.  The
-    chain rule contributes dx_n/dx_j = -f_j/f_n to the bottom row; the
-    other rows are the diagonal 1/x_i pattern of the free coordinates.
+    The polynomial is first divided by its largest monomial factor, and
+    the last variable x_k that still occurs is the one solved for (x_n
+    whenever there is a constant term).  Per sample the other n-1
+    coordinates are drawn at random, x_k is solved for (picking one
+    usable root at random), and the composed Jacobian of log|.|
+    restricted to the graph is ranked.  The chain rule contributes
+    dx_k/dx_j = -f_j/f_k to the bottom row; the other rows are the
+    diagonal 1/x_i pattern of the free coordinates.
     """
-    _check_estimator_params(trials, tol)
-    samples = []
-    for child in np.random.SeedSequence(seed).spawn(trials):
-        rng = np.random.default_rng(child)
-        try:
-            samples.append((_implicit_matrix(h, rng, tol), tol))
-        except SampleRejected:
-            continue
-    return _collect(samples, trials)
+    n = h.ambient_dim
+    terms, solved = _solved_form(h)
+    free = [j for j in range(n) if j != solved]
+    poly = _Monomials((terms,), n)
+    # f(x, t) as a polynomial in t = x_solved: one polynomial in the free
+    # coordinates per power of t that occurs
+    by_power = {}
+    for coeff, exponents in terms:
+        by_power.setdefault(exponents[solved], []).append(
+            (coeff, tuple(exponents[j] for j in free)))
+    powers = sorted(by_power)
+    specialize = _Monomials([by_power[p] for p in powers], n - 1)
+    diagonal = np.arange(n - 1)
+
+    def block_matrices(rngs):
+        xs = _sample_coordinates(rngs, n - 1)
+        coeffs = np.zeros((len(rngs), powers[-1] + 1), dtype=complex)
+        coeffs[:, powers] = specialize.evaluate(xs)[0]
+        # a row whose root finding failed holds only NaN: no usable root
+        roots, _ = batch_roots(coeffs)
+        usable = (np.abs(roots) >= _ROOT_MIN) & (np.abs(roots) <= _ROOT_MAX)
+        counts = usable.sum(axis=1)
+        keep = np.flatnonzero(counts)
+        last = np.array([roots[s][usable[s]][rngs[s].integers(int(counts[s]))]
+                         for s in keep], dtype=complex)
+        xs = xs[keep]
+        _, partials = poly.evaluate(np.insert(xs, solved, last, axis=1))
+        partials = partials[:, 0]
+        fk = partials[:, solved]
+        with np.errstate(all="ignore"):
+            bottom = -(partials[:, free] / fk[:, None]) / last[:, None]
+            inverse = 1 / xs
+        critical = (fk == 0) | ~np.isfinite(fk)
+        ok = ~critical & np.isfinite(bottom).all(axis=1)
+        matrices = np.zeros((len(keep), n, 2 * (n - 1)))
+        matrices[:, diagonal, 2 * diagonal] = inverse.real
+        matrices[:, diagonal, 2 * diagonal + 1] = -inverse.imag
+        matrices[:, n - 1, 0::2] = bottom.real
+        matrices[:, n - 1, 1::2] = -bottom.imag
+        return matrices[ok]
+
+    return _estimate(block_matrices, trials, tol, seed)
 
 
 def cross_check(sigma: SpanComplex, estimate: RankEstimate,

@@ -4,66 +4,128 @@ Durand-Kerner is enough here: the polynomials come from specializing a
 multivariate one at a random point, so degrees are tiny and clustered
 roots are not the regime we care about.  Callers treat a convergence
 failure as a rejected sample, not a fatal error.
+
+`batch_roots` solves a whole block of polynomials at once, vectorized over
+the batch axis; `polynomial_roots` is a batch of one.  Each polynomial
+keeps its own starting points, its own Gauss-Seidel sweep and its own
+stopping rule, and is frozen once it has converged, so its roots do not
+depend on the other polynomials in the batch.
 """
+
+import numpy as np
 
 
 class RootFindingError(RuntimeError):
     """The iteration did not converge within the step budget."""
 
 
-def _horner(coeffs, x):
-    acc = 0j
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+# Status codes of `batch_roots`; 0 means the roots were found.
+ZERO_POLYNOMIAL, COINCIDENT, NOT_FINITE, NO_CONVERGENCE = 1, 2, 3, 4
+_STATUS_MESSAGES = {
+    ZERO_POLYNOMIAL: "the zero polynomial does not have a root set",
+    COINCIDENT: "coincident iterates",
+    NOT_FINITE: "iteration left the finite range",
+}
+
+_START = 0.4 + 0.9j
+
+
+def _durand_kerner(monic, tol, max_iter):
+    """Roots of each row of `monic` (B, d+1), low order first, leading 1.
+
+    Returns the (B, d) iterates and a status per row.  Initial guesses are
+    the usual powers of 0.4+0.9j, which avoids the symmetric stalls a real
+    starting configuration can hit.
+    """
+    count, degree = monic.shape[0], monic.shape[1] - 1
+    roots = np.tile([_START ** k for k in range(1, degree + 1)], (count, 1))
+    status = np.full(count, NO_CONVERGENCE, dtype=np.int8)
+    live = np.arange(count)
+    for _ in range(max_iter):
+        if live.size == 0:
+            break
+        r = roots[live]
+        cs = monic[live]
+        coincident = np.zeros(live.size, dtype=bool)
+        worst = np.zeros(live.size)
+        scale = np.ones(live.size)
+        for i in range(degree):
+            ri = r[:, i]
+            denom = np.ones(live.size, dtype=complex)
+            for j in range(degree):
+                if j != i:
+                    denom = denom * (ri - r[:, j])
+            coincident |= denom == 0
+            value = np.zeros(live.size, dtype=complex)
+            for k in range(degree, -1, -1):
+                value = value * ri + cs[:, k]
+            step = value / denom
+            r[:, i] = ri - step
+            worst = np.maximum(worst, np.abs(step))
+        for i in range(degree):
+            scale = np.maximum(scale, np.abs(r[:, i]))
+        roots[live] = r
+        done = np.where(coincident, COINCIDENT,
+                        np.where(np.isnan(worst) | np.isnan(scale),
+                                 NOT_FINITE,
+                                 np.where(worst <= tol * scale, 0, -1)))
+        status[live[done >= 0]] = done[done >= 0]
+        live = live[done < 0]
+    return roots, status
+
+
+def batch_roots(coeffs, tol: float = 1e-12, max_iter: int = 200):
+    """All complex roots of each row of `coeffs` (B, k+1), low order first.
+
+    Returns `(roots, status)`.  `roots` is (B, k): each row holds the
+    row's roots sorted by real part, then imaginary, followed by NaN
+    padding where exact zero high-order coefficients lowered the degree.
+    A factor x**s is split off first, so roots at the origin come out
+    exact.  `status` is 0 where the roots were found, else one of
+    ZERO_POLYNOMIAL, COINCIDENT, NOT_FINITE or NO_CONVERGENCE; such rows
+    hold no roots.
+    """
+    coeffs = np.asarray(coeffs, dtype=complex)
+    count, width = coeffs.shape
+    roots = np.full((count, max(width - 1, 0)), np.nan, dtype=complex)
+    status = np.zeros(count, dtype=np.int8)
+    nonzero = coeffs != 0
+    any_term = nonzero.any(axis=1)
+    status[~any_term] = ZERO_POLYNOMIAL
+    low = nonzero.argmax(axis=1)
+    high = width - 1 - nonzero[:, ::-1].argmax(axis=1)
+    rows = np.flatnonzero(any_term)
+    for lo, hi in sorted(set(zip(low[rows].tolist(), high[rows].tolist()))):
+        group = rows[(low[rows] == lo) & (high[rows] == hi)]
+        roots[group, :lo] = 0
+        if hi > lo:
+            part = coeffs[group, lo:hi + 1]
+            with np.errstate(all="ignore"):
+                found, status[group] = _durand_kerner(
+                    part / part[:, -1:], tol, max_iter)
+            roots[group, lo:hi] = found
+    roots[status != 0] = np.nan
+    return np.sort(roots, axis=1), status
 
 
 def polynomial_roots(coeffs, tol: float = 1e-12, max_iter: int = 200):
     """All complex roots of sum_k coeffs[k] * x**k, as a tuple.
 
-    Exact zero high-order coefficients are stripped; a factor x**s is
-    split off first so roots at the origin come out exact.  Initial
-    guesses are the usual powers of 0.4+0.9j, which avoids the symmetric
-    stalls a real starting configuration can hit.  The returned order is
-    deterministic (sorted by real part, then imaginary).
+    A batch of one for `batch_roots`: exact zero high-order coefficients
+    are stripped, roots at the origin come out exact, and the order is
+    deterministic (sorted by real part, then imaginary).  Raises
+    ValueError for the zero polynomial and RootFindingError when the
+    iteration fails.
     """
-    cs = [complex(c) for c in coeffs]
-    while cs and cs[-1] == 0:
-        cs.pop()
-    if not cs:
-        raise ValueError("the zero polynomial does not have a root set")
-    origin = 0
-    while cs[0] == 0:
-        cs.pop(0)
-        origin += 1
-    degree = len(cs) - 1
-    if degree == 0:
-        return (0j,) * origin
-    lead = cs[-1]
-    cs = [c / lead for c in cs]
-    roots = [(0.4 + 0.9j) ** k for k in range(1, degree + 1)]
-    for _ in range(max_iter):
-        worst = 0.0
-        for i in range(degree):
-            r = roots[i]
-            denom = 1 + 0j
-            for j in range(degree):
-                if j != i:
-                    denom *= r - roots[j]
-            if denom == 0:
-                raise RootFindingError("coincident iterates")
-            step = _horner(cs, r) / denom
-            roots[i] = r - step
-            mag = abs(step)
-            if mag > worst:
-                worst = mag
-        scale = max(1.0, max(abs(r) for r in roots))
-        if worst != worst or scale != scale:
-            raise RootFindingError("iteration left the finite range")
-        if worst <= tol * scale:
-            all_roots = [0j] * origin + roots
-            all_roots.sort(key=lambda z: (z.real, z.imag))
-            return tuple(all_roots)
-    raise RootFindingError(
-        f"no convergence after {max_iter} iterations"
-    )
+    coeffs = np.array([[complex(c) for c in coeffs]], dtype=complex)
+    if coeffs.size == 0:
+        coeffs = np.zeros((1, 1), dtype=complex)
+    roots, status = batch_roots(coeffs, tol, max_iter)
+    code = int(status[0])
+    if code == ZERO_POLYNOMIAL:
+        raise ValueError(_STATUS_MESSAGES[code])
+    if code:
+        raise RootFindingError(_STATUS_MESSAGES.get(
+            code, f"no convergence after {max_iter} iterations"))
+    row = roots[0]
+    return tuple(row[~np.isnan(row)].tolist())

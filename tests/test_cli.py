@@ -311,6 +311,31 @@ class TestEstimate:
         assert (code, out) == (4, "")
         assert "rejected" in err
 
+    def test_all_implicit_samples_rejected(self, capsys, tmp_path):
+        # 2xy + 3xy is 5xy: no zeros in the torus
+        path = write(tmp_path, "c.json", json.dumps({
+            "ambient_dim": 2, "polynomial": {"terms": [
+                {"coeff": ["2", "0"], "exponents": [1, 1]},
+                {"coeff": ["3", "0"], "exponents": [1, 1]},
+            ]},
+        }))
+        code, out, err = run(capsys, "estimate", path, "--kind", "implicit")
+        assert (code, out) == (4, "")
+        assert "rejected" in err
+
+    def test_implicit_without_last_variable(self, capsys, tmp_path):
+        # x + 1 in (C*)^2: the line x = -1, an amoeba of dimension 1
+        path = write(tmp_path, "x.json", json.dumps({
+            "ambient_dim": 2, "polynomial": {"terms": [
+                {"coeff": ["1", "0"], "exponents": [1, 0]},
+                {"coeff": ["1", "0"], "exponents": [0, 0]},
+            ]},
+        }))
+        code, out, _ = run(capsys, "estimate", path, "--kind", "implicit",
+                           "--seed", "1")
+        assert code == 0
+        assert json.loads(out)["per_sample_ranks"] == [1] * 20
+
     def test_wrong_kind_for_file(self, capsys, tmp_path):
         path = write(tmp_path, "m.json", MOMENT_DOC)
         code, out, _ = run(capsys, "estimate", path, "--kind", "implicit")

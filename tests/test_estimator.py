@@ -27,6 +27,27 @@ def param(m, n, *components):
     return Parametrization(m, n, tuple(tuple(c) for c in components))
 
 
+def reference_log_jacobian(phi, z):
+    """log_jacobian written as a loop over terms and coordinates."""
+    rows = []
+    for terms in phi.components:
+        value = 0j
+        grad = [0j] * len(z)
+        for coeff, exponents in terms:
+            v = coeff
+            for zj, e in zip(z, exponents):
+                v *= complex(zj) ** e
+            value += v
+            for j, e in enumerate(exponents):
+                grad[j] += v * e / z[j]
+        row = []
+        for g in grad:
+            q = g / value
+            row.extend((q.real, -q.imag))
+        rows.append(row)
+    return np.array(rows)
+
+
 # (t, t^2)
 MOMENT = param(1, 2, [(1, (1,))], [(1, (2,))])
 # (t, 1 - t)
@@ -232,16 +253,34 @@ class TestEstimateRankImplicit:
         est = estimate_rank_implicit(f, trials=20, seed=1)
         assert est.rank == 1
 
-    def test_missing_last_variable_rejects_all(self):
-        f = ImplicitHypersurface(2, ((1, (2, 0)), (1, (1, 0))))
-        with pytest.raises(EstimatorError, match="rejected"):
-            estimate_rank_implicit(f, trials=5, seed=1)
+    @pytest.mark.parametrize("terms", [
+        ((1, (1, 0)), (1, (0, 0))),
+        ((1, (1, 1)), (1, (0, 1))),
+        ((1, (2, 0)), (1, (1, 0))),
+        ((1, (2, 1)), (1, (1, 1))),
+    ], ids=["x_plus_1", "y_times_x_plus_1", "x_times_x_plus_1",
+            "xy_times_x_plus_1"])
+    def test_polynomial_without_last_variable(self, terms):
+        # each vanishes on the line x = -1 of the torus: the monomial
+        # factor is divided out and x is solved for
+        est = estimate_rank_implicit(ImplicitHypersurface(2, terms),
+                                     trials=50, seed=1)
+        assert est.per_sample_ranks == (1,) * 50
 
-    def test_origin_only_roots_reject_all(self):
-        # x^2 y + x y vanishes on the torus nowhere except y = 0
-        f = ImplicitHypersurface(2, ((1, (2, 1)), (1, (1, 1))))
-        with pytest.raises(EstimatorError, match="rejected"):
-            estimate_rank_implicit(f, trials=5, seed=1)
+    def test_shared_monomial_rejects_all(self):
+        # 2xy + 3xy = 5xy and xy - xy = 0: no isolated zeros in the torus
+        for coeffs in ((2, 3), (1, -1)):
+            f = ImplicitHypersurface(
+                2, tuple((c, (1, 1)) for c in coeffs))
+            with pytest.raises(EstimatorError, match="rejected"):
+                estimate_rank_implicit(f, trials=5, seed=1)
+
+    def test_roots_out_of_range_rejected(self):
+        # 1e7 x - y: y = 1e7 x leaves [1e-6, 1e6] unless |x| <= 0.1
+        f = ImplicitHypersurface(2, ((1e7, (1, 0)), (-1, (0, 1))))
+        est = estimate_rank_implicit(f, trials=50, seed=1)
+        assert est.samples_used == 9
+        assert est.per_sample_ranks == (1,) * 9
 
     def test_deterministic(self):
         a = estimate_rank_implicit(LINE_IMPL, trials=15, seed=9)
@@ -251,6 +290,64 @@ class TestEstimateRankImplicit:
     def test_rank_bound(self):
         est = estimate_rank_implicit(PLANE_IMPL, trials=10, seed=4)
         assert est.rank <= min(3, 2 * 2)
+
+
+class TestBlockedSampling:
+    """Samples are processed in blocks of BLOCK, but sample k always gets
+    child k of the seed sequence and its own arithmetic."""
+
+    VARIETIES = [
+        pytest.param(estimate_rank, MOMENT, id="moment"),
+        pytest.param(estimate_rank, SURFACE, id="surface"),
+        pytest.param(estimate_rank_implicit, HYPERBOLA, id="hyperbola"),
+        # (y - 1)^2: Durand-Kerner on a double root
+        pytest.param(estimate_rank_implicit, ImplicitHypersurface(
+            2, ((1, (0, 2)), (-2, (0, 1)), (1, (0, 0)))), id="double_root"),
+        pytest.param(estimate_rank_implicit, ImplicitHypersurface(
+            2, ((1, (6, 0)), (1, (0, 6)), (1, (0, 0)))), id="fermat_curve"),
+        # 1e7 x - y: most samples rejected
+        pytest.param(estimate_rank_implicit, ImplicitHypersurface(
+            2, ((1e7, (1, 0)), (-1, (0, 1)))), id="mostly_rejected"),
+    ]
+
+    @pytest.mark.parametrize("estimate,variety", VARIETIES)
+    def test_prefix_across_block_boundaries(self, estimate, variety):
+        long = estimate(variety, trials=600, seed=5)
+        for k in (1, 255, 257, 600):
+            try:
+                short = estimate(variety, trials=k, seed=5)
+            except EstimatorError:
+                continue  # k samples, all of them rejected
+            used = short.samples_used
+            assert long.per_sample_ranks[:used] == short.per_sample_ranks
+            assert long.per_sample_gaps[:used] == short.per_sample_gaps
+
+    def test_sample_k_uses_child_k(self):
+        # the seed contract, spelled out: sample k draws log radii, then
+        # angles, from child k of SeedSequence(seed)
+        long = estimate_rank(MOMENT, trials=600, seed=5)
+        children = np.random.SeedSequence(5).spawn(600)
+        for k in (0, 255, 256, 599):
+            rng = np.random.default_rng(children[k])
+            radius = np.exp(rng.uniform(-3.0, 3.0, 1))
+            angle = rng.uniform(0.0, 2.0 * math.pi, 1)
+            z = radius * np.cos(angle) + 1j * (radius * np.sin(angle))
+            sigma = np.linalg.svd(log_jacobian(MOMENT, z), compute_uv=False)
+            assert long.per_sample_gaps[k] == sigma[0] / sigma[1]
+
+    def test_log_jacobian_matches_the_term_loop(self):
+        # the exponent-matrix kernel against the per-term loop it replaced:
+        # numpy's complex power and division round unlike Python's
+        laurent = param(2, 3, [(2, (3, -1)), (1j, (0, 2))], [(1, (1, 1))],
+                        [(1, (2, 0)), (-1, (0, 0)), (0.5, (-1, 1))])
+        rng = np.random.default_rng(3)
+        for phi in (SURFACE, LINE, laurent):
+            m = phi.domain_dim
+            for _ in range(20):
+                z = rng.normal(size=m) + 1j * rng.normal(size=m)
+                want = reference_log_jacobian(phi, z)
+                assert np.allclose(log_jacobian(phi, z), want,
+                                   rtol=1e-12, atol=1e-12)
 
 
 class TestRankEstimateType:
