@@ -1,4 +1,9 @@
-"""Amoeba dimension from tropical data, with witnesses and a numerical check."""
+"""Amoeba dimension from tropical data, with witnesses and a numerical check.
+
+The names below are the library's entry points, the types they take and
+return, and the exceptions they raise.  Everything else stays importable
+from its module.
+"""
 
 from .estimator import (
     CrossCheckResult,
@@ -6,119 +11,62 @@ from .estimator import (
     ImplicitHypersurface,
     Parametrization,
     RankEstimate,
-    SampleRejected,
     VarietyFormatError,
     cross_check,
     estimate_rank,
     estimate_rank_implicit,
-    log_jacobian,
     parse_implicit,
     parse_parametrization,
 )
-from .families import (
-    FAMILY_NAMES,
-    FamilySpec,
-    curve_fan,
-    orbit_subspace,
-    torus_invariant,
-    tropical_hyperplane,
-)
+from .families import curve_fan, orbit_subspace, torus_invariant, \
+    tropical_hyperplane
 from .polyhedral import (
     ComplexFormatError,
     PurityError,
     SpanComplex,
-    cellwise_invariant,
-    dim_sum_with_subspace,
     format_complex,
-    minkowski_with_subspace,
     parse_complex,
     product,
 )
-from .rational_linalg import (
-    RationalMatrix,
-    RationalScalar,
-    Subspace,
-    canonicalize,
-    complement_rows,
-    format_rational,
-    intersect_rows,
-    parse_rational,
-    rref,
-    sum_rows,
-)
-from .roots import RootFindingError, polynomial_roots
+from .rational_linalg import Subspace
 from .subspace_search import (
-    CandidateSet,
     NearActionReport,
     ResourceLimitError,
     SearchResult,
     amoeba_dim,
-    candidate_lattice,
-    default_strategy,
     detect_near_action,
-    exhaustive_candidates,
-    objective,
-    orbit_indicator,
-    product_candidates,
     reduce_torus,
-    witness_pair,
 )
 
 __all__ = [
-    "CandidateSet",
     "ComplexFormatError",
     "CrossCheckResult",
     "EstimatorError",
-    "FAMILY_NAMES",
-    "FamilySpec",
     "ImplicitHypersurface",
     "NearActionReport",
     "Parametrization",
     "PurityError",
     "RankEstimate",
-    "RationalMatrix",
-    "RationalScalar",
     "ResourceLimitError",
-    "RootFindingError",
-    "SampleRejected",
     "SearchResult",
     "SpanComplex",
     "Subspace",
     "VarietyFormatError",
     "amoeba_dim",
-    "candidate_lattice",
-    "canonicalize",
-    "cellwise_invariant",
-    "complement_rows",
     "cross_check",
     "curve_fan",
-    "default_strategy",
     "detect_near_action",
-    "dim_sum_with_subspace",
     "estimate_rank",
     "estimate_rank_implicit",
-    "exhaustive_candidates",
     "format_complex",
-    "format_rational",
-    "intersect_rows",
-    "log_jacobian",
-    "minkowski_with_subspace",
-    "objective",
-    "orbit_indicator",
     "orbit_subspace",
     "parse_complex",
     "parse_implicit",
     "parse_parametrization",
-    "parse_rational",
-    "polynomial_roots",
     "product",
-    "product_candidates",
     "reduce_torus",
-    "rref",
-    "sum_rows",
     "torus_invariant",
     "tropical_hyperplane",
-    "witness_pair",
 ]
 
 __version__ = "0.1.0"

@@ -24,6 +24,7 @@ from .estimator import (
     DEFAULT_TOL,
     DEFAULT_TRIALS,
     EstimatorError,
+    _check_estimator_params,
     cross_check,
     estimate_rank,
     estimate_rank_implicit,
@@ -34,19 +35,18 @@ from .families import curve_fan, orbit_subspace, torus_invariant, \
     tropical_hyperplane
 from .polyhedral import format_complex, parse_complex, product
 from .rational_linalg import canonicalize
-from .subspace_search import (
-    DEFAULT_CAP,
-    DEFAULT_HEIGHT,
-    ResourceLimitError,
-    amoeba_dim,
-)
+from .subspace_search import ResourceLimitError, _parse_strategy, amoeba_dim
 
 _GEN_FAMILIES = ("hyperplane", "orbit", "curve", "torus_invariant", "product")
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One validated invocation, ready to execute."""
+    """One validated invocation, ready to execute.
+
+    `strategy` is a search descriptor such as "lattice" or
+    "combined(cap=5)", or None for the search's ambient-dependent default.
+    """
 
     command: str
     inputs: tuple = ()
@@ -54,46 +54,25 @@ class RunConfig:
     params: tuple = ()
     kind: str | None = None
     strategy: str | None = None
-    cap: int | None = None
-    height: int | None = None
     trials: int = DEFAULT_TRIALS
     tol: float = DEFAULT_TOL
     seed: int = 0
     output: str | None = None
 
-    def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("--trials must be at least 1")
-        if not 0.0 < self.tol < 1.0:
-            raise ValueError("--tol must lie strictly between 0 and 1")
-        if self.cap is not None and self.cap < 1:
-            raise ValueError("--cap must be at least 1")
-        if self.height is not None and self.height < 0:
-            raise ValueError("--height must not be negative")
-        if self.strategy is None and (self.cap is not None
-                                      or self.height is not None):
+
+def _strategy_descriptor(args: argparse.Namespace) -> str | None:
+    """The descriptor the strategy flags spell, checked by the search's
+    own parser; None when no flag was given."""
+    params = ",".join(f"{key}={value}" for key, value in
+                      (("cap", args.cap), ("height", args.height))
+                      if value is not None)
+    if args.strategy is None:
+        if params:
             raise ValueError("--cap and --height need an explicit --strategy")
-        if self.strategy == "lattice" and self.height is not None:
-            raise ValueError("--height does not apply to the lattice strategy")
-        if self.strategy == "exhaustive" and self.cap is not None:
-            raise ValueError("--cap does not apply to the exhaustive strategy")
-
-
-def _strategy_descriptor(config: RunConfig) -> str | None:
-    """Collapse the flag triple into the descriptor the search accepts.
-
-    None means no flags were given, letting the search pick its
-    ambient-dependent default.
-    """
-    if config.strategy is None:
         return None
-    cap = config.cap if config.cap is not None else DEFAULT_CAP
-    height = config.height if config.height is not None else DEFAULT_HEIGHT
-    if config.strategy == "lattice":
-        return f"lattice(cap={cap})"
-    if config.strategy == "exhaustive":
-        return f"exhaustive(height={height})"
-    return f"combined(cap={cap},height={height})"
+    descriptor = f"{args.strategy}({params})" if params else args.strategy
+    _parse_strategy(descriptor)
+    return descriptor
 
 
 _UNIT_VECTOR = re.compile(r"\s*(-?)e([0-9]+)\s*\Z")
@@ -162,7 +141,7 @@ def _int_param(raw: str, what: str) -> int:
 
 def cmd_dim(config: RunConfig) -> int:
     sigma = parse_complex(_read_text(config.inputs[0]))
-    result = amoeba_dim(sigma, strategy=_strategy_descriptor(config))
+    result = amoeba_dim(sigma, strategy=config.strategy)
     _emit_json(result.to_json_dict(), config.output)
     return 0
 
@@ -232,8 +211,7 @@ def cmd_verify(config: RunConfig) -> int:
         trials=config.trials, tol=config.tol, seed=config.seed,
     )
     estimate = _run_estimator(shifted)
-    verdict = cross_check(sigma, estimate,
-                          strategy=_strategy_descriptor(config))
+    verdict = cross_check(sigma, estimate, strategy=config.strategy)
     _emit_json(verdict.to_json_dict(), config.output)
     return 0 if verdict.verdict == "agree" else 5
 
@@ -301,21 +279,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
+    """Check the flags and collect them; no input file is read here."""
     if args.command == "gen":
         return RunConfig(command="gen", family=args.family,
                          params=tuple(args.params), output=args.output)
     if args.command == "dim":
         return RunConfig(command="dim", inputs=(args.fan,),
-                         strategy=args.strategy, cap=args.cap,
-                         height=args.height, output=args.output)
+                         strategy=_strategy_descriptor(args),
+                         output=args.output)
+    _check_estimator_params(args.trials, args.tol)
     if args.command == "estimate":
         return RunConfig(command="estimate", inputs=(args.variety,),
                          kind=args.kind, trials=args.trials, tol=args.tol,
                          seed=args.seed, output=args.output)
     return RunConfig(command="verify", inputs=(args.fan, args.variety),
-                     kind=args.kind, strategy=args.strategy, cap=args.cap,
-                     height=args.height, trials=args.trials, tol=args.tol,
-                     seed=args.seed, output=args.output)
+                     kind=args.kind, strategy=_strategy_descriptor(args),
+                     trials=args.trials, tol=args.tol, seed=args.seed,
+                     output=args.output)
 
 
 def main(argv=None) -> int:

@@ -328,9 +328,9 @@ def _ranks_and_gaps(matrices: np.ndarray, tol: float):
 
 
 def _check_estimator_params(trials, tol):
-    if not isinstance(trials, int) or trials < 1:
+    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
         raise ValueError("trials must be a positive integer")
-    if not 0.0 < tol < 1.0:
+    if isinstance(tol, bool) or not 0.0 < tol < 1.0:
         raise ValueError("tol must lie strictly between 0 and 1")
 
 

@@ -6,45 +6,10 @@ generic situation where the complex is the full codimension-one
 skeleton, so no coefficient data is taken or checked.
 """
 
-from dataclasses import dataclass, field
 from itertools import combinations
 
 from .polyhedral import SpanComplex, minkowski_with_subspace
 from .rational_linalg import Subspace, canonicalize
-
-FAMILY_NAMES = ("hyperplane", "orbit", "curve")
-
-
-@dataclass(frozen=True)
-class FamilySpec:
-    """A named family plus the integer data needed to build it.
-
-    `vectors` carries the basis vectors for an orbit or the rays of a
-    curve fan; the hyperplane family ignores it.
-    """
-
-    name: str
-    ambient_dim: int
-    vectors: tuple = field(default=())
-
-    def __post_init__(self):
-        if self.name not in FAMILY_NAMES:
-            raise ValueError(
-                f"unknown family {self.name!r}; expected one of "
-                + ", ".join(FAMILY_NAMES)
-            )
-        if self.ambient_dim < 1:
-            raise ValueError("ambient dimension must be positive")
-        object.__setattr__(
-            self, "vectors", tuple(tuple(v) for v in self.vectors)
-        )
-
-    def build(self) -> SpanComplex:
-        if self.name == "hyperplane":
-            return tropical_hyperplane(self.ambient_dim)
-        if self.name == "orbit":
-            return orbit_subspace(self.ambient_dim, self.vectors)
-        return curve_fan(self.ambient_dim, self.vectors)
 
 
 def tropical_hyperplane(n: int) -> SpanComplex:

@@ -144,16 +144,23 @@ def dim_sum_with_subspace(sigma: SpanComplex, sub: Subspace) -> int:
     largest summed-span dimension.
     """
     _check_ambient(sigma, sub)
+    return _max_cell_sum(sigma.cells, sub, sigma.ambient_dim)
+
+
+def _max_cell_sum(cells, sub: Subspace, stop: int) -> int:
+    """Largest dim(<C> + S) over the cells, scanned in order; the scan ends
+    as soon as the running maximum reaches `stop`, so a result of at
+    least `stop` only says the maximum is that large."""
+    s = len(sub.rows)
     best = 0
-    n = sigma.ambient_dim
-    for cell in sigma.cells:
-        if cell.dim >= sub.dim:
+    for cell in cells:
+        if len(cell.rows) >= s:
             got = cell.sum_dim(sub.rows)
         else:
             got = sub.sum_dim(cell.rows)
         if got > best:
             best = got
-            if best == n:
+            if best >= stop:
                 break
     return best
 
@@ -180,17 +187,6 @@ def minkowski_with_subspace(sigma: SpanComplex, sub: Subspace) -> SpanComplex:
             offending=bad,
         )
     return SpanComplex.from_cells(sigma.ambient_dim, summed, list(sigma.labels))
-
-
-def cellwise_invariant(sigma: SpanComplex, sub: Subspace) -> bool:
-    """True iff S sits inside every cell span.
-
-    This is a sufficient condition for the set-level invariance
-    S + |Sigma| = |Sigma|, not an equivalent one: the span model carries no
-    cell geometry, so the converse direction cannot be checked here.
-    """
-    _check_ambient(sigma, sub)
-    return all(cell.contains_subspace(sub) for cell in sigma.cells)
 
 
 def product(sigma1: SpanComplex, sigma2: SpanComplex) -> SpanComplex:

@@ -6,12 +6,14 @@ basis, with each row rescaled to a primitive integer vector (gcd of entries
 1, leading entry positive).  Two Subspace values are equal iff their stored
 rows are equal, which makes deduplication a set lookup.
 
-Internally the elimination is fraction-free over Python integers: rows are
-cleared of denominators up front and kept primitive after every update.
-This is observationally identical to naive elimination over Fraction (the
-test suite checks that on random inputs) but several times faster, which
-matters because the subspace search performs hundreds of thousands of row
-reductions.
+Every reduction goes through one kernel, `sum_rows`: canonical bases,
+sums, dimensions of sums, membership and (by the Zassenhaus trick at
+double width) intersections.  It eliminates fraction-free over Python
+integers: rows are cleared of denominators up front and kept primitive
+after every update.  This is observationally identical to naive
+elimination over Fraction (the test suite checks that on random inputs)
+but several times faster, which matters because the subspace search
+performs hundreds of thousands of row reductions.
 """
 
 from __future__ import annotations
@@ -21,16 +23,15 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-RationalScalar = Fraction
-
 _FULL_CACHE: dict = {}
 
 Vector = Sequence  # rational entries: int, Fraction, or "p/q" strings
 
 
 def parse_rational(text) -> Fraction:
-    """Parse "p" or "p/q" (q > 0 after reduction). Accepts ints unchanged."""
-    if isinstance(text, (int, Fraction)):
+    """Parse "p" or "p/q" (q > 0 after reduction). Accepts ints unchanged,
+    but not booleans."""
+    if isinstance(text, (int, Fraction)) and not isinstance(text, bool):
         return Fraction(text)
     if not isinstance(text, str):
         raise ValueError(f"not a rational: {text!r}")
@@ -47,37 +48,6 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-@dataclass(frozen=True)
-class RationalMatrix:
-    """Immutable rectangular matrix over Q."""
-
-    entries: tuple
-    cols: int
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Vector], cols: int | None = None) -> "RationalMatrix":
-        """Build from an iterable of rows; entries may be ints, Fractions,
-        or rational strings.  `cols` is required when rows is empty."""
-        parsed = tuple(tuple(parse_rational(x) for x in row) for row in rows)
-        if parsed:
-            width = len(parsed[0])
-            if any(len(r) != width for r in parsed):
-                raise ValueError("ragged rows")
-            if cols is not None and cols != width:
-                raise ValueError(f"expected {cols} columns, got {width}")
-            cols = width
-        elif cols is None:
-            raise ValueError("empty matrix needs an explicit column count")
-        return cls(parsed, cols)
-
-    def row(self, i: int) -> tuple:
-        return self.entries[i]
-
-
 def _int_rows(rows: Iterable[Vector]) -> list:
     """Clear denominators row by row (row spans are scale-invariant)."""
     out = []
@@ -91,45 +61,10 @@ def _int_rows(rows: Iterable[Vector]) -> list:
     return out
 
 
-def _canonical_rows(rows: list, n: int) -> tuple:
+def _canonical_rows(rows, n: int) -> tuple:
     """Canonical basis rows (RREF + primitive scaling) of an integer row
-    span, fraction-free.  The workhorse of the whole package."""
-    ech: list = []  # (pivot column, primitive row with positive lead), sorted
-    m = 0
-    for row in rows:
-        row = list(row)
-        for pc, prow in ech:
-            a = row[pc]
-            if a:
-                b = prow[pc]
-                row = [x * b - y * a for x, y in zip(row, prow)]
-        pc = -1
-        for i, x in enumerate(row):
-            if x:
-                pc = i
-                break
-        if pc < 0:
-            continue
-        g = gcd(*row)
-        if row[pc] < 0:
-            g = -g
-        lo = 0
-        while lo < m and ech[lo][0] < pc:
-            lo += 1
-        ech.insert(lo, (pc, [x // g for x in row]))
-        m += 1
-    # back-elimination: clear each pivot column above its row
-    for i in range(m - 1, 0, -1):
-        pc, prow = ech[i]
-        b = prow[pc]
-        for k in range(i):
-            kpc, krow = ech[k]
-            a = krow[pc]
-            if a:
-                krow = [x * b - y * a for x, y in zip(krow, prow)]
-                g = gcd(*krow)
-                ech[k] = (kpc, [x // g for x in krow])
-    return tuple(tuple(r) for _, r in ech)
+    span."""
+    return sum_rows((), rows, n) or ()
 
 
 def sum_rows(ech_pairs, rows, ambient_dim: int):
@@ -139,6 +74,8 @@ def sum_rows(ech_pairs, rows, ambient_dim: int):
     `ech_pairs` are the (pivot, row) pairs a Subspace caches for its
     canonical basis, so only the incoming rows need elimination, and the
     closing back-elimination touches just the pivot columns they added.
+    This is the package's only elimination loop; every other reduction
+    calls it.
     """
     n = ambient_dim
     ech = list(ech_pairs)
@@ -191,16 +128,6 @@ def sum_rows(ech_pairs, rows, ambient_dim: int):
     return tuple(tuple(r) for _, r in ech)
 
 
-def rref(matrix: RationalMatrix) -> RationalMatrix:
-    """Reduced row echelon form, zero rows removed (exact, unique)."""
-    canon = _canonical_rows(_int_rows(matrix.entries), matrix.cols)
-    out = []
-    for row in canon:
-        lead = next(x for x in row if x)
-        out.append(tuple(Fraction(x, lead) for x in row))
-    return RationalMatrix(tuple(out), matrix.cols)
-
-
 @dataclass(frozen=True)
 class Subspace:
     """A rational linear subspace of R^n in canonical basis form.
@@ -216,13 +143,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.rows)
-
-    @property
-    def basis(self) -> RationalMatrix:
-        return RationalMatrix(
-            tuple(tuple(Fraction(x) for x in row) for row in self.rows),
-            self.ambient_dim,
-        )
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -332,7 +252,7 @@ class Subspace:
         if di == other.dim:
             return total, other
         return total, Subspace(n, intersect_rows(self.rows, other.rows, n,
-                                                 di))
+                                                 self.pivots))
 
     def sum_with_rows(self, rows: Iterable) -> "Subspace":
         """Span of this subspace plus extra integer rows (fast path: this
@@ -345,31 +265,9 @@ class Subspace:
         return Subspace(self.ambient_dim, out)
 
     def sum_dim(self, rows: Iterable) -> int:
-        """dim(self + span(rows)) without building the canonical basis.
-        Forward elimination only; the hot path of the dimension search."""
-        ech = list(self.ech_pairs)
-        n = self.ambient_dim
-        for row in rows:
-            if len(ech) == n:
-                break
-            row = list(row)
-            for pc, prow in ech:
-                a = row[pc]
-                if a:
-                    b = prow[pc]
-                    row = [x * b - y * a for x, y in zip(row, prow)]
-            pc = -1
-            for i, x in enumerate(row):
-                if x:
-                    pc = i
-                    break
-            if pc < 0:
-                continue
-            lo = 0
-            while lo < len(ech) and ech[lo][0] < pc:
-                lo += 1
-            ech.insert(lo, (pc, row))
-        return len(ech)
+        """dim(self + span(rows)); the hot path of the dimension search."""
+        out = sum_rows(self.ech_pairs, rows, self.ambient_dim)
+        return self.dim if out is None else len(out)
 
     def contains(self, vector: Vector) -> bool:
         """Membership test: true iff the vector lies in the subspace."""
@@ -378,13 +276,7 @@ class Subspace:
             raise ValueError(
                 f"vector length {len(row)} != ambient {self.ambient_dim}"
             )
-        for prow in self.rows:
-            pc = next(i for i, x in enumerate(prow) if x)
-            a = row[pc]
-            if a:
-                b = prow[pc]
-                row = [x * b - y * a for x, y in zip(row, prow)]
-        return not any(row)
+        return sum_rows(self.ech_pairs, (row,), self.ambient_dim) is None
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check_ambient(other)
@@ -402,22 +294,11 @@ class Subspace:
 
 
 def canonicalize(ambient_dim: int, generators) -> Subspace:
-    """Canonical Subspace spanned by the given rows.
-
-    `generators` may be a RationalMatrix or any iterable of rational rows;
-    an empty generator set gives the zero subspace.
-    """
+    """Canonical Subspace spanned by the given rational rows; an empty
+    generator set gives the zero subspace."""
     if ambient_dim < 0:
         raise ValueError("ambient_dim < 0")
-    if isinstance(generators, RationalMatrix):
-        if generators.cols != ambient_dim and generators.rows > 0:
-            raise ValueError(
-                f"generators have {generators.cols} columns, ambient is {ambient_dim}"
-            )
-        rows = generators.entries
-    else:
-        rows = list(generators)
-    int_rows = _int_rows(rows)
+    int_rows = _int_rows(generators)
     for r in int_rows:
         if len(r) != ambient_dim:
             raise ValueError(
@@ -426,68 +307,23 @@ def canonicalize(ambient_dim: int, generators) -> Subspace:
     return Subspace(ambient_dim, _canonical_rows(int_rows, ambient_dim))
 
 
-def intersect_rows(rows_a, rows_b, ambient_dim: int,
-                   expected_dim: int | None = None,
-                   pivots_a=None) -> tuple:
-    """Canonical basis rows of span(rows_a) ∩ span(rows_b).
+def intersect_rows(rows_a, rows_b, ambient_dim: int, pivots_a=None) -> tuple:
+    """Canonical basis rows of span(rows_a) ∩ span(rows_b), for canonical
+    rows_a (`pivots_a` are their pivot columns, if the caller has them).
 
-    Zassenhaus trick, done incrementally: the echelon starts from the rows
-    [a|a], each row [b|0] is eliminated against it on the left half with
-    the right half carried along, and a b-row whose left half dies leaves
-    an intersection vector in its right half.  The rows collected that way
-    are independent (the stacked matrix has full rank) and there are
-    exactly dim A + dim B − dim(A+B) of them, so one small canonical pass
-    over them finishes the job, far cheaper than reducing the doubled
-    matrix outright.
-
-    A caller that already knows dim(A+B) can pass the intersection
-    dimension as `expected_dim` to stop as soon as that many rows are in
-    hand, and the pivot columns of rows_a as `pivots_a` to skip the scan.
+    Zassenhaus trick: reduce the rows [a|a] and [b|0] at width 2n.  The
+    [a|a] rows are already reduced, so they seed the echelon.  In the
+    canonical result, the rows whose left half vanishes are exactly those
+    with a pivot in the right half, and their right halves are the
+    canonical basis of the intersection.
     """
     n = ambient_dim
     if pivots_a is None:
         pivots_a = [next(i for i, x in enumerate(r) if x) for r in rows_a]
-    ech = [(p, r, r) for p, r in zip(pivots_a, rows_a)]
-    m = len(ech)
-    out = []
-    zero_right = (0,) * n
-    for row in rows_b:
-        left, right = row, zero_right
-        for pc, pl, pr in ech:
-            x = left[pc]
-            if x:
-                b = pl[pc]
-                left = [u * b - v * x for u, v in zip(left, pl)]
-                right = ([-v * x for v in pr] if right is zero_right
-                         else [u * b - v * x for u, v in zip(right, pr)])
-        piv = -1
-        for i, x in enumerate(left):
-            if x:
-                piv = i
-                break
-        if piv < 0:
-            if expected_dim == 1:
-                # a line needs no reduction, just primitive scaling
-                g = gcd(*right)
-                if next(x for x in right if x) < 0:
-                    g = -g
-                return (tuple(x // g for x in right),)
-            out.append(right)
-            if len(out) == expected_dim:
-                break
-            continue
-        g = gcd(*left, *right)
-        if left[piv] < 0:
-            g = -g
-        if g != 1:
-            left = [x // g for x in left]
-            right = [x // g for x in right]
-        lo = 0
-        while lo < m and ech[lo][0] < piv:
-            lo += 1
-        ech.insert(lo, (piv, left, right))
-        m += 1
-    return _canonical_rows(out, n)
+    seed = [(p, tuple(r) * 2) for p, r in zip(pivots_a, rows_a)]
+    zero = (0,) * n
+    rows = sum_rows(seed, [tuple(r) + zero for r in rows_b], 2 * n) or ()
+    return tuple(r[n:] for r in rows if not any(r[:n]))
 
 
 def complement_rows(rows, ambient_dim: int, pivots=None) -> tuple:

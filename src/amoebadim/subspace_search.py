@@ -23,8 +23,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .polyhedral import SpanComplex, dim_sum_with_subspace
-from .rational_linalg import Subspace, direct_sum, intersect_rows, sum_rows
+from .polyhedral import SpanComplex, _max_cell_sum, dim_sum_with_subspace
+from .rational_linalg import Subspace, intersect_rows, sum_rows
 
 DEFAULT_CAP = 10000
 DEFAULT_HEIGHT = 1
@@ -159,8 +159,7 @@ def candidate_lattice(sigma: SpanComplex, cap: int = DEFAULT_CAP) -> CandidateSe
                     if drows not in seen_dual:
                         fresh.append(Subspace(n, drows).orth)
                 else:
-                    inter_rows = intersect_rows(a_rows, b.rows, n, di,
-                                                a.pivots)
+                    inter_rows = intersect_rows(a_rows, b.rows, n, a.pivots)
                     if inter_rows not in seen:
                         fresh.append(Subspace(n, inter_rows))
             for c in fresh:
@@ -270,6 +269,8 @@ def _parse_strategy(text: str) -> tuple:
             key = key.strip()
             if not eq or key not in allowed:
                 raise ValueError(f"invalid strategy parameter {piece!r}")
+            if key in params:
+                raise ValueError(f"strategy parameter {key} given twice")
             try:
                 params[key] = int(raw.strip())
             except ValueError:
@@ -338,8 +339,10 @@ def amoeba_dim(sigma: SpanComplex, strategy: str | None = None,
             bound = s
         if bound > limit:
             continue
-        val = _objective_within(cells, sub, n, limit)
-        if val is not None and val < best_val:
+        # the running cell maximum only grows, so the scan can stop once
+        # it reaches the smallest sum whose objective exceeds `limit`
+        val = 2 * _max_cell_sum(cells, sub, min(n, (limit + s) // 2 + 1)) - s
+        if val <= limit and val < best_val:
             best_val = val
             best = sub
     witness_t = reduce_torus(sigma, best)
@@ -353,28 +356,6 @@ def amoeba_dim(sigma: SpanComplex, strategy: str | None = None,
         strategy=descriptor,
         candidates_evaluated=len(cands),
     )
-
-
-def _objective_within(cells, sub, n: int, limit: int):
-    """Objective of `sub`, or None as soon as it provably exceeds `limit`.
-
-    The running cell maximum only grows, so 2·max − dim S is a valid lower
-    bound on the final objective at every point of the scan.
-    """
-    s = len(sub.rows)
-    best = 0
-    for cell in cells:
-        if len(cell.rows) >= s:
-            got = cell.sum_dim(sub.rows)
-        else:
-            got = sub.sum_dim(cell.rows)
-        if got > best:
-            best = got
-            if 2 * best - s > limit:
-                return None
-            if best == n:
-                break
-    return 2 * best - s
 
 
 def reduce_torus(sigma: SpanComplex, sub: Subspace) -> Subspace:
@@ -414,15 +395,6 @@ def reduce_torus(sigma: SpanComplex, sub: Subspace) -> Subspace:
     return Subspace(n, tuple(kept))
 
 
-def witness_pair(sigma: SpanComplex, strategy: str | None = None) -> tuple:
-    """(T, S, value): S minimizes the objective, T = reduce_torus(Σ, S).
-
-    The triple satisfies 2·dim Σ + 2·dim T − dim S = value.
-    """
-    result = amoeba_dim(sigma, strategy)
-    return result.witness_T, result.witness_S, result.value
-
-
 def detect_near_action(sigma: SpanComplex,
                        strategy: str | None = None) -> NearActionReport:
     """Dimension-drop test: value < min(n, 2d)?
@@ -441,20 +413,3 @@ def detect_near_action(sigma: SpanComplex,
         threshold=threshold,
         witness=result.witness_S if drop else None,
     )
-
-
-def orbit_indicator(sigma: SpanComplex, strategy: str | None = None) -> bool:
-    """True iff Σ is a single subspace and the search value equals dim Σ."""
-    result = amoeba_dim(sigma, strategy)
-    return result.value == sigma.dim and len(sigma.cells) == 1
-
-
-def product_candidates(left, right) -> tuple:
-    """Pairwise direct sums, the natural candidates for a product complex.
-
-    The objective is additive on split subspaces, so feeding these to
-    `amoeba_dim` via extra_candidates makes the product value at most the
-    sum of the factor values.
-    """
-    sums = {direct_sum(a, b) for a in left for b in right}
-    return tuple(sorted(sums, key=Subspace.sort_key))

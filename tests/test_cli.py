@@ -2,10 +2,11 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from amoebadim.cli import RunConfig, main, parse_vector_list
+from amoebadim.cli import main, parse_vector_list
 from amoebadim.families import torus_invariant, tropical_hyperplane
 from amoebadim.polyhedral import parse_complex, product
 from amoebadim.rational_linalg import canonicalize
@@ -36,6 +37,14 @@ PLANE_DOC = json.dumps({
         {"coeff": ["1", "0"], "exponents": [0, 0, 0]},
     ]},
 })
+
+
+DATA = Path(__file__).parent / "data"
+
+# Fan files under tests/data, written by `gen` (the Plücker fan by hand),
+# each with the exact `dim` output it gave when it was recorded.
+GOLDEN = ("hyperplane3", "hyperplane4", "curve3", "orbit4", "h2xh2",
+          "curve4_e1", "plucker")
 
 
 def run(capsys, *argv):
@@ -92,25 +101,35 @@ class TestParseVectorList:
 
 
 class TestRunConfig:
-    def test_range_validation(self):
-        with pytest.raises(ValueError):
-            RunConfig("estimate", trials=0)
-        with pytest.raises(ValueError):
-            RunConfig("estimate", tol=1.5)
-        with pytest.raises(ValueError):
-            RunConfig("dim", strategy="lattice", cap=0)
-        with pytest.raises(ValueError):
-            RunConfig("dim", strategy="combined", height=-1)
+    """Flag checks exit 2, and they run before any input file is read."""
 
-    def test_flags_need_strategy(self):
-        with pytest.raises(ValueError, match="--strategy"):
-            RunConfig("dim", cap=10)
+    def test_range_validation(self, capsys, tmp_path):
+        absent = str(tmp_path / "absent.json")
+        for argv in (
+            ("estimate", absent, "--kind", "param", "--trials", "0"),
+            ("estimate", absent, "--kind", "param", "--tol", "1.5"),
+            ("verify", absent, absent, "--kind", "param", "--tol", "0"),
+            ("dim", absent, "--strategy", "lattice", "--cap", "0"),
+            ("dim", absent, "--strategy", "combined", "--height", "-1"),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert "cannot read" not in err
 
-    def test_kind_specific_flags(self):
-        with pytest.raises(ValueError, match="--height"):
-            RunConfig("dim", strategy="lattice", height=2)
-        with pytest.raises(ValueError, match="--cap"):
-            RunConfig("dim", strategy="exhaustive", cap=10)
+    def test_flags_need_strategy(self, capsys, h3_file):
+        code, out, err = run(capsys, "dim", h3_file, "--cap", "10")
+        assert (code, out) == (2, "")
+        assert "--strategy" in err
+
+    def test_kind_specific_flags(self, capsys, h3_file):
+        code, out, err = run(capsys, "dim", h3_file, "--strategy", "lattice",
+                             "--height", "2")
+        assert (code, out) == (2, "")
+        assert "height" in err
+        code, out, err = run(capsys, "dim", h3_file, "--strategy",
+                             "exhaustive", "--cap", "10")
+        assert (code, out) == (2, "")
+        assert "cap" in err
 
 
 class TestGen:
@@ -239,6 +258,13 @@ class TestDim:
         code, out, _ = run(capsys, "dim", str(tmp_path / "absent.json"))
         assert (code, out) == (2, "")
 
+    def test_boolean_entries_rejected(self, capsys, tmp_path):
+        fan = write(tmp_path, "bool.json",
+                    '{"ambient_dim": 2, "cells": [{"span": [[true, false]]}]}')
+        code, out, err = run(capsys, "dim", fan)
+        assert (code, out) == (2, "")
+        assert "rational" in err
+
     def test_resource_limit_exit(self, capsys, tmp_path):
         path = str(tmp_path / "h7.json")
         assert main(["gen", "hyperplane", "7", "--output", path]) == 0
@@ -249,6 +275,12 @@ class TestDim:
     def test_cap_without_strategy(self, capsys, h3_file):
         code, out, _ = run(capsys, "dim", h3_file, "--cap", "10")
         assert (code, out) == (2, "")
+
+    @pytest.mark.parametrize("name", GOLDEN)
+    def test_golden_output(self, capsys, name):
+        code, out, _ = run(capsys, "dim", str(DATA / f"{name}.fan.json"))
+        assert code == 0
+        assert out == (DATA / f"{name}.dim.json").read_text()
 
 
 class TestEstimate:

@@ -179,6 +179,13 @@ class TestEstimateRank:
         with pytest.raises(ValueError):
             estimate_rank(MOMENT, tol=1.0)
 
+    def test_boolean_parameters_rejected(self):
+        # bool is an int subclass, but True samples are not a count
+        with pytest.raises(ValueError):
+            estimate_rank(MOMENT, trials=True)
+        with pytest.raises(ValueError):
+            estimate_rank(MOMENT, tol=True)
+
     def test_deterministic(self):
         a = estimate_rank(MOMENT, trials=20, seed=7)
         b = estimate_rank(MOMENT, trials=20, seed=7)

@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from amoebadim.cli import main
 from amoebadim.families import (
-    FamilySpec,
     curve_fan,
     orbit_subspace,
     torus_invariant,
     tropical_hyperplane,
 )
-from amoebadim.polyhedral import PurityError, cellwise_invariant
+from amoebadim.polyhedral import PurityError, parse_complex
 from amoebadim.rational_linalg import Subspace, canonicalize
 from amoebadim.subspace_search import amoeba_dim
 
@@ -161,7 +161,8 @@ class TestTorusInvariant:
             ((1, 0, 0, 0), (0, 1, 0, 0)),
             ((1, 0, 0, 0), (0, 1, 1, 1)),
         ]
-        assert cellwise_invariant(out, span(4, (1, 0, 0, 0)))
+        assert all(c.contains_subspace(span(4, (1, 0, 0, 0)))
+                   for c in out.cells)
 
     def test_purity_violation_propagates(self):
         with pytest.raises(PurityError):
@@ -190,32 +191,43 @@ class TestTorusInvariant:
             out = torus_invariant(sigma0, sub)
         except PurityError:
             return
-        assert cellwise_invariant(out, sub)
+        assert all(c.contains_subspace(sub) for c in out.cells)
         assert out.dim == sigma0.cells[0].sum(sub).dim
 
 
 class TestFamilySpec:
-    def test_build_hyperplane(self):
-        spec = FamilySpec("hyperplane", 3)
-        assert spec.build() == tropical_hyperplane(3)
+    """A family named on the command line, with its parameters, builds the
+    same complex as the library builder."""
 
-    def test_build_orbit(self):
-        spec = FamilySpec("orbit", 2, [(1, 2)])
-        assert spec.build() == orbit_subspace(2, [(1, 2)])
+    @staticmethod
+    def gen(capsys, *argv):
+        code = main(["gen", *argv])
+        out = capsys.readouterr().out
+        return code, parse_complex(out) if code == 0 else None
 
-    def test_build_curve(self):
+    def test_build_hyperplane(self, capsys):
+        assert self.gen(capsys, "hyperplane", "3") == \
+            (0, tropical_hyperplane(3))
+
+    def test_build_orbit(self, capsys):
+        assert self.gen(capsys, "orbit", "2", "1,2") == \
+            (0, orbit_subspace(2, [(1, 2)]))
+
+    def test_build_curve(self, capsys):
         rays = [(1, 0), (0, 1), (-1, -1)]
-        spec = FamilySpec("curve", 2, rays)
-        assert spec.build() == curve_fan(2, rays)
+        assert self.gen(capsys, "curve", "2", "e1;e2;-1,-1") == \
+            (0, curve_fan(2, rays))
 
-    def test_unknown_family(self):
-        with pytest.raises(ValueError, match="unknown family"):
-            FamilySpec("moment_map", 2)
+    def test_unknown_family(self, capsys):
+        assert main(["gen", "moment_map", "2"]) == 2
+        assert "unknown family" in capsys.readouterr().err
 
-    def test_bad_ambient(self):
-        with pytest.raises(ValueError):
-            FamilySpec("hyperplane", 0)
+    def test_bad_ambient(self, capsys):
+        for argv in (("hyperplane", "0"), ("orbit", "0", "1"),
+                     ("curve", "0", "1")):
+            assert main(["gen", *argv]) == 2
+            assert "dimension" in capsys.readouterr().err
 
     def test_vectors_normalized_to_tuples(self):
-        spec = FamilySpec("curve", 2, [[1, 0], [0, 1]])
-        assert spec.vectors == ((1, 0), (0, 1))
+        assert curve_fan(2, [[1, 0], [0, 1]]) == curve_fan(2, [(1, 0), (0, 1)])
+        assert orbit_subspace(2, [[1, 2]]) == orbit_subspace(2, [(1, 2)])

@@ -10,7 +10,6 @@ from amoebadim.polyhedral import (
     ComplexFormatError,
     PurityError,
     SpanComplex,
-    cellwise_invariant,
     dim_sum_with_subspace,
     format_complex,
     minkowski_with_subspace,
@@ -25,6 +24,11 @@ from conftest import random_pure_complex, random_subspace, random_unimodular, \
 
 def span(n, *gens):
     return canonicalize(n, list(gens))
+
+
+def cellwise_invariant(sigma, sub):
+    """S lies in every cell span (a sufficient condition for S + |Σ| = |Σ|)."""
+    return all(cell.contains_subspace(sub) for cell in sigma.cells)
 
 
 def hyperplane3():
@@ -128,6 +132,13 @@ class TestParse:
     def test_row_length_mismatch(self):
         with pytest.raises(ComplexFormatError):
             parse_complex('{"ambient_dim": 3, "cells": [{"span": [["1", "0"]]}]}')
+
+    def test_boolean_entries_rejected(self):
+        # JSON true/false are not rationals, although Python's bool is an int
+        for bad in ("[[true, false]]", '[["1", false]]'):
+            with pytest.raises(ComplexFormatError):
+                parse_complex('{"ambient_dim": 2, "cells": [{"span": %s}]}'
+                              % bad)
 
     def test_label_kept(self):
         sigma = parse_complex(json.dumps({

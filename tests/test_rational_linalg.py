@@ -6,25 +6,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amoebadim.rational_linalg import (
-    RationalMatrix,
     Subspace,
     canonicalize,
     complement_rows,
     format_rational,
+    intersect_rows,
     parse_rational,
-    rref,
     sum_rows,
 )
 
 from conftest import reference_canonical, reference_rref
 
 
-def mat(rows, cols=None):
-    return RationalMatrix.from_rows(rows, cols)
-
-
 def span(n, rows):
     return canonicalize(n, rows)
+
+
+def rref(n, rows):
+    """Canonical basis rows divided by their leading entries."""
+    out = []
+    for row in span(n, rows).rows:
+        lead = next(x for x in row if x)
+        out.append(tuple(Fraction(x, lead) for x in row))
+    return tuple(out)
 
 
 entries = st.integers(min_value=-9, max_value=9)
@@ -40,18 +44,20 @@ def int_matrix(draw, max_n=5, max_rows=6):
 
 
 class TestRref:
+    """The canonical basis is the reduced row echelon form with each row
+    rescaled to a primitive integer vector."""
+
     def test_diagonal_scaling(self):
-        assert rref(mat([[2, 0], [0, 3]])).entries == ((1, 0), (0, 1))
+        assert rref(2, [[2, 0], [0, 3]]) == ((1, 0), (0, 1))
 
     def test_dependent_rows_collapse(self):
-        assert rref(mat([[1, 2], [2, 4]])).entries == ((1, 2),)
+        assert rref(2, [[1, 2], [2, 4]]) == ((1, 2),)
 
     def test_row_swap(self):
-        assert rref(mat([[0, 1], [1, 0]])).entries == ((1, 0), (0, 1))
+        assert rref(2, [[0, 1], [1, 0]]) == ((1, 0), (0, 1))
 
     def test_fractional_entries(self):
-        out = rref(mat([["1/2", "1/3"]]))
-        assert out.entries == ((1, Fraction(2, 3)),)
+        assert rref(2, [["1/2", "1/3"]]) == ((1, Fraction(2, 3)),)
 
     @settings(max_examples=300)
     @given(int_matrix())
@@ -59,7 +65,7 @@ class TestRref:
         """The fraction-free path and a naive Fraction elimination must be
         observationally identical."""
         n, rows = case
-        got = rref(mat(rows, cols=n)).entries
+        got = rref(n, rows)
         want = tuple(tuple(r) for r in reference_rref(rows, n))
         assert got == want
 
@@ -81,7 +87,7 @@ class TestCanonicalize:
         with pytest.raises(ValueError):
             span(3, [(1, 0)])
         with pytest.raises(ValueError):
-            canonicalize(2, mat([[1, 0, 0]]))
+            canonicalize(2, [[1, 0, 0]])
 
     def test_negative_ambient_rejected(self):
         with pytest.raises(ValueError):
@@ -261,6 +267,29 @@ class TestSumRows:
             assert got == want.rows
 
 
+class TestIntersectRows:
+    def test_trivial_meets(self):
+        a = span(3, [(1, 2, 3)])
+        assert intersect_rows(a.rows, (), 3) == ()
+        assert intersect_rows((), a.rows, 3) == ()
+        assert intersect_rows(a.rows, a.rows, 3) == a.rows
+        full = Subspace.full(2).rows
+        assert intersect_rows(full, full, 2) == full
+
+    @settings(max_examples=300)
+    @given(int_matrix(max_n=5, max_rows=4), st.data())
+    def test_matches_dual_route(self, case, data):
+        """Zassenhaus at double width against (A⊥ + B⊥)⊥; the b rows need
+        not be canonical."""
+        n, rows = case
+        other = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                                   min_size=0, max_size=4))
+        u = span(n, rows)
+        want = u.orth.sum(span(n, other).orth).orth.rows
+        assert intersect_rows(u.rows, other, n) == want
+        assert intersect_rows(u.rows, other, n, u.pivots) == want
+
+
 class TestContains:
     def test_axis_membership(self):
         assert span(2, [(1, 0)]).contains((3, 0))
@@ -272,6 +301,11 @@ class TestContains:
     def test_zero_vector_everywhere(self):
         assert Subspace.zero(3).contains((0, 0, 0))
         assert not Subspace.zero(3).contains((1, 0, 0))
+
+    def test_full_space_contains_everything(self):
+        assert Subspace.full(3).contains(("1/2", -7, 0))
+        with pytest.raises(ValueError):
+            Subspace.full(3).contains((1, 0))
 
     @settings(max_examples=300)
     @given(int_matrix(max_n=4, max_rows=3), st.lists(entries, min_size=1, max_size=4))
@@ -296,7 +330,7 @@ class TestSerialization:
         assert parse_rational("2/4") == Fraction(1, 2)
 
     def test_rejects_garbage(self):
-        for bad in ("", "1/0", "a/b", "1.5.2", None, [1]):
+        for bad in ("", "1/0", "a/b", "1.5.2", None, [1], True, False):
             with pytest.raises(ValueError):
                 parse_rational(bad)
 
@@ -308,18 +342,18 @@ class TestSerialization:
 class TestMatrixShape:
     def test_ragged_rejected(self):
         with pytest.raises(ValueError):
-            mat([[1, 2], [1]])
+            span(2, [[1, 2], [1]])
 
     def test_empty_needs_cols(self):
-        with pytest.raises(ValueError):
-            RationalMatrix.from_rows([])
-        assert mat([], cols=3).rows == 0
+        # an empty generator set takes its ambient dimension from the caller
+        assert span(3, []) == Subspace.zero(3)
+        assert span(0, []).rows == ()
 
     def test_subspace_helpers(self):
         assert Subspace.full(3).dim == 3
-        assert Subspace.zero(3).basis.rows == 0
+        assert Subspace.zero(3).rows == ()
         u = span(3, [(0, 2, 4)])
-        assert u.basis.entries == ((0, 1, 2),)
+        assert u.rows == ((0, 1, 2),)
         assert u.contains_subspace(Subspace.zero(3))
         assert Subspace.full(3).contains_subspace(u)
         assert not u.contains_subspace(Subspace.full(3))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amoebadim.polyhedral import SpanComplex, minkowski_with_subspace
-from amoebadim.rational_linalg import Subspace, canonicalize
+from amoebadim.rational_linalg import Subspace, canonicalize, direct_sum
 from amoebadim.subspace_search import (
     CandidateSet,
     ResourceLimitError,
@@ -17,10 +17,7 @@ from amoebadim.subspace_search import (
     detect_near_action,
     exhaustive_candidates,
     objective,
-    orbit_indicator,
-    product_candidates,
     reduce_torus,
-    witness_pair,
 )
 
 from conftest import random_pure_complex, random_subspace, random_unimodular, \
@@ -278,6 +275,7 @@ class TestAmoebaDim:
     @pytest.mark.parametrize("bad", [
         "annealing", "lattice(cap=0)", "lattice(height=2)", "combined(",
         "exhaustive(height=-1)", "lattice(cap=ten)", "lattice()extra",
+        "lattice(cap=5,cap=7)",
     ])
     def test_invalid_strategy(self, bad):
         with pytest.raises(ValueError):
@@ -393,19 +391,21 @@ class TestReduceTorus:
 
 class TestWitnessPair:
     def test_hyperplane3(self):
-        t, s, value = witness_pair(hyperplane(3))
-        assert (t, s, value) == (span(3, (1, 0, 0)), Subspace.full(3), 3)
-        assert 2 * 2 + 2 * t.dim - s.dim == value
+        res = amoeba_dim(hyperplane(3))
+        t, s = res.witness_T, res.witness_S
+        assert (t, s, res.value) == (span(3, (1, 0, 0)), Subspace.full(3), 3)
+        assert 2 * 2 + 2 * t.dim - s.dim == res.value
 
     def test_single_subspace(self):
-        t, s, value = witness_pair(single_cell(3, (1, 0, 1), (0, 1, 1)))
-        assert t.is_zero()
-        assert s == span(3, (1, 0, 1), (0, 1, 1))
-        assert value == 2
+        res = amoeba_dim(single_cell(3, (1, 0, 1), (0, 1, 1)))
+        assert res.witness_T.is_zero()
+        assert res.witness_S == span(3, (1, 0, 1), (0, 1, 1))
+        assert res.value == 2
 
     def test_curve_fan(self):
-        t, s, value = witness_pair(curve_fan3())
-        assert t.is_zero() and s.is_zero() and value == 2
+        res = amoeba_dim(curve_fan3())
+        assert res.witness_T.is_zero() and res.witness_S.is_zero()
+        assert res.value == 2
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -413,8 +413,9 @@ class TestWitnessPair:
         rng = random.Random(seed)
         n = rng.randint(1, 4)
         sigma = random_pure_complex(rng, n, num_cells=rng.randint(1, 3))
-        t, s, value = witness_pair(sigma, strategy="lattice(cap=300)")
-        assert 2 * sigma.dim + 2 * t.dim - s.dim == value
+        res = amoeba_dim(sigma, strategy="lattice(cap=300)")
+        assert 2 * sigma.dim + 2 * res.witness_T.dim - res.witness_S.dim \
+            == res.value
 
 
 class TestDetectNearAction:
@@ -463,14 +464,18 @@ class TestDetectNearAction:
 
 class TestOrbitIndicator:
     def test_single_plane_in_r4(self):
-        assert orbit_indicator(single_cell(4, (1, 0, 1, 0), (0, 1, 0, 1)))
+        sigma = single_cell(4, (1, 0, 1, 0), (0, 1, 0, 1))
+        assert len(sigma.cells) == 1
+        assert amoeba_dim(sigma).value == sigma.dim == 2
 
     def test_hyperplane3(self):
-        assert not orbit_indicator(hyperplane(3))
+        sigma = hyperplane(3)
+        assert len(sigma.cells) == 6
+        assert amoeba_dim(sigma).value == 3 != sigma.dim
 
     def test_two_lines(self):
         sigma = SpanComplex.from_cells(2, [span(2, (1, 0)), span(2, (0, 1))])
-        assert not orbit_indicator(sigma)
+        assert len(sigma.cells) == 2
         assert amoeba_dim(sigma).value == 2
 
 
@@ -525,9 +530,8 @@ class TestProductCandidates:
         left = single_cell(2, (1, 2))
         right = single_cell(3, (1, 0, 1), (0, 1, 1))
         both = product(left, right)
-        extras = product_candidates(
-            candidate_lattice(left, 100), candidate_lattice(right, 100)
-        )
+        extras = [direct_sum(a, b) for a in candidate_lattice(left, 100)
+                  for b in candidate_lattice(right, 100)]
         res = amoeba_dim(both, extra_candidates=extras)
         assert res.value == 1 + 2
         assert res.certified
@@ -544,9 +548,8 @@ class TestProductCandidates:
                                     num_cells=rng.randint(1, 2))
         v1 = amoeba_dim(left, strategy="lattice(cap=200)").value
         v2 = amoeba_dim(right, strategy="lattice(cap=200)").value
-        extras = product_candidates(
-            candidate_lattice(left, 200), candidate_lattice(right, 200)
-        )
+        extras = [direct_sum(a, b) for a in candidate_lattice(left, 200)
+                  for b in candidate_lattice(right, 200)]
         res = amoeba_dim(product(left, right), strategy="lattice(cap=200)",
                          extra_candidates=extras)
         assert res.value <= v1 + v2
