@@ -124,8 +124,11 @@ def _read_text(path: str) -> str:
 def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(output).write_text(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {output}: {exc}") from exc
 
 
 def _emit_json(doc: dict, output: str | None) -> None:

@@ -19,18 +19,21 @@ Everything here is double precision on purpose.  The module never
 certifies anything; cross_check reports disagreement instead of hiding
 it, and an unlucky run shows up as a mismatch verdict, not a wrong
 silent answer.
+
+numpy (and `roots`) are imported by the kernels that use them, so the
+exact side of the package, which imports this module for its types and
+parsers, never loads them.
 """
+
+from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from .polyhedral import SpanComplex
 from .subspace_search import amoeba_dim
-from .roots import batch_roots
 
 DEFAULT_TRIALS = 20
 DEFAULT_TOL = 1e-8
@@ -203,6 +206,8 @@ class _Monomials:
     """
 
     def __init__(self, polys, nvars):
+        import numpy as np
+
         terms = [(p, c, e) for p, poly in enumerate(polys) for c, e in poly]
         self.count = len(polys)
         self.owners = [p for p, _, _ in terms]
@@ -212,6 +217,8 @@ class _Monomials:
 
     def _terms(self, z):
         """Coefficient times monomial, one (B,) array per term."""
+        import numpy as np
+
         for owner, coeff, exponents in zip(self.owners, self.coeffs,
                                            self.exponents):
             v = np.full(len(z), coeff)
@@ -222,6 +229,8 @@ class _Monomials:
     def evaluate(self, z):
         """Values (B, P) of every polynomial at every point, and their
         complex partials (B, P, m), which need nonzero coordinates."""
+        import numpy as np
+
         values = np.zeros((len(z), self.count), dtype=complex)
         partials = np.zeros(values.shape + (z.shape[1],), dtype=complex)
         with np.errstate(all="ignore"):
@@ -234,6 +243,8 @@ class _Monomials:
 
 
 def _point(z, nvars) -> np.ndarray:
+    import numpy as np
+
     z = np.array([[complex(c) for c in z]], dtype=complex).reshape(1, -1)
     if z.shape[1] != nvars:
         raise ValueError("point has the wrong number of coordinates")
@@ -243,6 +254,8 @@ def _point(z, nvars) -> np.ndarray:
 def _first_failure(count, *checks):
     """Per sample, the code of the first (code, failed mask) check it
     fails, 0 where it passes them all."""
+    import numpy as np
+
     reasons = np.zeros(count, dtype=np.int8)
     for code, failed in reversed(checks):
         reasons[failed] = code
@@ -262,6 +275,8 @@ _REJECTIONS = (
 def _log_jacobians(poly: _Monomials, z):
     """Jacobians of log|phi| at the points z (B, m) and a rejection code
     per point (0: usable), see log_jacobian."""
+    import numpy as np
+
     values, partials = poly.evaluate(z)
     with np.errstate(all="ignore"):
         q = partials / values[:, :, None]
@@ -298,6 +313,8 @@ def log_jacobian(phi: Parametrization, z) -> np.ndarray:
 def _sample_coordinates(rngs, count):
     """(B, count) points r e^{i theta}, one row per generator, each drawing
     its log radii and then its angles."""
+    import numpy as np
+
     log_radii = np.array([rng.uniform(-_LOG_WINDOW, _LOG_WINDOW, count)
                           for rng in rngs]).reshape(len(rngs), count)
     angles = np.array([rng.uniform(0.0, 2.0 * math.pi, count)
@@ -312,6 +329,8 @@ def _sample_coordinates(rngs, count):
 def _ranks_and_gaps(matrices: np.ndarray, tol: float):
     """Numerical rank and singular value gap of each matrix of a stack,
     from one stacked SVD."""
+    import numpy as np
+
     count = matrices.shape[0]
     if count == 0 or 0 in matrices.shape[1:]:
         return np.zeros(count, dtype=int), np.full(count, math.inf)
@@ -341,6 +360,8 @@ def _estimate(block_matrices, trials, tol, seed) -> RankEstimate:
     `spawn` calls continue the numbering, so blocking changes nothing
     about which sample sees which generator.
     """
+    import numpy as np
+
     _check_estimator_params(trials, tol)
     parent = np.random.SeedSequence(seed)
     ranks = []
@@ -412,6 +433,10 @@ def estimate_rank_implicit(h: ImplicitHypersurface,
     dx_k/dx_j = -f_j/f_k to the bottom row; the other rows are the
     diagonal 1/x_i pattern of the free coordinates.
     """
+    import numpy as np
+
+    from .roots import batch_roots
+
     n = h.ambient_dim
     terms, solved = _solved_form(h)
     free = [j for j in range(n) if j != solved]

@@ -67,13 +67,15 @@ def _canonical_rows(rows, n: int) -> tuple:
     return sum_rows((), rows, n) or ()
 
 
-def sum_rows(ech_pairs, rows, ambient_dim: int):
+def sum_rows(ech_pairs, rows, ambient_dim: int, _dim_only: bool = False):
     """Canonical rows of an echelon basis joined with extra integer rows,
     or None when the extra rows add nothing.
 
     `ech_pairs` are the (pivot, row) pairs a Subspace caches for its
     canonical basis, so only the incoming rows need elimination, and the
     closing back-elimination touches just the pivot columns they added.
+    With `_dim_only` the result is the dimension of the joined span,
+    which the forward pass already knows, and the back pass is skipped.
     This is the package's only elimination loop; every other reduction
     calls it.
     """
@@ -109,6 +111,8 @@ def sum_rows(ech_pairs, rows, ambient_dim: int):
         new_pos.append(lo)
         ech.insert(lo, (pc, row))
         m += 1
+    if _dim_only:
+        return m
     if not new_pos:
         return None
     if m == n:
@@ -266,8 +270,8 @@ class Subspace:
 
     def sum_dim(self, rows: Iterable) -> int:
         """dim(self + span(rows)); the hot path of the dimension search."""
-        out = sum_rows(self.ech_pairs, rows, self.ambient_dim)
-        return self.dim if out is None else len(out)
+        return sum_rows(self.ech_pairs, rows, self.ambient_dim,
+                        _dim_only=True)
 
     def contains(self, vector: Vector) -> bool:
         """Membership test: true iff the vector lies in the subspace."""
@@ -276,7 +280,8 @@ class Subspace:
             raise ValueError(
                 f"vector length {len(row)} != ambient {self.ambient_dim}"
             )
-        return sum_rows(self.ech_pairs, (row,), self.ambient_dim) is None
+        return sum_rows(self.ech_pairs, (row,), self.ambient_dim,
+                        _dim_only=True) == self.dim
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check_ambient(other)

@@ -113,13 +113,11 @@ def candidate_lattice(sigma: SpanComplex, cap: int = DEFAULT_CAP) -> CandidateSe
         raise ValueError(
             f"cap {cap} below number of cells + 2 = {len(sigma.cells) + 2}"
         )
-    full = Subspace.full(n)
-    seed = {Subspace.zero(n), full}
+    seed = {Subspace.zero(n), Subspace.full(n)}
     seed.update(sigma.cells)
     found = sorted(seed, key=Subspace.sort_key)
     seen = {s.rows for s in found}
     seen_dual = {s.orth.rows for s in found}
-    full_rows = full.rows
     complete = True
     i = 1
     while complete and i < len(found):
@@ -134,34 +132,53 @@ def candidate_lattice(sigma: SpanComplex, cap: int = DEFAULT_CAP) -> CandidateSe
             b_dim = len(b.rows)
             if not b_dim or b_dim == n:
                 continue
-            if a_dim == n - 1 and b_dim == n - 1:
-                # distinct hyperplanes: the sum can only be everything
-                trows = full_rows
-            elif a_dim >= b_dim:
-                trows = sum_rows(a.ech_pairs, b.rows, n)
-                if trows is None:
-                    continue
-            else:
-                trows = sum_rows(b.ech_pairs, a_rows, n)
-                if trows is None:
-                    continue
             fresh = []
-            if trows not in seen:
-                fresh.append(Subspace(n, trows))
-            di = a_dim + b_dim - len(trows)
-            if di > 0:
-                # meet in whichever representation is leaner: summing the
-                # orthogonal complements computes the same subspace as the
-                # double-width Zassenhaus pass, and wins whenever the
-                # codimensions are the smaller side
-                if (n - a_dim) * (n - b_dim) <= a_dim * b_dim:
-                    drows = sum_rows(a.orth.ech_pairs, b.orth.rows, n)
-                    if drows not in seen_dual:
-                        fresh.append(Subspace(n, drows).orth)
+            if a_dim + b_dim > n:
+                # dim(a∩b) ≥ dim a + dim b − n > 0 and the complements
+                # are the leaner side, so take the meet first, as
+                # (a⊥ + b⊥)⊥.  Its dimension settles nesting, and
+                # dim(a+b) = dim a + dim b − dim(a∩b) tells when the join
+                # is R^n (always seen): the join is eliminated only when
+                # it can be new
+                drows = sum_rows(a.orth.ech_pairs, b.orth.rows, n)
+                if drows is None:  # a ⊆ b
+                    continue
+                di = n - len(drows)
+                if di == b_dim:  # b ⊆ a
+                    continue
+                if a_dim + b_dim - di < n:
+                    if a_dim >= b_dim:
+                        trows = sum_rows(a.ech_pairs, b.rows, n)
+                    else:
+                        trows = sum_rows(b.ech_pairs, a_rows, n)
+                    if trows not in seen:
+                        fresh.append(Subspace(n, trows))
+                if drows not in seen_dual:
+                    fresh.append(Subspace(n, drows).orth)
+            else:
+                if a_dim >= b_dim:
+                    trows = sum_rows(a.ech_pairs, b.rows, n)
                 else:
-                    inter_rows = intersect_rows(a_rows, b.rows, n, a.pivots)
-                    if inter_rows not in seen:
-                        fresh.append(Subspace(n, inter_rows))
+                    trows = sum_rows(b.ech_pairs, a_rows, n)
+                if trows is None:
+                    continue
+                if trows not in seen:
+                    fresh.append(Subspace(n, trows))
+                di = a_dim + b_dim - len(trows)
+                if di > 0:
+                    # summing the orthogonal complements computes the same
+                    # meet as the double-width Zassenhaus pass; at
+                    # dim a + dim b = n the codimensions are no larger
+                    # than the dimensions, and the complements win
+                    if a_dim + b_dim == n:
+                        drows = sum_rows(a.orth.ech_pairs, b.orth.rows, n)
+                        if drows not in seen_dual:
+                            fresh.append(Subspace(n, drows).orth)
+                    else:
+                        inter_rows = intersect_rows(a_rows, b.rows, n,
+                                                    a.pivots)
+                        if inter_rows not in seen:
+                            fresh.append(Subspace(n, inter_rows))
             for c in fresh:
                 if len(found) >= cap:
                     complete = False

@@ -179,6 +179,16 @@ class TestGen:
         assert parse_complex((tmp_path / "out.json").read_text()) == \
             tropical_hyperplane(2)
 
+    @pytest.mark.parametrize("command", ["gen", "dim"])
+    def test_unwritable_output(self, capsys, tmp_path, h3_file, command):
+        path = str(tmp_path / "missing" / "out.json")
+        argv = ["gen", "hyperplane", "2"] if command == "gen" \
+            else ["dim", h3_file]
+        code, out, err = run(capsys, *argv, "--output", path)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {path}: ")
+        assert "Traceback" not in err
+
     def test_deterministic(self, capsys):
         a = run(capsys, "gen", "hyperplane", "4")
         b = run(capsys, "gen", "hyperplane", "4")
@@ -433,6 +443,25 @@ class TestEntryPoint:
         )
         assert dim.returncode == 0
         assert json.loads(dim.stdout)["value"] == 3
+
+    def test_exact_commands_do_not_load_numpy(self, tmp_path):
+        # numpy is loaded by the estimator kernels on first use only
+        script = f"""
+import sys
+import amoebadim
+from amoebadim import cli
+path = {str(tmp_path / "h3.json")!r}
+assert cli.main(["gen", "hyperplane", "3", "--output", path]) == 0
+assert cli.main(["dim", path]) == 0
+assert "numpy" not in sys.modules
+assert "amoebadim.roots" not in sys.modules
+phi = amoebadim.parse_parametrization({MOMENT_DOC!r})
+assert amoebadim.estimate_rank(phi, trials=5, seed=1).rank == 1
+assert "numpy" in sys.modules
+"""
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
     def test_no_arguments_is_a_usage_error(self, capsys):
         assert main([]) == 2

@@ -317,6 +317,19 @@ class TestContains:
         assert u.contains(vec) == (u.sum(line).dim == u.dim)
 
 
+class TestSumDim:
+    @settings(max_examples=300)
+    @given(int_matrix(max_n=5, max_rows=4), st.data())
+    def test_matches_dimension_of_the_sum(self, case, data):
+        # sum_dim stops after the forward pass; the count must still be
+        # the rank of the reduced sum
+        n, rows = case
+        other = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                                   min_size=0, max_size=4))
+        u = span(n, rows)
+        assert u.sum_dim(other) == len(reference_canonical(rows + other, n))
+
+
 class TestSerialization:
     def test_integer_form(self):
         assert format_rational(Fraction(5)) == "5"

@@ -1,12 +1,14 @@
 import json
 import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amoebadim.polyhedral import SpanComplex, minkowski_with_subspace
+from amoebadim.polyhedral import SpanComplex, minkowski_with_subspace, \
+    parse_complex
 from amoebadim.rational_linalg import Subspace, canonicalize, direct_sum
 from amoebadim.subspace_search import (
     CandidateSet,
@@ -22,6 +24,11 @@ from amoebadim.subspace_search import (
 
 from conftest import random_pure_complex, random_subspace, random_unimodular, \
     transform_complex, transform_subspace
+
+
+DATA = Path(__file__).parent / "data"
+GOLDEN_FANS = sorted(p.name[:-len(".fan.json")]
+                     for p in DATA.glob("*.fan.json"))
 
 
 def span(n, *gens):
@@ -43,6 +50,32 @@ def curve_fan3():
 
 def single_cell(n, *gens):
     return SpanComplex.from_cells(n, [span(n, *gens)])
+
+
+def reference_lattice(sigma, cap):
+    """The closure by its definition: pairs in generation order, the join
+    then the meet of each from `Subspace.sum_intersect`, stopping at the
+    cap."""
+    n = sigma.ambient_dim
+    found = sorted({Subspace.zero(n), Subspace.full(n), *sigma.cells},
+                   key=Subspace.sort_key)
+    seen = set(found)
+    complete = True
+    i = 1
+    while complete and i < len(found):
+        for j in range(i):
+            for c in found[i].sum_intersect(found[j]):
+                if c in seen:
+                    continue
+                if len(found) >= cap:
+                    complete = False
+                    break
+                seen.add(c)
+                found.append(c)
+            if not complete:
+                break
+        i += 1
+    return tuple(sorted(found, key=Subspace.sort_key)), complete
 
 
 class TestObjective:
@@ -135,6 +168,23 @@ class TestCandidateLattice:
         assert keys == sorted(keys)
         for sub in cs.subspaces:
             assert canonicalize(3, list(sub.rows)) == sub
+
+    @pytest.mark.parametrize("cap", [50, 500, 2000])
+    @pytest.mark.parametrize("name", GOLDEN_FANS)
+    def test_matches_reference_on_golden_fans(self, name, cap):
+        sigma = parse_complex((DATA / f"{name}.fan.json").read_text())
+        cs = candidate_lattice(sigma, cap=cap)
+        assert (cs.subspaces, cs.complete) == reference_lattice(sigma, cap)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_reference_on_random_complexes(self, seed):
+        rng = random.Random(seed)
+        sigma = random_pure_complex(rng, rng.randint(1, 4),
+                                    num_cells=rng.randint(1, 5))
+        cap = rng.randint(len(sigma.cells) + 2, 300)
+        cs = candidate_lattice(sigma, cap=cap)
+        assert (cs.subspaces, cs.complete) == reference_lattice(sigma, cap)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
