@@ -190,31 +190,37 @@ def cmd_gen(config: RunConfig) -> int:
     return 0
 
 
-def _run_estimator(config: RunConfig):
-    text = _read_text(config.inputs[0])
+def _read_variety(config: RunConfig, path: str):
+    text = _read_text(path)
     if config.kind == "param":
-        return estimate_rank(parse_parametrization(text),
-                             trials=config.trials, tol=config.tol,
-                             seed=config.seed)
-    return estimate_rank_implicit(parse_implicit(text),
-                                  trials=config.trials, tol=config.tol,
-                                  seed=config.seed)
+        return parse_parametrization(text)
+    return parse_implicit(text)
+
+
+def _run_estimator(config: RunConfig, variety):
+    run = estimate_rank if config.kind == "param" else estimate_rank_implicit
+    return run(variety, trials=config.trials, tol=config.tol,
+               seed=config.seed)
 
 
 def cmd_estimate(config: RunConfig) -> int:
-    estimate = _run_estimator(config)
-    _emit_json(estimate.to_json_dict(), config.output)
+    variety = _read_variety(config, config.inputs[0])
+    _emit_json(_run_estimator(config, variety).to_json_dict(),
+               config.output)
     return 0
 
 
 def cmd_verify(config: RunConfig) -> int:
     sigma = parse_complex(_read_text(config.inputs[0]))
-    shifted = RunConfig(
-        command=config.command, inputs=config.inputs[1:], kind=config.kind,
-        trials=config.trials, tol=config.tol, seed=config.seed,
-    )
-    estimate = _run_estimator(shifted)
-    verdict = cross_check(sigma, estimate, strategy=config.strategy)
+    variety = _read_variety(config, config.inputs[1])
+    if variety.ambient_dim != sigma.ambient_dim:
+        # the amoeba of a variety in (C*)^n lives in R^n
+        raise ValueError(
+            f"the fan lives in R^{sigma.ambient_dim} but the variety in "
+            f"(C*)^{variety.ambient_dim}"
+        )
+    verdict = cross_check(sigma, _run_estimator(config, variety),
+                          strategy=config.strategy)
     _emit_json(verdict.to_json_dict(), config.output)
     return 0 if verdict.verdict == "agree" else 5
 
@@ -290,7 +296,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         return RunConfig(command="dim", inputs=(args.fan,),
                          strategy=_strategy_descriptor(args),
                          output=args.output)
-    _check_estimator_params(args.trials, args.tol)
+    _check_estimator_params(args.trials, args.tol, args.seed)
     if args.command == "estimate":
         return RunConfig(command="estimate", inputs=(args.variety,),
                          kind=args.kind, trials=args.trials, tol=args.tol,

@@ -7,13 +7,16 @@ generic point that rank is the dimension of the log image, so the
 estimator returns the max over samples: rank can only drop on a measure
 zero locus, never jump.
 
-Samples are processed in blocks of BLOCK: sample k still gets child k
-of SeedSequence(seed) and draws from it in a fixed order, a block's
-points go through one exponent-matrix evaluation (and, for an implicit
-input, one batched Durand-Kerner solve), and the block's Jacobians are
-ranked by one stacked SVD.  Every operation is elementwise per sample,
-so a sample's numbers do not depend on where it sits in a block, and
-the first k samples of any run are those of a run of k trials.
+Samples are processed in blocks of BLOCK.  Sample k still draws, in a
+fixed order, exactly the numbers that np.random.default_rng(child k of
+SeedSequence(seed)) would give it, but one vectorized pass (_Streams)
+computes them for the whole block: the seeding and the PCG64 generators
+of numpy, emulated in 64-bit integer arrays.  A block's points go
+through one exponent-matrix evaluation (and, for an implicit input, one
+batched Durand-Kerner solve), and the block's Jacobians are ranked by
+one stacked SVD.  Every operation is elementwise per sample, so a
+sample's numbers do not depend on where it sits in a block, and the
+first k samples of any run are those of a run of k trials.
 
 Everything here is double precision on purpose.  The module never
 certifies anything; cross_check reports disagreement instead of hiding
@@ -40,6 +43,15 @@ DEFAULT_TOL = 1e-8
 _LOG_WINDOW = 3.0
 _ROOT_MIN, _ROOT_MAX = 1e-6, 1e6
 BLOCK = 256  # samples generated, evaluated and ranked together
+
+# numpy's SeedSequence (pool of 4 words, hash and mix constants) and the
+# multiplier of its PCG64 generator, see _Streams
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M32 = 0xFFFFFFFF
 
 
 class VarietyFormatError(ValueError):
@@ -310,15 +322,161 @@ def log_jacobian(phi: Parametrization, z) -> np.ndarray:
     return matrices[0]
 
 
-def _sample_coordinates(rngs, count):
-    """(B, count) points r e^{i theta}, one row per generator, each drawing
+def _hash(value, const, mult):
+    """SeedSequence's hash of a 32-bit word (an int, or a uint64 array of
+    them) and the hash constant that follows."""
+    value = value ^ const
+    const = const * mult & _M32
+    value = value * const & _M32
+    return value ^ (value >> 16), const
+
+
+def _mix(x, y):
+    x = (_MIX_L * x - _MIX_R * y) & _M32
+    return x ^ (x >> 16)
+
+
+def _mix_in(pool, word, const):
+    """The pool after SeedSequence mixes one more entropy word into each
+    of its words, and the hash constant reached."""
+    mixed = []
+    for x in pool:
+        hashed, const = _hash(word, const, _MULT_A)
+        mixed.append(_mix(x, hashed))
+    return mixed, const
+
+
+def _seed_pool(seed):
+    """The pool of SeedSequence(seed) before a spawn key is mixed in, and
+    the hash constant reached: the run entropy's 32-bit words, padded
+    with zeros to the pool size, mixed as numpy mixes them."""
+    words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (_POOL - len(words))
+    pool, const = [], _INIT_A
+    for word in words[:_POOL]:
+        word, const = _hash(word, const, _MULT_A)
+        pool.append(word)
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                hashed, const = _hash(pool[src], const, _MULT_A)
+                pool[dst] = _mix(pool[dst], hashed)
+    for word in words[_POOL:]:
+        pool, const = _mix_in(pool, word, const)
+    return pool, const
+
+
+def _add128(hi, lo, b_hi, b_lo):
+    """(hi, lo) + (b_hi, b_lo) mod 2**128, in uint64 limbs."""
+    low = lo + b_lo
+    return hi + b_hi + (low < lo), low
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """PCG64's LCG step, state * _PCG_MULT + inc mod 2**128, in uint64
+    limbs; the high word of lo * (low limb of the multiplier) comes from
+    32-bit halves."""
+    m_hi, m_lo = _PCG_MULT >> 64, _PCG_MULT & (2 ** 64 - 1)
+    a0, a1 = lo & _M32, lo >> 32
+    b0, b1 = m_lo & _M32, m_lo >> 32
+    p00, p01, p10, p11 = a0 * b0, a0 * b1, a1 * b0, a1 * b1
+    mid = (p00 >> 32) + (p01 & _M32) + (p10 & _M32)
+    carry = p11 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    low = (mid << 32) | (p00 & _M32)
+    return _add128(carry + hi * m_lo + lo * m_hi, low, inc_hi, inc_lo)
+
+
+class _Streams:
+    """The generators np.random.default_rng(child) of the children start,
+    ..., start + count - 1 of SeedSequence(seed), one row each, advanced
+    together.
+
+    Seeding follows SeedSequence.spawn, generate_state(4, np.uint64) and
+    PCG64's set-seed; every 128-bit quantity is kept as two uint64 limbs.
+    The draws are those of Generator.uniform and Generator.integers, so
+    each row gets exactly its child's numbers.  Spawn keys are taken to
+    be single words (below 2**32).
+    """
+
+    def __init__(self, seed, start, count):
+        import numpy as np
+
+        pool, const = _seed_pool(seed)
+        pool, _ = _mix_in(pool, np.arange(start, start + count,
+                                          dtype=np.uint64), const)
+        const, words = _INIT_B, []
+        for i in range(8):
+            word, const = _hash(pool[i % _POOL], const, _MULT_B)
+            words.append(word)
+        # initstate, then initseq, each high limb first; a limb is two
+        # 32-bit words, the low one first
+        s_hi, s_lo, q_hi, q_lo = (words[i] | words[i + 1] << 32
+                                  for i in range(0, 8, 2))
+        self.inc_hi = q_hi << 1 | q_lo >> 63
+        self.inc_lo = q_lo << 1 | 1
+        # from state 0: step, add initstate, step
+        self.hi, self.lo = _pcg_step(*_add128(self.inc_hi, self.inc_lo,
+                                              s_hi, s_lo),
+                                     self.inc_hi, self.inc_lo)
+        self.buffer = np.zeros(count, dtype=np.uint64)
+        self.buffered = np.zeros(count, dtype=bool)
+
+    def _next64(self, rows=slice(None)):
+        """The next 64-bit output (XSL-RR) of each given row."""
+        hi, lo = _pcg_step(self.hi[rows], self.lo[rows],
+                           self.inc_hi[rows], self.inc_lo[rows])
+        self.hi[rows], self.lo[rows] = hi, lo
+        x, rot = hi ^ lo, hi >> 58
+        return x >> rot | x << ((64 - rot) & 63)
+
+    def _next32(self, rows):
+        """The next 32-bit output of each given row: the low half of a
+        fresh 64-bit output, whose high half the following call returns."""
+        buffered = self.buffered[rows]
+        words = self.buffer[rows]
+        fresh = rows[~buffered]
+        out = self._next64(fresh)
+        words[~buffered] = out & _M32
+        self.buffer[fresh] = out >> 32
+        self.buffered[rows] = ~buffered
+        return words
+
+    def uniform(self, low, high, count):
+        """(rows, count): uniform(low, high, count) of every row, each
+        draw low + (high - low) * (top 53 bits of an output) / 2**53."""
+        import numpy as np
+
+        bits = np.empty((len(self.lo), count), dtype=np.uint64)
+        for j in range(count):
+            bits[:, j] = self._next64()
+        return low + (high - low) * ((bits >> 11) * 2.0 ** -53)
+
+    def integers(self, high):
+        """integers(high) of every row, for each row's high up to 2**32
+        (Lemire's method on 32-bit outputs); a row whose high is 0 or 1
+        draws nothing and gets 0."""
+        import numpy as np
+
+        high = np.asarray(high, dtype=np.uint64)
+        picks = np.zeros(len(high), dtype=np.int64)
+        rows = np.flatnonzero(high > 1)
+        high = high[rows]
+        threshold = (2 ** 32 - high) % high
+        while len(rows):
+            m = self._next32(rows) * high
+            ok = (m & _M32) >= threshold
+            picks[rows[ok]] = m[ok] >> 32
+            rows, high, threshold = rows[~ok], high[~ok], threshold[~ok]
+        return picks
+
+
+def _sample_coordinates(streams: _Streams, count):
+    """(B, count) points r e^{i theta}, one row per stream, each drawing
     its log radii and then its angles."""
     import numpy as np
 
-    log_radii = np.array([rng.uniform(-_LOG_WINDOW, _LOG_WINDOW, count)
-                          for rng in rngs]).reshape(len(rngs), count)
-    angles = np.array([rng.uniform(0.0, 2.0 * math.pi, count)
-                       for rng in rngs]).reshape(len(rngs), count)
+    log_radii = streams.uniform(-_LOG_WINDOW, _LOG_WINDOW, count)
+    angles = streams.uniform(0.0, 2.0 * math.pi, count)
     radii = np.exp(log_radii)
     z = np.empty(radii.shape, dtype=complex)
     z.real = radii * np.cos(angles)
@@ -346,30 +504,28 @@ def _ranks_and_gaps(matrices: np.ndarray, tol: float):
     return ranks, gaps
 
 
-def _check_estimator_params(trials, tol):
+def _check_estimator_params(trials, tol, seed):
     if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
         raise ValueError("trials must be a positive integer")
     if isinstance(tol, bool) or not 0.0 < tol < 1.0:
         raise ValueError("tol must lie strictly between 0 and 1")
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ValueError("seed must be a non-negative integer")
 
 
 def _estimate(block_matrices, trials, tol, seed) -> RankEstimate:
-    """Run `block_matrices` on blocks of generators and rank what it keeps.
+    """Run `block_matrices` on blocks of streams and rank what it keeps.
 
-    Sample k always gets child k of SeedSequence(seed): consecutive
-    `spawn` calls continue the numbering, so blocking changes nothing
-    about which sample sees which generator.
+    Sample k always draws the numbers of child k of SeedSequence(seed),
+    whatever block it falls in.
     """
-    import numpy as np
-
-    _check_estimator_params(trials, tol)
-    parent = np.random.SeedSequence(seed)
+    _check_estimator_params(trials, tol, seed)
     ranks = []
     gaps = []
     for start in range(0, trials, BLOCK):
-        rngs = [np.random.default_rng(child)
-                for child in parent.spawn(min(BLOCK, trials - start))]
-        block_ranks, block_gaps = _ranks_and_gaps(block_matrices(rngs), tol)
+        streams = _Streams(seed, start, min(BLOCK, trials - start))
+        block_ranks, block_gaps = _ranks_and_gaps(block_matrices(streams),
+                                                  tol)
         ranks += block_ranks.tolist()
         gaps += block_gaps.tolist()
     if not ranks:
@@ -395,9 +551,9 @@ def estimate_rank(phi: Parametrization, trials: int = DEFAULT_TRIALS,
     """
     poly = _Monomials(phi.components, phi.domain_dim)
 
-    def block_matrices(rngs):
+    def block_matrices(streams):
         matrices, reasons = _log_jacobians(
-            poly, _sample_coordinates(rngs, phi.domain_dim))
+            poly, _sample_coordinates(streams, phi.domain_dim))
         return matrices[reasons == 0]
 
     return _estimate(block_matrices, trials, tol, seed)
@@ -451,18 +607,18 @@ def estimate_rank_implicit(h: ImplicitHypersurface,
     specialize = _Monomials([by_power[p] for p in powers], n - 1)
     diagonal = np.arange(n - 1)
 
-    def block_matrices(rngs):
-        xs = _sample_coordinates(rngs, n - 1)
-        coeffs = np.zeros((len(rngs), powers[-1] + 1), dtype=complex)
+    def block_matrices(streams):
+        xs = _sample_coordinates(streams, n - 1)
+        coeffs = np.zeros((len(xs), powers[-1] + 1), dtype=complex)
         coeffs[:, powers] = specialize.evaluate(xs)[0]
         # a row whose root finding failed holds only NaN: no usable root
         roots, _ = batch_roots(coeffs)
         usable = (np.abs(roots) >= _ROOT_MIN) & (np.abs(roots) <= _ROOT_MAX)
         counts = usable.sum(axis=1)
-        keep = np.flatnonzero(counts)
-        last = np.array([roots[s][usable[s]][rngs[s].integers(int(counts[s]))]
-                         for s in keep], dtype=complex)
-        xs = xs[keep]
+        # the pick-th usable root of each row that has one, in row order
+        picks = streams.integers(counts)
+        last = roots[usable & (usable.cumsum(axis=1) == picks[:, None] + 1)]
+        xs = xs[counts > 0]
         _, partials = poly.evaluate(np.insert(xs, solved, last, axis=1))
         partials = partials[:, 0]
         fk = partials[:, solved]
@@ -471,7 +627,7 @@ def estimate_rank_implicit(h: ImplicitHypersurface,
             inverse = 1 / xs
         critical = (fk == 0) | ~np.isfinite(fk)
         ok = ~critical & np.isfinite(bottom).all(axis=1)
-        matrices = np.zeros((len(keep), n, 2 * (n - 1)))
+        matrices = np.zeros((len(xs), n, 2 * (n - 1)))
         matrices[:, diagonal, 2 * diagonal] = inverse.real
         matrices[:, diagonal, 2 * diagonal + 1] = -inverse.imag
         matrices[:, n - 1, 0::2] = bottom.real

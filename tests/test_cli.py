@@ -28,6 +28,15 @@ LINE_DOC = json.dumps({
     ],
 })
 
+# (t, t^2, t^3)
+MOMENT3_DOC = json.dumps({
+    "domain_dim": 1, "ambient_dim": 3,
+    "components": [
+        {"terms": [{"coeff": ["1", "0"], "exponents": [e]}]}
+        for e in (1, 2, 3)
+    ],
+})
+
 PLANE_DOC = json.dumps({
     "ambient_dim": 3,
     "polynomial": {"terms": [
@@ -109,12 +118,16 @@ class TestRunConfig:
             ("estimate", absent, "--kind", "param", "--trials", "0"),
             ("estimate", absent, "--kind", "param", "--tol", "1.5"),
             ("verify", absent, absent, "--kind", "param", "--tol", "0"),
+            ("estimate", absent, "--kind", "param", "--seed", "-1"),
+            ("verify", absent, absent, "--kind", "implicit", "--seed", "-5"),
             ("dim", absent, "--strategy", "lattice", "--cap", "0"),
             ("dim", absent, "--strategy", "combined", "--height", "-1"),
         ):
             code, out, err = run(capsys, *argv)
             assert (code, out) == (2, "")
             assert "cannot read" not in err
+            if "--seed" in argv:
+                assert "seed" in err
 
     def test_flags_need_strategy(self, capsys, h3_file):
         code, out, err = run(capsys, "dim", h3_file, "--cap", "10")
@@ -398,7 +411,7 @@ class TestVerify:
                        "certified": False, "verdict": "agree"}
 
     def test_mismatch_still_prints_json(self, capsys, tmp_path, h3_file):
-        variety = write(tmp_path, "m.json", MOMENT_DOC)
+        variety = write(tmp_path, "m.json", MOMENT3_DOC)
         code, out, _ = run(capsys, "verify", h3_file, variety,
                            "--kind", "param", "--seed", "1")
         assert code == 5
@@ -418,6 +431,21 @@ class TestVerify:
                            "--seed", "2")
         assert code == 0
         assert json.loads(out)["verdict"] == "agree"
+
+    @pytest.mark.parametrize("kind,doc", [("param", MOMENT_DOC),
+                                          ("implicit", PLANE_DOC)])
+    def test_ambient_dimensions_must_match(self, capsys, tmp_path, kind,
+                                           doc):
+        # a fan in R^1 against a variety in (C*)^2 or (C*)^3
+        fan = write(tmp_path, "r1.json", json.dumps({
+            "ambient_dim": 1, "cells": [{"span": [["1"]]}],
+        }))
+        variety = write(tmp_path, "v.json", doc)
+        ambient = json.loads(doc)["ambient_dim"]
+        code, out, err = run(capsys, "verify", fan, variety, "--kind", kind,
+                             "--seed", "1")
+        assert (code, out) == (2, "")
+        assert "R^1" in err and f"(C*)^{ambient}" in err
 
     def test_stable_across_seeds(self, capsys, tmp_path, h3_file):
         variety = write(tmp_path, "p.json", PLANE_DOC)

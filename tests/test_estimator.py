@@ -12,6 +12,7 @@ from amoebadim.estimator import (
     RankEstimate,
     SampleRejected,
     VarietyFormatError,
+    _Streams,
     cross_check,
     estimate_rank,
     estimate_rank_implicit,
@@ -21,6 +22,7 @@ from amoebadim.estimator import (
 )
 from amoebadim.families import curve_fan, orbit_subspace, tropical_hyperplane
 from amoebadim.rational_linalg import canonicalize
+from amoebadim.roots import batch_roots
 
 
 def param(m, n, *components):
@@ -185,6 +187,13 @@ class TestEstimateRank:
             estimate_rank(MOMENT, trials=True)
         with pytest.raises(ValueError):
             estimate_rank(MOMENT, tol=True)
+        # a seed must name one reproducible run: no bool, float, OS
+        # entropy (None) or negative number
+        for seed in (True, 1.5, None, -1):
+            with pytest.raises(ValueError, match="seed"):
+                estimate_rank(MOMENT, seed=seed)
+            with pytest.raises(ValueError, match="seed"):
+                estimate_rank_implicit(HYPERBOLA, seed=seed)
 
     def test_deterministic(self):
         a = estimate_rank(MOMENT, trials=20, seed=7)
@@ -341,6 +350,81 @@ class TestBlockedSampling:
             z = radius * np.cos(angle) + 1j * (radius * np.sin(angle))
             sigma = np.linalg.svd(log_jacobian(MOMENT, z), compute_uv=False)
             assert long.per_sample_gaps[k] == sigma[0] / sigma[1]
+
+    def test_implicit_sample_k_picks_its_root_with_child_k(self):
+        # (y - x)(y + x - 1): a sample has rank 1 on the root y = x and
+        # rank 2 on y = 1 - x, so its rank tells which usable root it
+        # picked with child k's integers()
+        product = ImplicitHypersurface(2, ((1, (0, 2)), (-1, (0, 1)),
+                                           (-1, (2, 0)), (1, (1, 0))))
+        long = estimate_rank_implicit(product, trials=600, seed=5)
+        assert long.samples_used == 600
+        assert set(long.per_sample_ranks) == {1, 2}
+        children = np.random.SeedSequence(5).spawn(600)
+        for k in range(600):
+            rng = np.random.default_rng(children[k])
+            radius = np.exp(rng.uniform(-3.0, 3.0))
+            x = radius * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+            roots = batch_roots(np.array([[x - x ** 2, -1, 1]]))[0][0]
+            usable = roots[(abs(roots) >= 1e-6) & (abs(roots) <= 1e6)]
+            y = usable[rng.integers(len(usable))]
+            rank = 1 if abs(y - x) < abs(y - (1 - x)) else 2
+            assert long.per_sample_ranks[k] == rank
+
+    @pytest.mark.parametrize("seed", [
+        0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 1,
+        2 ** 160 + 12345,  # more run entropy than the 4-word pool holds
+    ])
+    def test_streams_match_numpy_generators(self, seed):
+        # row k of _Streams against default_rng(child k): log radii, then
+        # angles, then integers(high), then a uniform pair that shows
+        # where each row's stream stopped
+        count = 64
+        small = np.array([1 + k % 8 for k in range(count)])
+        # a quarter of the first draws fail Lemire's test here, so redraws
+        # take the buffered high half and, when that fails too, a fresh
+        # 64-bit output
+        near = np.full(count, 3 * 2 ** 30 + 1)
+        threshold = 2 ** 32 % int(near[0])
+        redraws = {"buffered": 0, "fresh": 0}
+        for start in (0, 256, 9984):
+            children = np.random.SeedSequence(seed).spawn(start + count)
+            for width in (1, 2, 3):
+                for highs in (small, near):
+                    streams = _Streams(seed, start, count)
+                    radii = streams.uniform(-3.0, 3.0, width)
+                    angles = streams.uniform(0.0, 2.0 * math.pi, width)
+                    picks = streams.integers(highs)
+                    after = streams.uniform(0.0, 1.0, 2)
+                    for k in range(count):
+                        rng = np.random.default_rng(children[start + k])
+                        assert radii[k].tolist() == \
+                            rng.uniform(-3.0, 3.0, width).tolist()
+                        assert angles[k].tolist() == \
+                            rng.uniform(0.0, 2.0 * math.pi, width).tolist()
+                        assert picks[k] == rng.integers(highs[k])
+                        assert after[k].tolist() == \
+                            rng.uniform(0.0, 1.0, 2).tolist()
+                        if highs is near:
+                            raw = np.random.PCG64(children[start + k]) \
+                                .random_raw(2 * width + 1)[-1]
+                            low, high = int(raw) & 0xFFFFFFFF, int(raw) >> 32
+                            if low * int(near[0]) % 2 ** 32 < threshold:
+                                redraws["buffered"] += 1
+                                if high * int(near[0]) % 2 ** 32 < threshold:
+                                    redraws["fresh"] += 1
+        assert redraws["buffered"] > 0 and redraws["fresh"] > 0
+
+    def test_no_per_sample_generators(self, monkeypatch):
+        # every block draws through _Streams; numpy's generators stay
+        # the tests' reference only
+        def refuse(*args, **kwargs):
+            raise AssertionError("a numpy generator was built")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        monkeypatch.setattr(np.random, "Generator", refuse)
+        assert estimate_rank(SURFACE, trials=600, seed=5).samples_used == 600
+        assert estimate_rank_implicit(HYPERBOLA, trials=600, seed=5).rank == 1
 
     def test_log_jacobian_matches_the_term_loop(self):
         # the exponent-matrix kernel against the per-term loop it replaced:
