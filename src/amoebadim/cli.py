@@ -16,7 +16,6 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,6 +23,7 @@ from .estimator import (
     DEFAULT_TOL,
     DEFAULT_TRIALS,
     EstimatorError,
+    _check_ambient,
     _check_estimator_params,
     cross_check,
     estimate_rank,
@@ -38,26 +38,6 @@ from .rational_linalg import canonicalize
 from .subspace_search import ResourceLimitError, _parse_strategy, amoeba_dim
 
 _GEN_FAMILIES = ("hyperplane", "orbit", "curve", "torus_invariant", "product")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One validated invocation, ready to execute.
-
-    `strategy` is a search descriptor such as "lattice" or
-    "combined(cap=5)", or None for the search's ambient-dependent default.
-    """
-
-    command: str
-    inputs: tuple = ()
-    family: str | None = None
-    params: tuple = ()
-    kind: str | None = None
-    strategy: str | None = None
-    trials: int = DEFAULT_TRIALS
-    tol: float = DEFAULT_TOL
-    seed: int = 0
-    output: str | None = None
 
 
 def _strategy_descriptor(args: argparse.Namespace) -> str | None:
@@ -142,29 +122,29 @@ def _int_param(raw: str, what: str) -> int:
         raise ValueError(f"{what} must be an integer, got {raw!r}") from exc
 
 
-def cmd_dim(config: RunConfig) -> int:
-    sigma = parse_complex(_read_text(config.inputs[0]))
-    result = amoeba_dim(sigma, strategy=config.strategy)
-    _emit_json(result.to_json_dict(), config.output)
+def cmd_dim(args: argparse.Namespace) -> int:
+    sigma = parse_complex(_read_text(args.fan))
+    result = amoeba_dim(sigma, strategy=args.strategy)
+    _emit_json(result.to_json_dict(), args.output)
     return 0
 
 
-def _params_exactly(config: RunConfig, count: int):
-    if len(config.params) != count:
+def _params_exactly(args: argparse.Namespace, count: int):
+    if len(args.params) != count:
         raise ValueError(
-            f"family {config.family} takes exactly {count} parameter(s), "
-            f"got {len(config.params)}"
+            f"family {args.family} takes exactly {count} parameter(s), "
+            f"got {len(args.params)}"
         )
-    return config.params
+    return args.params
 
 
-def cmd_gen(config: RunConfig) -> int:
-    family = config.family
+def cmd_gen(args: argparse.Namespace) -> int:
+    family = args.family
     if family == "hyperplane":
-        (raw_n,) = _params_exactly(config, 1)
+        (raw_n,) = _params_exactly(args, 1)
         sigma = tropical_hyperplane(_int_param(raw_n, "ambient dimension"))
     elif family in ("orbit", "curve"):
-        raw_n, raw_vectors = _params_exactly(config, 2)
+        raw_n, raw_vectors = _params_exactly(args, 2)
         n = _int_param(raw_n, "ambient dimension")
         if n < 1:
             raise ValueError("ambient dimension must be positive")
@@ -172,13 +152,13 @@ def cmd_gen(config: RunConfig) -> int:
         build = orbit_subspace if family == "orbit" else curve_fan
         sigma = build(n, vectors)
     elif family == "torus_invariant":
-        fan_path, raw_vectors = _params_exactly(config, 2)
+        fan_path, raw_vectors = _params_exactly(args, 2)
         sigma0 = parse_complex(_read_text(fan_path))
         n = sigma0.ambient_dim
         sub = canonicalize(n, list(parse_vector_list(raw_vectors, n)))
         sigma = torus_invariant(sigma0, sub)
     elif family == "product":
-        left_path, right_path = _params_exactly(config, 2)
+        left_path, right_path = _params_exactly(args, 2)
         sigma = product(parse_complex(_read_text(left_path)),
                         parse_complex(_read_text(right_path)))
     else:
@@ -186,42 +166,36 @@ def cmd_gen(config: RunConfig) -> int:
             f"unknown family {family!r}; expected one of "
             + ", ".join(_GEN_FAMILIES)
         )
-    _emit(format_complex(sigma) + "\n", config.output)
+    _emit(format_complex(sigma) + "\n", args.output)
     return 0
 
 
-def _read_variety(config: RunConfig, path: str):
-    text = _read_text(path)
-    if config.kind == "param":
+def _read_variety(args: argparse.Namespace):
+    text = _read_text(args.variety)
+    if args.kind == "param":
         return parse_parametrization(text)
     return parse_implicit(text)
 
 
-def _run_estimator(config: RunConfig, variety):
-    run = estimate_rank if config.kind == "param" else estimate_rank_implicit
-    return run(variety, trials=config.trials, tol=config.tol,
-               seed=config.seed)
+def _run_estimator(args: argparse.Namespace, variety):
+    run = estimate_rank if args.kind == "param" else estimate_rank_implicit
+    return run(variety, trials=args.trials, tol=args.tol, seed=args.seed)
 
 
-def cmd_estimate(config: RunConfig) -> int:
-    variety = _read_variety(config, config.inputs[0])
-    _emit_json(_run_estimator(config, variety).to_json_dict(),
-               config.output)
+def cmd_estimate(args: argparse.Namespace) -> int:
+    variety = _read_variety(args)
+    _emit_json(_run_estimator(args, variety).to_json_dict(), args.output)
     return 0
 
 
-def cmd_verify(config: RunConfig) -> int:
-    sigma = parse_complex(_read_text(config.inputs[0]))
-    variety = _read_variety(config, config.inputs[1])
-    if variety.ambient_dim != sigma.ambient_dim:
-        # the amoeba of a variety in (C*)^n lives in R^n
-        raise ValueError(
-            f"the fan lives in R^{sigma.ambient_dim} but the variety in "
-            f"(C*)^{variety.ambient_dim}"
-        )
-    verdict = cross_check(sigma, _run_estimator(config, variety),
-                          strategy=config.strategy)
-    _emit_json(verdict.to_json_dict(), config.output)
+def cmd_verify(args: argparse.Namespace) -> int:
+    sigma = parse_complex(_read_text(args.fan))
+    variety = _read_variety(args)
+    # refused here too, so a wrong pairing fails before any sampling
+    _check_ambient(sigma, variety)
+    verdict = cross_check(sigma, _run_estimator(args, variety),
+                          strategy=args.strategy)
+    _emit_json(verdict.to_json_dict(), args.output)
     return 0 if verdict.verdict == "agree" else 5
 
 
@@ -287,26 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    """Check the flags and collect them; no input file is read here."""
-    if args.command == "gen":
-        return RunConfig(command="gen", family=args.family,
-                         params=tuple(args.params), output=args.output)
-    if args.command == "dim":
-        return RunConfig(command="dim", inputs=(args.fan,),
-                         strategy=_strategy_descriptor(args),
-                         output=args.output)
-    _check_estimator_params(args.trials, args.tol, args.seed)
-    if args.command == "estimate":
-        return RunConfig(command="estimate", inputs=(args.variety,),
-                         kind=args.kind, trials=args.trials, tol=args.tol,
-                         seed=args.seed, output=args.output)
-    return RunConfig(command="verify", inputs=(args.fan, args.variety),
-                     kind=args.kind, strategy=_strategy_descriptor(args),
-                     trials=args.trials, tol=args.tol, seed=args.seed,
-                     output=args.output)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -314,8 +268,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        config = _config_from_args(args)
-        return _COMMANDS[config.command](config)
+        # check the flags before any input file is read; the strategy
+        # flags become one search descriptor, None for the default
+        if args.command in ("estimate", "verify"):
+            _check_estimator_params(args.trials, args.tol, args.seed)
+        if args.command in ("dim", "verify"):
+            args.strategy = _strategy_descriptor(args)
+        return _COMMANDS[args.command](args)
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

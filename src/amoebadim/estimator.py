@@ -62,10 +62,6 @@ class EstimatorError(RuntimeError):
     """No sample survived; the estimate does not exist."""
 
 
-class SampleRejected(EstimatorError):
-    """A single evaluation point was unusable (zero or non-finite)."""
-
-
 def _check_terms(terms, nvars, what, laurent):
     cooked = []
     for t, (coeff, exponents) in enumerate(terms):
@@ -125,11 +121,6 @@ class Parametrization:
             )
         object.__setattr__(self, "components", tuple(cooked))
 
-    def evaluate(self, z) -> tuple:
-        z = _point(z, self.domain_dim)
-        poly = _Monomials(self.components, self.domain_dim)
-        return tuple(poly.evaluate(z)[0][0].tolist())
-
 
 @dataclass(frozen=True)
 class ImplicitHypersurface:
@@ -157,11 +148,6 @@ class ImplicitHypersurface:
             _check_terms(terms, self.ambient_dim, "polynomial", laurent=False),
         )
 
-    def evaluate(self, x) -> complex:
-        x = _point(x, self.ambient_dim)
-        poly = _Monomials((self.terms,), self.ambient_dim)
-        return complex(poly.evaluate(x)[0][0, 0])
-
 
 @dataclass(frozen=True)
 class RankEstimate:
@@ -171,13 +157,16 @@ class RankEstimate:
     between the last kept singular value and the first discarded one;
     infinite when every sample's cut fell to exact zeros (or off the end
     of the spectrum).  `per_sample_gaps` keeps the individual ratios for
-    diagnostics; it does not participate in equality.
+    diagnostics; it does not participate in equality.  `ambient_dim` is
+    the n of the sampled variety's (C*)^n, which cross_check matches
+    against the fan; it is not part of the JSON document.
     """
 
     rank: int
     samples_used: int
     singular_value_gap: float
     per_sample_ranks: tuple
+    ambient_dim: int
     per_sample_gaps: tuple = field(default=(), compare=False)
 
     def to_json_dict(self) -> dict:
@@ -254,15 +243,6 @@ class _Monomials:
         return values, partials
 
 
-def _point(z, nvars) -> np.ndarray:
-    import numpy as np
-
-    z = np.array([[complex(c) for c in z]], dtype=complex).reshape(1, -1)
-    if z.shape[1] != nvars:
-        raise ValueError("point has the wrong number of coordinates")
-    return z
-
-
 def _first_failure(count, *checks):
     """Per sample, the code of the first (code, failed mask) check it
     fails, 0 where it passes them all."""
@@ -274,19 +254,17 @@ def _first_failure(count, *checks):
     return reasons
 
 
-# Rejection codes of _log_jacobians, indexing the messages below.
-_REJECTIONS = (
-    None,
-    "zero coordinate in the sample point",
-    "non-finite coordinate in the sample point",
-    "a component vanishes at the sample point",
-    "non-finite derivative entry",
-)
+def log_jacobian(poly: _Monomials, z):
+    """Jacobians of log|phi| at the points z (B, m), phi the n polynomials
+    of `poly`, and a rejection code per point.
 
-
-def _log_jacobians(poly: _Monomials, z):
-    """Jacobians of log|phi| at the points z (B, m) and a rejection code
-    per point (0: usable), see log_jacobian."""
+    Each Jacobian is a real n x 2m matrix with columns (Re z_1, Im z_1,
+    ...).  Differentiating log|phi_i| through the Cauchy-Riemann equations
+    gives d/dRe(z_j) = Re(q), d/dIm(z_j) = -Im(q) with
+    q = (d phi_i/d z_j)/phi_i.  A point gets the first code that applies:
+    0 usable, 1 a zero coordinate, 2 a non-finite coordinate, 3 a
+    component vanishes at the point, 4 a non-finite derivative entry.
+    """
     import numpy as np
 
     values, partials = poly.evaluate(z)
@@ -303,23 +281,6 @@ def _log_jacobians(poly: _Monomials, z):
     matrices[:, :, 0::2] = q.real
     matrices[:, :, 1::2] = -q.imag
     return matrices, reasons
-
-
-def log_jacobian(phi: Parametrization, z) -> np.ndarray:
-    """Real n x 2m Jacobian of log|phi| at z, columns (Re z_1, Im z_1, ...).
-
-    Differentiating log|phi_i| through the Cauchy-Riemann equations gives
-    d/dRe(z_j) = Re(q), d/dIm(z_j) = -Im(q) with q = (d phi_i/d z_j)/phi_i.
-    Rejects the point (SampleRejected) when any coordinate or component
-    value is zero or the arithmetic leaves the finite range.  A batch of
-    one for the kernel estimate_rank runs on whole blocks.
-    """
-    z = _point(z, phi.domain_dim)
-    matrices, reasons = _log_jacobians(
-        _Monomials(phi.components, phi.domain_dim), z)
-    if reasons[0]:
-        raise SampleRejected(_REJECTIONS[reasons[0]])
-    return matrices[0]
 
 
 def _hash(value, const, mult):
@@ -513,7 +474,7 @@ def _check_estimator_params(trials, tol, seed):
         raise ValueError("seed must be a non-negative integer")
 
 
-def _estimate(block_matrices, trials, tol, seed) -> RankEstimate:
+def _estimate(block_matrices, ambient_dim, trials, tol, seed) -> RankEstimate:
     """Run `block_matrices` on blocks of streams and rank what it keeps.
 
     Sample k always draws the numbers of child k of SeedSequence(seed),
@@ -535,6 +496,7 @@ def _estimate(block_matrices, trials, tol, seed) -> RankEstimate:
         samples_used=len(ranks),
         singular_value_gap=min(gaps),
         per_sample_ranks=tuple(ranks),
+        ambient_dim=ambient_dim,
         per_sample_gaps=tuple(gaps),
     )
 
@@ -552,11 +514,11 @@ def estimate_rank(phi: Parametrization, trials: int = DEFAULT_TRIALS,
     poly = _Monomials(phi.components, phi.domain_dim)
 
     def block_matrices(streams):
-        matrices, reasons = _log_jacobians(
+        matrices, reasons = log_jacobian(
             poly, _sample_coordinates(streams, phi.domain_dim))
         return matrices[reasons == 0]
 
-    return _estimate(block_matrices, trials, tol, seed)
+    return _estimate(block_matrices, phi.ambient_dim, trials, tol, seed)
 
 
 def _solved_form(h: ImplicitHypersurface):
@@ -591,7 +553,7 @@ def estimate_rank_implicit(h: ImplicitHypersurface,
     """
     import numpy as np
 
-    from .roots import batch_roots
+    from .roots import polynomial_roots
 
     n = h.ambient_dim
     terms, solved = _solved_form(h)
@@ -612,7 +574,7 @@ def estimate_rank_implicit(h: ImplicitHypersurface,
         coeffs = np.zeros((len(xs), powers[-1] + 1), dtype=complex)
         coeffs[:, powers] = specialize.evaluate(xs)[0]
         # a row whose root finding failed holds only NaN: no usable root
-        roots, _ = batch_roots(coeffs)
+        roots, _ = polynomial_roots(coeffs)
         usable = (np.abs(roots) >= _ROOT_MIN) & (np.abs(roots) <= _ROOT_MAX)
         counts = usable.sum(axis=1)
         # the pick-th usable root of each row that has one, in row order
@@ -634,19 +596,32 @@ def estimate_rank_implicit(h: ImplicitHypersurface,
         matrices[:, n - 1, 1::2] = -bottom.imag
         return matrices[ok]
 
-    return _estimate(block_matrices, trials, tol, seed)
+    return _estimate(block_matrices, n, trials, tol, seed)
+
+
+def _check_ambient(sigma: SpanComplex, variety) -> None:
+    """Refuse a fan and a variety, or an estimate of one, from different
+    ambient spaces: the amoeba of a variety in (C*)^n lives in R^n."""
+    if variety.ambient_dim != sigma.ambient_dim:
+        raise ValueError(
+            f"the fan lives in R^{sigma.ambient_dim} but the variety in "
+            f"(C*)^{variety.ambient_dim}"
+        )
 
 
 def cross_check(sigma: SpanComplex, estimate: RankEstimate,
                 strategy: str | None = None) -> CrossCheckResult:
     """Compare the combinatorial value on sigma with a numerical estimate.
 
-    The caller vouches that sigma belongs to the sampled variety; under
-    that assumption the two numbers must agree, and a mismatch means a
-    wrong input pairing, an unlucky sampling run, or a capped search
-    that missed the optimum.  Nothing is averaged away: both numbers and
-    the certification flag are reported as they are.
+    Raises ValueError when the fan and the sampled variety live in
+    different ambient spaces.  Beyond that, the caller vouches that sigma
+    belongs to the sampled variety; under that assumption the two numbers
+    must agree, and a mismatch means a wrong input pairing, an unlucky
+    sampling run, or a capped search that missed the optimum.  Nothing is
+    averaged away: both numbers and the certification flag are reported
+    as they are.
     """
+    _check_ambient(sigma, estimate)
     result = amoeba_dim(sigma, strategy=strategy)
     verdict = "agree" if result.value == estimate.rank else "mismatch"
     return CrossCheckResult(

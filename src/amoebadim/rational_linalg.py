@@ -226,7 +226,8 @@ class Subspace:
             )
 
     def sum(self, other: "Subspace") -> "Subspace":
-        return self.sum_intersect(other)[0]
+        self._check_ambient(other)
+        return self.sum_with_rows(other.rows)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         return self.sum_intersect(other)[1]

@@ -5,27 +5,17 @@ multivariate one at a random point, so degrees are tiny and clustered
 roots are not the regime we care about.  Callers treat a convergence
 failure as a rejected sample, not a fatal error.
 
-`batch_roots` solves a whole block of polynomials at once, vectorized over
-the batch axis; `polynomial_roots` is a batch of one.  Each polynomial
-keeps its own starting points, its own Gauss-Seidel sweep and its own
-stopping rule, and is frozen once it has converged, so its roots do not
-depend on the other polynomials in the batch.
+`polynomial_roots` solves a whole block of polynomials at once, vectorized
+over the batch axis.  Each polynomial keeps its own starting points, its
+own Gauss-Seidel sweep and its own stopping rule, and is frozen once it
+has converged, so its roots do not depend on the other polynomials in the
+batch.
 """
 
 import numpy as np
 
-
-class RootFindingError(RuntimeError):
-    """The iteration did not converge within the step budget."""
-
-
-# Status codes of `batch_roots`; 0 means the roots were found.
+# Status codes of `polynomial_roots`; 0 means the roots were found.
 ZERO_POLYNOMIAL, COINCIDENT, NOT_FINITE, NO_CONVERGENCE = 1, 2, 3, 4
-_STATUS_MESSAGES = {
-    ZERO_POLYNOMIAL: "the zero polynomial does not have a root set",
-    COINCIDENT: "coincident iterates",
-    NOT_FINITE: "iteration left the finite range",
-}
 
 _START = 0.4 + 0.9j
 
@@ -74,7 +64,7 @@ def _durand_kerner(monic, tol, max_iter):
     return roots, status
 
 
-def batch_roots(coeffs, tol: float = 1e-12, max_iter: int = 200):
+def polynomial_roots(coeffs, tol: float = 1e-12, max_iter: int = 200):
     """All complex roots of each row of `coeffs` (B, k+1), low order first.
 
     Returns `(roots, status)`.  `roots` is (B, k): each row holds the
@@ -106,26 +96,3 @@ def batch_roots(coeffs, tol: float = 1e-12, max_iter: int = 200):
             roots[group, lo:hi] = found
     roots[status != 0] = np.nan
     return np.sort(roots, axis=1), status
-
-
-def polynomial_roots(coeffs, tol: float = 1e-12, max_iter: int = 200):
-    """All complex roots of sum_k coeffs[k] * x**k, as a tuple.
-
-    A batch of one for `batch_roots`: exact zero high-order coefficients
-    are stripped, roots at the origin come out exact, and the order is
-    deterministic (sorted by real part, then imaginary).  Raises
-    ValueError for the zero polynomial and RootFindingError when the
-    iteration fails.
-    """
-    coeffs = np.array([[complex(c) for c in coeffs]], dtype=complex)
-    if coeffs.size == 0:
-        coeffs = np.zeros((1, 1), dtype=complex)
-    roots, status = batch_roots(coeffs, tol, max_iter)
-    code = int(status[0])
-    if code == ZERO_POLYNOMIAL:
-        raise ValueError(_STATUS_MESSAGES[code])
-    if code:
-        raise RootFindingError(_STATUS_MESSAGES.get(
-            code, f"no convergence after {max_iter} iterations"))
-    row = roots[0]
-    return tuple(row[~np.isnan(row)].tolist())

@@ -10,8 +10,8 @@ from amoebadim.estimator import (
     ImplicitHypersurface,
     Parametrization,
     RankEstimate,
-    SampleRejected,
     VarietyFormatError,
+    _Monomials,
     _Streams,
     cross_check,
     estimate_rank,
@@ -22,11 +22,23 @@ from amoebadim.estimator import (
 )
 from amoebadim.families import curve_fan, orbit_subspace, tropical_hyperplane
 from amoebadim.rational_linalg import canonicalize
-from amoebadim.roots import batch_roots
+from amoebadim.roots import polynomial_roots
 
 
 def param(m, n, *components):
     return Parametrization(m, n, tuple(tuple(c) for c in components))
+
+
+def values_at(polys, nvars, *points):
+    """Values (B, P) of the polynomials `polys` at the points."""
+    return _Monomials(polys, nvars).evaluate(
+        np.array(points, dtype=complex))[0]
+
+
+def jacobians(phi, *points):
+    """log_jacobian of phi at the points: matrices and rejection codes."""
+    return log_jacobian(_Monomials(phi.components, phi.domain_dim),
+                        np.array(points, dtype=complex))
 
 
 def reference_log_jacobian(phi, z):
@@ -52,6 +64,8 @@ def reference_log_jacobian(phi, z):
 
 # (t, t^2)
 MOMENT = param(1, 2, [(1, (1,))], [(1, (2,))])
+# (t, t^2, t^3)
+MOMENT3 = param(1, 3, [(1, (1,))], [(1, (2,))], [(1, (3,))])
 # (t, 1 - t)
 LINE = param(1, 2, [(1, (1,))], [(1, (0,)), (-1, (1,))])
 # (t, u, t*u)
@@ -98,12 +112,12 @@ class TestParametrizationType:
 
     def test_laurent_exponents_allowed(self):
         p = param(1, 1, [(1, (-3,))])
-        assert p.evaluate([2])[0] == pytest.approx(2 ** -3)
+        assert values_at(p.components, 1, [2])[0, 0] == \
+            pytest.approx(2 ** -3)
 
     def test_evaluate(self):
-        assert LINE.evaluate([2 + 0j]) == (2 + 0j, -1 + 0j)
-        with pytest.raises(ValueError):
-            LINE.evaluate([1, 2])
+        assert values_at(LINE.components, 1, [2 + 0j]).tolist() == \
+            [[2 + 0j, -1 + 0j]]
 
 
 class TestImplicitType:
@@ -116,45 +130,40 @@ class TestImplicitType:
             ImplicitHypersurface(2, ((1, (1, -1)), (1, (0, 0))))
 
     def test_evaluate(self):
-        assert HYPERBOLA.evaluate([2, 0.5]) == 0
-        assert LINE_IMPL.evaluate([1, 1]) == 3
+        assert values_at((HYPERBOLA.terms,), 2, [2, 0.5]).tolist() == [[0]]
+        assert values_at((LINE_IMPL.terms,), 2, [1, 1]).tolist() == [[3]]
 
 
 class TestLogJacobian:
     def test_identity_map(self):
         ident = param(1, 1, [(1, (1,))])
-        assert log_jacobian(ident, [1]).tolist() == [[1.0, 0.0]]
-        assert log_jacobian(ident, [2]).tolist() == [[0.5, -0.0]]
+        matrices, reasons = jacobians(ident, [1], [2])
+        assert matrices.tolist() == [[[1.0, 0.0]], [[0.5, -0.0]]]
+        assert reasons.tolist() == [0, 0]
 
     def test_line_at_real_point_drops_rank(self):
-        mat = log_jacobian(LINE, [2])
+        mat = jacobians(LINE, [2])[0][0]
         assert mat.tolist() == [[0.5, -0.0], [1.0, 0.0]]
         assert np.linalg.matrix_rank(mat) == 1
 
     def test_line_at_complex_point(self):
-        mat = log_jacobian(LINE, [1 + 1j])
+        mat = jacobians(LINE, [1 + 1j])[0][0]
         assert np.allclose(mat, [[0.5, 0.5], [0.0, 1.0]])
         assert np.linalg.matrix_rank(mat) == 2
 
     def test_moment_curve_rows_proportional(self):
-        mat = log_jacobian(MOMENT, [0.3 - 1.2j])
+        mat = jacobians(MOMENT, [0.3 - 1.2j])[0][0]
         assert np.allclose(mat[1], 2 * mat[0])
 
     def test_shape_interleaves_real_imaginary(self):
-        assert log_jacobian(SURFACE, [1 + 1j, 2 - 1j]).shape == (3, 4)
+        assert jacobians(SURFACE, [1 + 1j, 2 - 1j])[0].shape == (1, 3, 4)
 
     def test_zero_coordinate_rejected(self):
-        with pytest.raises(SampleRejected):
-            log_jacobian(MOMENT, [0])
+        assert jacobians(MOMENT, [0], [1])[1].tolist() == [1, 0]
 
     def test_vanishing_component_rejected(self):
         shifted = param(1, 1, [(1, (1,)), (-1, (0,))])  # t - 1
-        with pytest.raises(SampleRejected):
-            log_jacobian(shifted, [1])
-
-    def test_wrong_arity(self):
-        with pytest.raises(ValueError):
-            log_jacobian(MOMENT, [1, 2])
+        assert jacobians(shifted, [2], [1])[1].tolist() == [0, 3]
 
 
 class TestEstimateRank:
@@ -348,7 +357,8 @@ class TestBlockedSampling:
             radius = np.exp(rng.uniform(-3.0, 3.0, 1))
             angle = rng.uniform(0.0, 2.0 * math.pi, 1)
             z = radius * np.cos(angle) + 1j * (radius * np.sin(angle))
-            sigma = np.linalg.svd(log_jacobian(MOMENT, z), compute_uv=False)
+            sigma = np.linalg.svd(jacobians(MOMENT, z)[0][0],
+                                  compute_uv=False)
             assert long.per_sample_gaps[k] == sigma[0] / sigma[1]
 
     def test_implicit_sample_k_picks_its_root_with_child_k(self):
@@ -365,7 +375,7 @@ class TestBlockedSampling:
             rng = np.random.default_rng(children[k])
             radius = np.exp(rng.uniform(-3.0, 3.0))
             x = radius * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
-            roots = batch_roots(np.array([[x - x ** 2, -1, 1]]))[0][0]
+            roots = polynomial_roots(np.array([[x - x ** 2, -1, 1]]))[0][0]
             usable = roots[(abs(roots) >= 1e-6) & (abs(roots) <= 1e6)]
             y = usable[rng.integers(len(usable))]
             rank = 1 if abs(y - x) < abs(y - (1 - x)) else 2
@@ -426,6 +436,35 @@ class TestBlockedSampling:
         assert estimate_rank(SURFACE, trials=600, seed=5).samples_used == 600
         assert estimate_rank_implicit(HYPERBOLA, trials=600, seed=5).rank == 1
 
+    def test_kernels_are_looked_up_under_their_module_names(self,
+                                                            monkeypatch):
+        # a caller that wraps roots.polynomial_roots or
+        # estimator.log_jacobian, as a tracer does, sees one call per block
+        import amoebadim.estimator as estimator
+        import amoebadim.roots as roots
+
+        implicit = estimate_rank_implicit(HYPERBOLA, trials=600, seed=5)
+        parametric = estimate_rank(SURFACE, trials=600, seed=5)
+        calls = []
+
+        def counted(name, kernel):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return kernel(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(roots, "polynomial_roots",
+                            counted("roots", roots.polynomial_roots))
+        monkeypatch.setattr(estimator, "log_jacobian",
+                            counted("jacobian", estimator.log_jacobian))
+        assert estimate_rank_implicit(HYPERBOLA, trials=600, seed=5) \
+            .per_sample_ranks == implicit.per_sample_ranks
+        assert calls == ["roots"] * 3
+        calls.clear()
+        assert estimate_rank(SURFACE, trials=600, seed=5) \
+            .per_sample_ranks == parametric.per_sample_ranks
+        assert calls == ["jacobian"] * 3
+
     def test_log_jacobian_matches_the_term_loop(self):
         # the exponent-matrix kernel against the per-term loop it replaced:
         # numpy's complex power and division round unlike Python's
@@ -437,7 +476,7 @@ class TestBlockedSampling:
             for _ in range(20):
                 z = rng.normal(size=m) + 1j * rng.normal(size=m)
                 want = reference_log_jacobian(phi, z)
-                assert np.allclose(log_jacobian(phi, z), want,
+                assert np.allclose(jacobians(phi, z)[0][0], want,
                                    rtol=1e-12, atol=1e-12)
 
 
@@ -452,12 +491,14 @@ class TestRankEstimateType:
         assert doc["per_sample_ranks"] == [1] * 5
 
     def test_infinite_gap_becomes_null(self):
-        est = RankEstimate(2, 3, math.inf, (2, 2, 2))
+        est = RankEstimate(2, 3, math.inf, (2, 2, 2), ambient_dim=3)
         assert est.to_json_dict()["singular_value_gap"] is None
 
     def test_gaps_excluded_from_equality(self):
-        a = RankEstimate(1, 1, 2.0, (1,), (2.0,))
-        b = RankEstimate(1, 1, 2.0, (1,), (3.0,))
+        a = RankEstimate(1, 1, 2.0, (1,), ambient_dim=2,
+                         per_sample_gaps=(2.0,))
+        b = RankEstimate(1, 1, 2.0, (1,), ambient_dim=2,
+                         per_sample_gaps=(3.0,))
         assert a == b
 
 
@@ -483,10 +524,18 @@ class TestCrossCheck:
         assert out == CrossCheckResult(1, 1, True, "agree")
 
     def test_deliberate_mismatch(self):
-        est = estimate_rank(MOMENT, trials=20, seed=1)
+        est = estimate_rank(MOMENT3, trials=20, seed=1)
         out = cross_check(tropical_hyperplane(3), est)
         assert out.verdict == "mismatch"
         assert (out.combinatorial, out.numerical) == (3, 1)
+
+    def test_ambient_dimensions_must_match(self):
+        # a fan in R^3 against the moment curve in (C*)^2
+        est = estimate_rank(MOMENT, trials=20, seed=1)
+        assert est.ambient_dim == 2
+        with pytest.raises(ValueError, match=r"R\^3 but the variety in "
+                                             r"\(C\*\)\^2"):
+            cross_check(tropical_hyperplane(3), est)
 
     def test_strategy_passes_through(self):
         est = estimate_rank(LINE, trials=10, seed=1)

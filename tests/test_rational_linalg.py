@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from amoebadim import rational_linalg
 from amoebadim.rational_linalg import (
     Subspace,
     canonicalize,
@@ -157,6 +158,18 @@ class TestSumIntersect:
 
     def test_lines_spanning_plane(self):
         assert span(2, [(1, 1)]).sum(span(2, [(1, -1)])).is_full()
+
+    def test_sum_takes_no_meet(self, monkeypatch):
+        # two planes in R^4 that meet in the line of (1, 1, 1, 1): their
+        # sum needs one elimination, not the Zassenhaus one of the meet
+        def refuse(*args, **kwargs):
+            raise AssertionError("intersect_rows was called")
+
+        monkeypatch.setattr(rational_linalg, "intersect_rows", refuse)
+        u = span(4, [(1, 1, 0, 0), (0, 0, 1, 1)])
+        v = span(4, [(1, 1, 1, 1), (1, 0, 0, 0)])
+        assert u.sum(v) == span(4, [(1, 0, 0, 0), (0, 1, 0, 0),
+                                    (0, 0, 1, 1)])
 
     def test_intersect_coordinate_planes(self):
         got = span(3, [(1, 0, 0), (0, 1, 0)]).intersect(span(3, [(1, 0, 0), (0, 0, 1)]))
