@@ -4,8 +4,13 @@ The minimum of this objective over all rational subspaces S is the real
 dimension of the amoeba attached to the complex Σ.  No finite candidate
 family is known to be sufficient in general, so results carry an honesty
 contract: the reported value is the best objective found (an upper bound),
-dim Σ is a proven lower bound, and `certified` is set exactly when the two
+the lower bound is proven, and `certified` is set exactly when the two
 meet.
+
+The lower bound is max(dim Σ, max over cell pairs of dim(C_i + C_j)).
+Proof for one pair, with k = dim(S+Σ) ≥ dim(S+C_i), dim(S+C_j):
+(S+C_i) + (S+C_j) contains C_i + C_j, and (S+C_i) ∩ (S+C_j) contains S,
+so dim(C_i + C_j) ≤ dim(S+C_i) + dim(S+C_j) − dim S ≤ 2k − dim S.
 
 Candidates come from the lattice generated by the cell spans under
 pairwise sum and intersection.  A minimizer has to trade its own dimension
@@ -15,7 +20,9 @@ The closure frequently does not terminate (already four generic planes in
 R^3 breed new lines and planes forever), which is why `candidate_lattice`
 takes a hard cap and reports in-band whether it reached a fixpoint.  A
 capped candidate set still yields correct upper bounds; it only weakens
-the search.
+the search.  It is also the expensive part, so the search scores the
+cheap candidates first and builds the closure only when they stay above
+the lower bound.
 """
 
 from __future__ import annotations
@@ -99,6 +106,15 @@ def objective(sigma: SpanComplex, sub: Subspace) -> int:
     return 2 * dim_sum_with_subspace(sigma, sub) - sub.dim
 
 
+def _check_cap(sigma: SpanComplex, cap: int) -> None:
+    """The closure starts from the cells, {0} and R^n; a cap below that
+    is refused, not truncated."""
+    if cap < len(sigma.cells) + 2:
+        raise ValueError(
+            f"cap {cap} below number of cells + 2 = {len(sigma.cells) + 2}"
+        )
+
+
 def candidate_lattice(sigma: SpanComplex, cap: int = DEFAULT_CAP) -> CandidateSet:
     """Closure of the cell spans ∪ {0, R^n} under pairwise sum/intersection.
 
@@ -108,11 +124,8 @@ def candidate_lattice(sigma: SpanComplex, cap: int = DEFAULT_CAP) -> CandidateSe
     lets them explode.  Stops at a fixpoint or after `cap` distinct
     subspaces, whichever comes first, and says which one happened.
     """
+    _check_cap(sigma, cap)
     n = sigma.ambient_dim
-    if cap < len(sigma.cells) + 2:
-        raise ValueError(
-            f"cap {cap} below number of cells + 2 = {len(sigma.cells) + 2}"
-        )
     seed = {Subspace.zero(n), Subspace.full(n)}
     seed.update(sigma.cells)
     found = sorted(seed, key=Subspace.sort_key)
@@ -319,37 +332,97 @@ def default_strategy(ambient_dim: int) -> str:
 
 def amoeba_dim(sigma: SpanComplex, strategy: str | None = None,
                extra_candidates=()) -> SearchResult:
-    """Minimize the objective over the strategy's candidates plus {0, R^n}.
+    """Minimize the objective over {0, R^n}, the extra candidates and the
+    strategy's candidates.
 
-    Ties are broken deterministically: smallest dim S first, then
-    lexicographically smallest canonical basis.  Candidates are scanned in
-    exactly that order, so the first minimum found is the reported witness
-    and the outcome is independent of any parallel evaluation schedule.
+    The cheap candidates are scored first: {0, R^n}, `extra_candidates`
+    and, for `exhaustive` and `combined`, the height enumeration.  The
+    lattice closure of `lattice` and `combined` is built only when their
+    best value is still above the lower bound, and then only its new
+    members are scored.  The lower bound
+
+        max(dim Σ, max over cells i < j of dim(C_i + C_j))
+
+    is proven: for any S, with k = dim(S+Σ), the space (S+C_i) + (S+C_j)
+    contains C_i + C_j, and its dimension is at most 2k − dim S because
+    (S+C_i) ∩ (S+C_j) contains S.  So no S scores below the bound, and
+    `certified` means the value reached it.
+
+    The witness is the canonical minimizer among the candidates scored:
+    smallest value, then smallest dim S, then the lexicographically
+    smallest canonical basis.  It does not depend on the scoring order.
     """
     n = sigma.ambient_dim
     d = sigma.dim
     if strategy is None:
         strategy = default_strategy(n)
     kind, cap, height, descriptor = _parse_strategy(strategy)
-    merged = {Subspace.zero(n), Subspace.full(n)}
-    if kind in ("lattice", "combined"):
-        merged.update(candidate_lattice(sigma, cap).subspaces)
-    if kind in ("exhaustive", "combined"):
-        merged.update(exhaustive_candidates(n, height).subspaces)
+    cheap = {Subspace.zero(n), Subspace.full(n)}
     for sub in extra_candidates:
         if sub.ambient_dim != n:
             raise ValueError(
                 f"extra candidate in R^{sub.ambient_dim}, complex in R^{n}"
             )
-        merged.add(sub)
-    cands = sorted(merged, key=Subspace.sort_key)
+        cheap.add(sub)
+    closes = kind in ("lattice", "combined")
+    if closes:
+        _check_cap(sigma, cap)
+    lower = _pairwise_lower_bound(sigma)
+    if kind in ("exhaustive", "combined"):
+        cheap.update(exhaustive_candidates(n, height).subspaces)
 
+    # {0} scores 2d; it is among the cheap candidates, and R^n too
+    best = _score(sigma, sorted(cheap, key=Subspace.sort_key), (2 * d, 0, ()))
+    evaluated = len(cheap)
+    if closes and best[0] > lower:
+        fresh = [sub for sub in candidate_lattice(sigma, cap)
+                 if sub not in cheap]
+        best = _score(sigma, fresh, best)
+        evaluated += len(fresh)
+    value, _, rows = best
+    witness = Subspace(n, rows)
+    return SearchResult(
+        value=value,
+        lower_bound=lower,
+        upper_bound=value,
+        certified=value == lower,
+        witness_S=witness,
+        witness_T=reduce_torus(sigma, witness),
+        strategy=descriptor,
+        candidates_evaluated=evaluated,
+    )
+
+
+def _pairwise_lower_bound(sigma: SpanComplex) -> int:
+    """max(dim Σ, max over cell pairs of dim(C_i + C_j)); see `amoeba_dim`
+    for the proof.  Stops early at min(2·dim Σ, n), which no pair can
+    exceed."""
     cells = sigma.cells
-    best = cands[0]
-    best_val = 2 * d
+    top = min(2 * sigma.dim, sigma.ambient_dim)
+    bound = sigma.dim
+    for j in range(1, len(cells)):
+        rows = cells[j].rows
+        for i in range(j):
+            got = cells[i].sum_dim(rows)
+            if got > bound:
+                bound = got
+                if bound == top:
+                    return bound
+    return bound
+
+
+def _score(sigma: SpanComplex, cands, best: tuple) -> tuple:
+    """Fold candidates into `best`, a (value, dim S, rows of S) triple;
+    the least triple wins.  The pruning takes min(2·dim Σ, n) as a value
+    some candidate attains, so R^n must be among `cands` or scored
+    already."""
+    n = sigma.ambient_dim
+    d = sigma.dim
+    cells = sigma.cells
     ub = min(2 * d, n)
-    for sub in cands[1:]:
+    for sub in cands:
         s = len(sub.rows)
+        best_val = best[0]
         limit = best_val if best_val < ub else ub
         bound = 2 * d - s
         if s > bound:
@@ -359,20 +432,11 @@ def amoeba_dim(sigma: SpanComplex, strategy: str | None = None,
         # the running cell maximum only grows, so the scan can stop once
         # it reaches the smallest sum whose objective exceeds `limit`
         val = 2 * _max_cell_sum(cells, sub, min(n, (limit + s) // 2 + 1)) - s
-        if val <= limit and val < best_val:
-            best_val = val
-            best = sub
-    witness_t = reduce_torus(sigma, best)
-    return SearchResult(
-        value=best_val,
-        lower_bound=d,
-        upper_bound=best_val,
-        certified=best_val == d,
-        witness_S=best,
-        witness_T=witness_t,
-        strategy=descriptor,
-        candidates_evaluated=len(cands),
-    )
+        if val <= limit:
+            key = (val, s, sub.rows)
+            if key < best:
+                best = key
+    return best
 
 
 def reduce_torus(sigma: SpanComplex, sub: Subspace) -> Subspace:

@@ -241,7 +241,7 @@ class TestDim:
             "witness_S", "witness_T", "strategy", "candidates_evaluated",
         ]
         assert doc["value"] == 3
-        assert doc["certified"] is False
+        assert doc["certified"] is True
         assert doc["witness_S"] == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
     def test_single_cell_certified(self, capsys, tmp_path):
@@ -294,6 +294,17 @@ class TestDim:
         capsys.readouterr()
         code, out, _ = run(capsys, "dim", path, "--strategy", "exhaustive")
         assert (code, out) == (3, "")
+
+    def test_cap_below_cell_count_refused(self, capsys, tmp_path):
+        # the search never needs the closure on h5, but the cap is still
+        # checked against its 15 cells
+        path = str(tmp_path / "h5.json")
+        assert main(["gen", "hyperplane", "5", "--output", path]) == 0
+        capsys.readouterr()
+        code, out, err = run(capsys, "dim", path, "--strategy", "lattice",
+                             "--cap", "3")
+        assert (code, out) == (2, "")
+        assert "cap 3 below number of cells + 2 = 17" in err
 
     def test_cap_without_strategy(self, capsys, h3_file):
         code, out, _ = run(capsys, "dim", h3_file, "--cap", "10")
@@ -408,7 +419,7 @@ class TestVerify:
             "combinatorial", "numerical", "certified", "verdict",
         ]
         assert doc == {"combinatorial": 3, "numerical": 3,
-                       "certified": False, "verdict": "agree"}
+                       "certified": True, "verdict": "agree"}
 
     def test_mismatch_still_prints_json(self, capsys, tmp_path, h3_file):
         variety = write(tmp_path, "m.json", MOMENT3_DOC)

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from amoebadim import subspace_search
+from amoebadim.families import tropical_hyperplane
 from amoebadim.polyhedral import SpanComplex, minkowski_with_subspace, \
-    parse_complex
+    parse_complex, product
 from amoebadim.rational_linalg import Subspace, canonicalize, direct_sum
 from amoebadim.subspace_search import (
     CandidateSet,
@@ -108,6 +110,19 @@ class TestObjective:
         m = min(cell.intersect(sub).dim for cell in sigma.cells)
         assert val == sub.dim + 2 * d - 2 * m
         assert val >= d
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_every_cell_pair_bounds_the_objective(self, seed):
+        # (S+C_i) + (S+C_j) holds C_i + C_j and (S+C_i) ∩ (S+C_j) holds S,
+        # so dim(C_i + C_j) ≤ 2·dim(S+Σ) − dim S
+        rng = random.Random(seed)
+        n = rng.randint(1, 5)
+        sigma = random_pure_complex(rng, n, num_cells=rng.randint(2, 4))
+        sub = random_subspace(rng, n)
+        val = objective(sigma, sub)
+        for a, b in combinations(sigma.cells, 2):
+            assert val >= a.sum(b).dim
 
 
 class TestCandidateLattice:
@@ -271,9 +286,10 @@ class TestAmoebaDim:
         assert res.value == 3
         assert res.witness_S.is_full()
         assert res.witness_T == span(3, (1, 0, 0))
-        assert res.lower_bound == 2
+        # two of the six coordinate planes already sum to R^3
+        assert res.lower_bound == 3
         assert res.upper_bound == 3
-        assert not res.certified
+        assert res.certified
 
     def test_hyperplane2(self):
         res = amoeba_dim(hyperplane(2))
@@ -297,7 +313,9 @@ class TestAmoebaDim:
         res = amoeba_dim(curve_fan3())
         assert res.value == 2
         assert res.witness_S.is_zero()
-        assert not res.certified
+        # two rays span a plane
+        assert res.lower_bound == 2
+        assert res.certified
 
     def test_tie_break_prefers_small_dimension(self):
         # two planes through a common line: the line and the full space
@@ -370,12 +388,14 @@ class TestAmoebaDim:
         sigma = random_pure_complex(rng, n, num_cells=rng.randint(1, 4))
         res = amoeba_dim(sigma, strategy="lattice(cap=300)")
         d = sigma.dim
-        assert d == res.lower_bound <= res.value == res.upper_bound
+        assert d <= res.lower_bound <= res.value == res.upper_bound
+        assert res.lower_bound == max(
+            [d] + [a.sum(b).dim for a, b in combinations(sigma.cells, 2)])
         assert res.value <= min(2 * d, n)
         assert objective(sigma, res.witness_S) == res.value
         assert res.witness_S.contains_subspace(res.witness_T)
         assert 2 * d + 2 * res.witness_T.dim - res.witness_S.dim == res.value
-        assert res.certified == (res.value == d)
+        assert res.certified == (res.value == res.lower_bound)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
@@ -390,6 +410,123 @@ class TestAmoebaDim:
         achievers = [s for s in family if objective(sigma, s) == res.value]
         achievers.sort(key=Subspace.sort_key)
         assert res.witness_S == achievers[0]
+
+
+def plucker():
+    return parse_complex((DATA / "plucker.fan.json").read_text())
+
+
+def forbid(monkeypatch, *names):
+    def refuse(*args, **kwargs):
+        raise AssertionError("this search must not build its candidates")
+
+    for name in names:
+        monkeypatch.setattr(subspace_search, name, refuse)
+
+
+class TestPairwiseLowerBound:
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_below_the_exhaustive_oracle(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(1, 3)
+        sigma = random_pure_complex(rng, n, num_cells=rng.randint(1, 4))
+        res = amoeba_dim(sigma, strategy="lattice(cap=300)")
+        oracle = amoeba_dim(sigma, strategy="exhaustive(height=2)")
+        assert res.lower_bound == oracle.lower_bound <= oracle.value
+
+    def test_plucker_fan_stays_uncertified(self):
+        res = amoeba_dim(plucker())
+        assert (res.value, res.lower_bound, res.certified) == (6, 5, False)
+
+    @pytest.mark.parametrize("sigma,value", [
+        (tropical_hyperplane(5), 5), (curve_fan3(), 2),
+    ])
+    def test_closure_skipped_when_cheap_candidates_reach_it(
+            self, monkeypatch, sigma, value):
+        forbid(monkeypatch, "candidate_lattice")
+        res = amoeba_dim(sigma)
+        assert (res.value, res.lower_bound, res.certified) == \
+            (value, value, True)
+
+    def test_closure_built_when_cheap_candidates_miss_it(self, monkeypatch):
+        calls = []
+        real = subspace_search.candidate_lattice
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(subspace_search, "candidate_lattice", counted)
+        res = amoeba_dim(plucker())
+        assert len(calls) == 1
+        assert res.candidates_evaluated == len(real(plucker()))
+
+    @pytest.mark.parametrize("strategy,n,cells", [
+        ("lattice(cap=3)", 5, 17), ("combined(cap=7,height=1)", 3, 8),
+    ])
+    def test_cap_below_cells_refused_without_closure(self, monkeypatch,
+                                                     strategy, n, cells):
+        forbid(monkeypatch, "candidate_lattice")
+        with pytest.raises(ValueError,
+                           match=f"below number of cells \\+ 2 = {cells}"):
+            amoeba_dim(tropical_hyperplane(n), strategy=strategy)
+
+    def test_extra_candidates_refused_before_any_work(self, monkeypatch):
+        forbid(monkeypatch, "candidate_lattice", "exhaustive_candidates")
+        with pytest.raises(ValueError,
+                           match=r"extra candidate in R\^3, complex in R\^4"):
+            amoeba_dim(tropical_hyperplane(4),
+                       extra_candidates=[Subspace.zero(3)])
+
+
+class TestIncrementalMerge:
+    """Scoring the closure after the cheap candidates picks the same value
+    and witness as one scan over their union."""
+
+    @staticmethod
+    def one_scan(sigma, cheap, cap, res):
+        first = amoeba_dim(sigma, strategy=cheap)
+        built = first.value > res.lower_bound
+        extras = candidate_lattice(sigma, cap) if built else ()
+        return amoeba_dim(sigma, strategy=cheap, extra_candidates=extras)
+
+    @staticmethod
+    def outcome(res):
+        return (res.value, res.witness_S, res.witness_T,
+                res.candidates_evaluated)
+
+    @pytest.mark.parametrize("strategy,cheap,max_n", [
+        ("lattice(cap=300)", "exhaustive(height=0)", 4),
+        ("combined(cap=300,height=1)", "exhaustive(height=1)", 3),
+    ])
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_one_scan_over_the_union(self, strategy, cheap, max_n,
+                                             seed):
+        rng = random.Random(seed)
+        n = rng.randint(1, max_n)
+        sigma = random_pure_complex(rng, n, num_cells=rng.randint(1, 4))
+        res = amoeba_dim(sigma, strategy=strategy)
+        assert self.outcome(res) == \
+            self.outcome(self.one_scan(sigma, cheap, 300, res))
+
+    @pytest.mark.parametrize("left", [True, False])
+    def test_closure_tie_beats_the_full_space(self, left):
+        # the Plücker fan times R^1 scores 7 on R^7 and on the extra axis,
+        # above its bound 6: the closure's line must replace R^7
+        line = SpanComplex.from_cells(1, [Subspace.full(1)])
+        sigma = product(line, plucker()) if left else product(plucker(), line)
+        res = amoeba_dim(sigma, strategy="lattice(cap=300)")
+        axis = [0] * 7
+        axis[0 if left else 6] = 1
+        assert (res.value, res.lower_bound) == (7, 6)
+        assert res.witness_S == span(7, axis)
+        union = {Subspace.zero(7), Subspace.full(7),
+                 *candidate_lattice(sigma, 300)}
+        assert res.candidates_evaluated == len(union)
+        assert min(union, key=lambda sub: (objective(sigma, sub),
+                                           sub.sort_key())) == res.witness_S
 
 
 class TestReduceTorus:
