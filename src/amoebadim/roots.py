@@ -10,6 +10,16 @@ over the batch axis.  Each polynomial keeps its own starting points, its
 own Gauss-Seidel sweep and its own stopping rule, and is frozen once it
 has converged, so its roots do not depend on the other polynomials in the
 batch.
+
+Each row starts on the circle of its binomial part `t^d + a0`: its d
+iterates begin at the d-th roots of `-a0`.  A row is monic, so the
+product of its roots has modulus `|a0|` and `|a0|^(1/d)` is their
+geometric-mean modulus; for a binomial (every linear row, every Fermat
+specialization) the starts are the roots themselves and one sweep
+confirms them.  These starts do not stall on real rows the way a real
+starting configuration can: a real row never gets more real starts than
+it has real roots, and the Gauss-Seidel order, which updates one iterate
+at a time, breaks any exact conjugate symmetry among the others.
 """
 
 import numpy as np
@@ -17,18 +27,19 @@ import numpy as np
 # Status codes of `polynomial_roots`; 0 means the roots were found.
 ZERO_POLYNOMIAL, COINCIDENT, NOT_FINITE, NO_CONVERGENCE = 1, 2, 3, 4
 
-_START = 0.4 + 0.9j
-
 
 def _durand_kerner(monic, tol, max_iter):
     """Roots of each row of `monic` (B, d+1), low order first, leading 1.
 
-    Returns the (B, d) iterates and a status per row.  Initial guesses are
-    the usual powers of 0.4+0.9j, which avoids the symmetric stalls a real
-    starting configuration can hit.
+    Returns the (B, d) iterates and a status per row.  The initial guesses
+    are the roots of the row's binomial part, `(-a0)^(1/d)·e^(2πik/d)` for
+    k = 0..d-1: distinct because `a0 != 0` once `x^lo` is split off, on
+    the circle of the roots' geometric-mean modulus, and exact for a
+    binomial row.
     """
     count, degree = monic.shape[0], monic.shape[1] - 1
-    roots = np.tile([_START ** k for k in range(1, degree + 1)], (count, 1))
+    unit = np.exp(2j * np.pi * np.arange(degree) / degree)
+    roots = (-monic[:, :1]) ** (1 / degree) * unit
     status = np.full(count, NO_CONVERGENCE, dtype=np.int8)
     live = np.arange(count)
     for _ in range(max_iter):

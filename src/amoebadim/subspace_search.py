@@ -218,6 +218,8 @@ def exhaustive_candidates(n: int, height_bound: int,
         raise ValueError("ambient dimension < 0")
     if height_bound < 0:
         raise ValueError("height bound < 0")
+    if height_bound == 0:  # no nonzero vector of height 0: the family is {0}
+        return CandidateSet((Subspace.zero(n),), True)
     if n > _EXHAUSTIVE_MAX_AMBIENT or height_bound > _EXHAUSTIVE_MAX_HEIGHT:
         raise ResourceLimitError(
             f"exhaustive enumeration refused for n={n}, "

@@ -1,3 +1,5 @@
+import cmath
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,9 @@ def reference_roots(coeffs, tol=1e-12, max_iter=200):
     if degree == 0:
         return (0j,) * origin
     cs = [c / cs[-1] for c in cs]
-    roots = [(0.4 + 0.9j) ** k for k in range(1, degree + 1)]
+    base = (-cs[0]) ** (1 / degree)
+    roots = [base * cmath.exp(2j * cmath.pi * k / degree)
+             for k in range(degree)]
     for _ in range(max_iter):
         worst = 0.0
         for i in range(degree):

@@ -295,6 +295,15 @@ class TestDim:
         code, out, _ = run(capsys, "dim", path, "--strategy", "exhaustive")
         assert (code, out) == (3, "")
 
+    def test_exhaustive_height_zero_above_the_limit(self, capsys, tmp_path):
+        path = str(tmp_path / "h7.json")
+        assert main(["gen", "hyperplane", "7", "--output", path]) == 0
+        capsys.readouterr()
+        code, out, _ = run(capsys, "dim", path, "--strategy", "exhaustive",
+                           "--height", "0")
+        assert code == 0
+        assert json.loads(out)["value"] == 7
+
     def test_cap_below_cell_count_refused(self, capsys, tmp_path):
         # the search never needs the closure on h5, but the cap is still
         # checked against its 15 cells

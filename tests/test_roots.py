@@ -1,6 +1,7 @@
 import cmath
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -74,6 +75,32 @@ class TestPolynomialRoots:
     def test_budget_exhaustion_is_loud(self):
         assert solve([24, -50, 35, -10, 1], max_iter=2) == \
             ((), NO_CONVERGENCE)
+
+    @pytest.mark.parametrize("c", [1, -2, 3 + 4j, -0.5j, 1e-3 - 2j])
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_binomial_converges_in_one_sweep(self, d, c):
+        # the starts are the roots of c + t^d, so one sweep confirms them
+        coeffs = [c] + [0] * (d - 1) + [1]
+        roots, status = solve(coeffs, max_iter=1)
+        assert status == 0 and len(roots) == d
+        base = (-c) ** (1 / d)
+        for k in range(d):
+            want = base * cmath.exp(2j * cmath.pi * k / d)
+            miss = min(abs(got - want) for got in roots)
+            assert miss <= 8 * np.finfo(float).eps * abs(want)
+
+    @pytest.mark.parametrize("real_roots", [
+        (1, -1, 2, -2), (1, 2, 3, 4, 5, 6), (-1, -2, -3, -4, -5, -6)])
+    def test_real_rows_with_real_roots_converge(self, real_roots):
+        # a real row with real starts could stall on a symmetric
+        # configuration; these rows get no more real starts than real roots
+        coeffs = [1]
+        for x in real_roots:  # multiply by (t - x), low order first
+            coeffs = [a - x * b for a, b in zip([0] + coeffs, coeffs + [0])]
+        roots, status = solve(coeffs)
+        assert status == 0
+        for got, want in zip(roots, sorted(real_roots)):
+            assert cmath.isclose(got, want, rel_tol=1e-9)
 
     @given(st.lists(
         st.complex_numbers(min_magnitude=0.1, max_magnitude=5,

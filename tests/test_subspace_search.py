@@ -232,6 +232,11 @@ class TestExhaustiveCandidates:
     def test_degenerate_height_zero(self):
         assert set(exhaustive_candidates(2, 0)) == {Subspace.zero(2)}
 
+    def test_height_zero_admitted_in_any_dimension(self):
+        # the family is {0} whatever n is, so no size refusal applies
+        family = exhaustive_candidates(7, 0)
+        assert list(family) == [Subspace.zero(7)] and family.complete
+
     def test_line_n1(self):
         assert set(exhaustive_candidates(1, 1)) == {
             Subspace.zero(1), Subspace.full(1)
@@ -527,6 +532,12 @@ class TestIncrementalMerge:
         assert res.candidates_evaluated == len(union)
         assert min(union, key=lambda sub: (objective(sigma, sub),
                                            sub.sort_key())) == res.witness_S
+
+    def test_height_zero_runs_above_the_enumeration_limit(self):
+        line = SpanComplex.from_cells(1, [Subspace.full(1)])
+        res = amoeba_dim(product(plucker(), line), "exhaustive(height=0)")
+        assert (res.value, res.lower_bound) == (7, 6)
+        assert res.witness_S == Subspace.full(7)
 
 
 class TestReduceTorus:
