@@ -52,6 +52,7 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _M32 = 0xFFFFFFFF
+_INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1  # exponents live in an int64 matrix
 
 
 class VarietyFormatError(ValueError):
@@ -65,7 +66,12 @@ class EstimatorError(RuntimeError):
 def _check_terms(terms, nvars, what, laurent):
     cooked = []
     for t, (coeff, exponents) in enumerate(terms):
-        coeff = complex(coeff)
+        try:
+            coeff = complex(coeff)
+        except OverflowError as exc:
+            raise VarietyFormatError(
+                f"{what}: term {t} coefficient out of the float range"
+            ) from exc
         if not (math.isfinite(coeff.real) and math.isfinite(coeff.imag)):
             raise VarietyFormatError(f"{what}: term {t} coefficient not finite")
         exponents = tuple(exponents)
@@ -77,6 +83,10 @@ def _check_terms(terms, nvars, what, laurent):
         for e in exponents:
             if not isinstance(e, int) or isinstance(e, bool):
                 raise VarietyFormatError(f"{what}: non-integer exponent")
+            if not _INT64_MIN <= e <= _INT64_MAX:
+                raise VarietyFormatError(
+                    f"{what}: term {t} exponent out of the int64 range"
+                )
             if not laurent and e < 0:
                 raise VarietyFormatError(
                     f"{what}: negative exponent in a polynomial"
@@ -633,19 +643,18 @@ def cross_check(sigma: SpanComplex, estimate: RankEstimate,
 
 
 def _coeff_to_float(raw, where):
-    if isinstance(raw, bool):
+    if isinstance(raw, bool) or not isinstance(raw, (int, float, str)):
         raise VarietyFormatError(f"{where}: coefficient entry must be a number")
-    if isinstance(raw, (int, float)):
-        value = float(raw)
-    elif isinstance(raw, str):
-        try:
-            value = float(Fraction(raw))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise VarietyFormatError(
-                f"{where}: cannot read {raw!r} as a rational number"
-            ) from exc
-    else:
-        raise VarietyFormatError(f"{where}: coefficient entry must be a number")
+    try:
+        value = float(Fraction(raw) if isinstance(raw, str) else raw)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise VarietyFormatError(
+            f"{where}: cannot read {raw!r} as a rational number"
+        ) from exc
+    except OverflowError as exc:
+        raise VarietyFormatError(
+            f"{where}: coefficient entry out of the float range"
+        ) from exc
     if not math.isfinite(value):
         raise VarietyFormatError(f"{where}: coefficient entry not finite")
     return value

@@ -35,6 +35,10 @@ class SpanComplex:
     cells: tuple
     labels: tuple = field(default=(), compare=False)
 
+    def __post_init__(self):
+        if not self.labels:  # built without labels: one None per cell
+            object.__setattr__(self, "labels", (None,) * len(self.cells))
+
     @classmethod
     def from_cells(cls, ambient_dim: int, cells, labels=None) -> "SpanComplex":
         cells = list(cells)

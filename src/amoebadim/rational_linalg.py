@@ -195,9 +195,9 @@ class Subspace:
     def orth(self) -> "Subspace":
         """Orthogonal complement (cached, with the back link to self).
 
-        Complements turn meets into joins: A ∩ B = (A⊥ + B⊥)⊥.  The
-        subspace search leans on that to compute each intersection in
-        whichever of the two representations has fewer basis rows.
+        Complements turn meets into joins: A ∩ B = (A⊥ + B⊥)⊥, a route
+        to an intersection independent of the Zassenhaus pass that
+        `sum_intersect` takes.
         """
         o = self.__dict__.get("_orth")
         if o is None:

@@ -31,7 +31,7 @@ import re
 from dataclasses import dataclass
 
 from .polyhedral import SpanComplex, _max_cell_sum, dim_sum_with_subspace
-from .rational_linalg import Subspace, intersect_rows, sum_rows
+from .rational_linalg import Subspace
 
 DEFAULT_CAP = 10000
 DEFAULT_HEIGHT = 1
@@ -119,85 +119,29 @@ def candidate_lattice(sigma: SpanComplex, cap: int = DEFAULT_CAP) -> CandidateSe
     """Closure of the cell spans ∪ {0, R^n} under pairwise sum/intersection.
 
     Pairs are processed in generation order (all pairs among earlier
-    elements before pairs involving later ones); that order keeps the
-    integer entries of intermediate bases small, where a depth-first order
-    lets them explode.  Stops at a fixpoint or after `cap` distinct
-    subspaces, whichever comes first, and says which one happened.
+    elements before pairs involving later ones), and each pair's join and
+    meet come from `Subspace.sum_intersect`, the join first.  That order
+    keeps the integer entries of intermediate bases small, where a
+    depth-first order lets them explode.  Stops at a fixpoint or after
+    `cap` distinct subspaces, whichever comes first, and says which one
+    happened.
     """
     _check_cap(sigma, cap)
     n = sigma.ambient_dim
-    seed = {Subspace.zero(n), Subspace.full(n)}
-    seed.update(sigma.cells)
-    found = sorted(seed, key=Subspace.sort_key)
-    seen = {s.rows for s in found}
-    seen_dual = {s.orth.rows for s in found}
+    found = sorted({Subspace.zero(n), Subspace.full(n), *sigma.cells},
+                   key=Subspace.sort_key)
+    seen = set(found)
     complete = True
     i = 1
     while complete and i < len(found):
-        a = found[i]
-        a_dim = len(a.rows)
-        if a_dim == n:
-            i += 1
-            continue
-        a_rows = a.rows
         for j in range(i):
-            b = found[j]
-            b_dim = len(b.rows)
-            if not b_dim or b_dim == n:
-                continue
-            fresh = []
-            if a_dim + b_dim > n:
-                # dim(a∩b) ≥ dim a + dim b − n > 0 and the complements
-                # are the leaner side, so take the meet first, as
-                # (a⊥ + b⊥)⊥.  Its dimension settles nesting, and
-                # dim(a+b) = dim a + dim b − dim(a∩b) tells when the join
-                # is R^n (always seen): the join is eliminated only when
-                # it can be new
-                drows = sum_rows(a.orth.ech_pairs, b.orth.rows, n)
-                if drows is None:  # a ⊆ b
+            for c in found[i].sum_intersect(found[j]):
+                if c in seen:
                     continue
-                di = n - len(drows)
-                if di == b_dim:  # b ⊆ a
-                    continue
-                if a_dim + b_dim - di < n:
-                    if a_dim >= b_dim:
-                        trows = sum_rows(a.ech_pairs, b.rows, n)
-                    else:
-                        trows = sum_rows(b.ech_pairs, a_rows, n)
-                    if trows not in seen:
-                        fresh.append(Subspace(n, trows))
-                if drows not in seen_dual:
-                    fresh.append(Subspace(n, drows).orth)
-            else:
-                if a_dim >= b_dim:
-                    trows = sum_rows(a.ech_pairs, b.rows, n)
-                else:
-                    trows = sum_rows(b.ech_pairs, a_rows, n)
-                if trows is None:
-                    continue
-                if trows not in seen:
-                    fresh.append(Subspace(n, trows))
-                di = a_dim + b_dim - len(trows)
-                if di > 0:
-                    # summing the orthogonal complements computes the same
-                    # meet as the double-width Zassenhaus pass; at
-                    # dim a + dim b = n the codimensions are no larger
-                    # than the dimensions, and the complements win
-                    if a_dim + b_dim == n:
-                        drows = sum_rows(a.orth.ech_pairs, b.orth.rows, n)
-                        if drows not in seen_dual:
-                            fresh.append(Subspace(n, drows).orth)
-                    else:
-                        inter_rows = intersect_rows(a_rows, b.rows, n,
-                                                    a.pivots)
-                        if inter_rows not in seen:
-                            fresh.append(Subspace(n, inter_rows))
-            for c in fresh:
                 if len(found) >= cap:
                     complete = False
                     break
-                seen.add(c.rows)
-                seen_dual.add(c.orth.rows)
+                seen.add(c)
                 found.append(c)
             if not complete:
                 break
@@ -453,11 +397,6 @@ def reduce_torus(sigma: SpanComplex, sub: Subspace) -> Subspace:
     overshoot: a vector may be forced by one cell while another cell
     already absorbed it, and the result ends up larger than M − dim Σ.
     """
-    if sigma.ambient_dim != sub.ambient_dim:
-        raise ValueError(
-            f"ambient mismatch: complex in R^{sigma.ambient_dim}, "
-            f"subspace in R^{sub.ambient_dim}"
-        )
     n = sigma.ambient_dim
     target = dim_sum_with_subspace(sigma, sub)
     if target == sigma.dim:

@@ -48,6 +48,25 @@ PLANE_DOC = json.dumps({
 })
 
 
+def plane_doc_with(coeff=None, exponent=None):
+    """PLANE_DOC with its first term's real coefficient or first exponent
+    replaced."""
+    doc = json.loads(PLANE_DOC)
+    term = doc["polynomial"]["terms"][0]
+    if coeff is not None:
+        term["coeff"][0] = coeff
+    if exponent is not None:
+        term["exponents"][0] = exponent
+    return json.dumps(doc)
+
+
+# numbers that parse as JSON but fit neither a float nor an int64
+OUT_OF_RANGE_DOCS = {
+    "int_coeff": plane_doc_with(coeff=10**400),
+    "str_coeff": plane_doc_with(coeff="1" + "0" * 400),
+    "exponent": plane_doc_with(exponent=10**30),
+}
+
 DATA = Path(__file__).parent / "data"
 
 # Fan files under tests/data, written by `gen` (the Plücker fan by hand),
@@ -416,6 +435,13 @@ class TestEstimate:
         code, out, _ = run(capsys, "estimate", path, "--kind", "implicit")
         assert (code, out) == (2, "")
 
+    @pytest.mark.parametrize("case", sorted(OUT_OF_RANGE_DOCS))
+    def test_out_of_range_numbers(self, capsys, tmp_path, case):
+        path = write(tmp_path, "p.json", OUT_OF_RANGE_DOCS[case])
+        code, out, err = run(capsys, "estimate", path, "--kind", "implicit")
+        assert (code, out) == (2, "")
+        assert "out of the" in err
+
 
 class TestVerify:
     def test_agreeing_pair(self, capsys, tmp_path, h3_file):
@@ -466,6 +492,14 @@ class TestVerify:
                              "--seed", "1")
         assert (code, out) == (2, "")
         assert "R^1" in err and f"(C*)^{ambient}" in err
+
+    @pytest.mark.parametrize("case", sorted(OUT_OF_RANGE_DOCS))
+    def test_out_of_range_numbers(self, capsys, tmp_path, h3_file, case):
+        variety = write(tmp_path, "p.json", OUT_OF_RANGE_DOCS[case])
+        code, out, err = run(capsys, "verify", h3_file, variety,
+                             "--kind", "implicit")
+        assert (code, out) == (2, "")
+        assert "out of the" in err
 
     def test_stable_across_seeds(self, capsys, tmp_path, h3_file):
         variety = write(tmp_path, "p.json", PLANE_DOC)

@@ -109,6 +109,15 @@ class TestParametrizationType:
     def test_non_finite_coefficient(self):
         with pytest.raises(VarietyFormatError):
             param(1, 1, [(float("inf"), (1,))])
+        with pytest.raises(VarietyFormatError):
+            param(1, 1, [(10**400, (1,))])
+
+    def test_exponent_beyond_int64(self):
+        param(1, 1, [(1, (2**63 - 1,))])
+        with pytest.raises(VarietyFormatError):
+            param(1, 1, [(1, (2**63,))])
+        with pytest.raises(VarietyFormatError):
+            param(1, 1, [(1, (-2**63 - 1,))])
 
     def test_laurent_exponents_allowed(self):
         p = param(1, 1, [(1, (-3,))])

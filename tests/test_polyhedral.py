@@ -196,6 +196,16 @@ class TestSpanComplex:
         with pytest.raises(ComplexFormatError):
             SpanComplex.from_cells(2, [span(2, (1, 0))], labels=["a", "b"])
 
+    def test_constructor_without_labels_keeps_cells(self):
+        # The public constructor defaults `labels` to (); the complex must
+        # still serialize its cells and survive a Minkowski sum.
+        a, b = span(2, (0, 1)), span(2, (1, 0))  # canonical order
+        sigma = SpanComplex(2, 1, (a, b))
+        assert sigma.labels == (None, None)
+        assert parse_complex(format_complex(sigma)).cells == (a, b)
+        summed = minkowski_with_subspace(sigma, span(2, (1, 1)))
+        assert summed.cells == (Subspace.full(2),)
+
     def test_zero_dim_complex(self):
         sigma = SpanComplex.from_cells(2, [Subspace.zero(2)])
         assert sigma.dim == 0

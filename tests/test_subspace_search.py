@@ -54,10 +54,17 @@ def single_cell(n, *gens):
     return SpanComplex.from_cells(n, [span(n, *gens)])
 
 
+def reference_pair(a, b):
+    """Join and meet of two subspaces by their definitions, not through
+    `Subspace.sum_intersect`: the join is the span of both bases, the meet
+    is (a⊥ + b⊥)⊥."""
+    n = a.ambient_dim
+    return canonicalize(n, list(a.rows + b.rows)), a.orth.sum(b.orth).orth
+
+
 def reference_lattice(sigma, cap):
     """The closure by its definition: pairs in generation order, the join
-    then the meet of each from `Subspace.sum_intersect`, stopping at the
-    cap."""
+    then the meet of each, stopping at the cap."""
     n = sigma.ambient_dim
     found = sorted({Subspace.zero(n), Subspace.full(n), *sigma.cells},
                    key=Subspace.sort_key)
@@ -66,7 +73,7 @@ def reference_lattice(sigma, cap):
     i = 1
     while complete and i < len(found):
         for j in range(i):
-            for c in found[i].sum_intersect(found[j]):
+            for c in reference_pair(found[i], found[j]):
                 if c in seen:
                     continue
                 if len(found) >= cap:
