@@ -8,7 +8,7 @@ skeleton, so no coefficient data is taken or checked.
 
 from itertools import combinations
 
-from .polyhedral import SpanComplex, minkowski_with_subspace
+from .polyhedral import PurityError, SpanComplex, _check_ambient
 from .rational_linalg import Subspace, canonicalize
 
 
@@ -25,7 +25,7 @@ def tropical_hyperplane(n: int) -> SpanComplex:
         raise ValueError("tropical hyperplane needs ambient dimension >= 2")
     gens = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     gens.append((-1,) * n)
-    return SpanComplex.from_cells(
+    return SpanComplex(
         n, [canonicalize(n, list(p)) for p in combinations(gens, n - 1)]
     )
 
@@ -36,7 +36,7 @@ def orbit_subspace(n: int, vectors) -> SpanComplex:
     cell = canonicalize(n, vectors)
     if cell.dim != len(vectors):
         raise ValueError("orbit generators must be linearly independent")
-    return SpanComplex.from_cells(n, [cell])
+    return SpanComplex(n, [cell])
 
 
 def curve_fan(n: int, rays) -> SpanComplex:
@@ -52,13 +52,29 @@ def curve_fan(n: int, rays) -> SpanComplex:
         if not any(ray):
             raise ValueError(f"ray {i} is zero")
         cells.append(canonicalize(n, [ray]))
-    return SpanComplex.from_cells(n, cells)
+    return SpanComplex(n, cells)
 
 
 def torus_invariant(sigma0: SpanComplex, sub: Subspace) -> SpanComplex:
     """Complex stable under translation by `sub`: Minkowski-sum every cell.
 
-    Raises the usual purity error when the summed cells land in mixed
-    dimensions, same as minkowski_with_subspace.
+    The result must again be pure.  Raises PurityError naming the
+    offending cells when the summed spans do not all have the same
+    dimension (this genuinely happens: a subspace can lie inside some
+    cells and not others).
     """
-    return minkowski_with_subspace(sigma0, sub)
+    _check_ambient(sigma0, sub)
+    summed = [cell.sum(sub) for cell in sigma0.cells]
+    dims = {c.dim for c in summed}
+    if len(dims) > 1:
+        top = max(dims)
+        bad = [i for i, c in enumerate(summed) if c.dim != top]
+        detail = ", ".join(
+            f"cell {i} (dim {summed[i].dim})" for i in bad
+        )
+        raise PurityError(
+            f"Minkowski sum is impure: result dimensions {sorted(dims)}; "
+            f"below the top dimension: {detail}",
+            offending=bad,
+        )
+    return SpanComplex(sigma0.ambient_dim, summed, sigma0.labels)

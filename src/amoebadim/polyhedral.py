@@ -28,30 +28,35 @@ class PurityError(ValueError):
 
 @dataclass(frozen=True)
 class SpanComplex:
-    """Pure complex given by deduplicated, canonically ordered cell spans."""
+    """Pure complex given by the spans of its maximal cells.
+
+    The constructor is the only way in, and it checks and normalizes:
+    every cell must live in R^ambient_dim and all cells must share one
+    dimension, which becomes `dim`; duplicate cells merge (keeping a
+    label if any copy has one) and the cells are sorted canonically.
+    `labels` is one string or None per cell, or None for no labels.
+    """
 
     ambient_dim: int
-    dim: int
     cells: tuple
-    labels: tuple = field(default=(), compare=False)
+    labels: tuple | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if not self.labels:  # built without labels: one None per cell
-            object.__setattr__(self, "labels", (None,) * len(self.cells))
-
-    @classmethod
-    def from_cells(cls, ambient_dim: int, cells, labels=None) -> "SpanComplex":
-        cells = list(cells)
+        cells = list(self.cells)
         if not cells:
             raise ComplexFormatError("a complex needs at least one cell")
+        labels = self.labels
         if labels is None:
             labels = [None] * len(cells)
         elif len(labels) != len(cells):
             raise ComplexFormatError("one label per cell, or none at all")
+        for i, label in enumerate(labels):
+            if label is not None and not isinstance(label, str):
+                raise ComplexFormatError(f"cell {i}: label must be a string")
         for cell in cells:
-            if cell.ambient_dim != ambient_dim:
+            if cell.ambient_dim != self.ambient_dim:
                 raise ComplexFormatError(
-                    f"cell ambient {cell.ambient_dim} != {ambient_dim}"
+                    f"cell ambient {cell.ambient_dim} != {self.ambient_dim}"
                 )
         d = cells[0].dim
         bad = [i for i, c in enumerate(cells) if c.dim != d]
@@ -67,8 +72,12 @@ class SpanComplex:
             if cell not in merged or (merged[cell] is None and label is not None):
                 merged[cell] = label
         ordered = sorted(merged, key=Subspace.sort_key)
-        return cls(ambient_dim, d, tuple(ordered),
-                   tuple(merged[c] for c in ordered))
+        object.__setattr__(self, "cells", tuple(ordered))
+        object.__setattr__(self, "labels", tuple(merged[c] for c in ordered))
+
+    @property
+    def dim(self) -> int:
+        return self.cells[0].dim
 
     def __iter__(self):
         return iter(self.cells)
@@ -81,7 +90,8 @@ def parse_complex(text: str) -> SpanComplex:
     """Parse the fan file format.
 
     ``{"ambient_dim": n, "cells": [{"span": [[rationals...], ...],
-    "label": optional}, ...]}`` with rationals as "p" or "p/q" strings.
+    "label": optional}, ...]}`` with rationals as JSON integers or exact
+    strings ("p", "p/q", "1.5").
     The complex dimension is inferred from the spans and checked for
     purity, never declared.
     """
@@ -111,11 +121,8 @@ def parse_complex(text: str) -> SpanComplex:
             cells.append(canonicalize(n, rows))
         except ValueError as exc:
             raise ComplexFormatError(f"cell {i}: {exc}") from exc
-        label = raw.get("label")
-        if label is not None and not isinstance(label, str):
-            raise ComplexFormatError(f"cell {i}: label must be a string")
-        labels.append(label)
-    return SpanComplex.from_cells(n, cells, labels)
+        labels.append(raw.get("label"))
+    return SpanComplex(n, cells, labels)
 
 
 def format_complex(sigma: SpanComplex) -> str:
@@ -169,32 +176,7 @@ def _max_cell_sum(cells, sub: Subspace, stop: int) -> int:
     return best
 
 
-def minkowski_with_subspace(sigma: SpanComplex, sub: Subspace) -> SpanComplex:
-    """Cell-wise sum with a subspace; the result must again be pure.
-
-    Raises PurityError naming the offending cells when the summed spans do
-    not all have the same dimension (this genuinely happens: a subspace can
-    lie inside some cells and not others).
-    """
-    _check_ambient(sigma, sub)
-    summed = [cell.sum(sub) for cell in sigma.cells]
-    dims = {c.dim for c in summed}
-    if len(dims) > 1:
-        top = max(dims)
-        bad = [i for i, c in enumerate(summed) if c.dim != top]
-        detail = ", ".join(
-            f"cell {i} (dim {summed[i].dim})" for i in bad
-        )
-        raise PurityError(
-            f"Minkowski sum is impure: result dimensions {sorted(dims)}; "
-            f"below the top dimension: {detail}",
-            offending=bad,
-        )
-    return SpanComplex.from_cells(sigma.ambient_dim, summed, list(sigma.labels))
-
-
 def product(sigma1: SpanComplex, sigma2: SpanComplex) -> SpanComplex:
     """Block-embedded product: cells are all direct sums <C1> (+) <C2>."""
     cells = [direct_sum(c1, c2) for c1 in sigma1.cells for c2 in sigma2.cells]
-    return SpanComplex.from_cells(sigma1.ambient_dim + sigma2.ambient_dim,
-                                  cells)
+    return SpanComplex(sigma1.ambient_dim + sigma2.ambient_dim, cells)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -59,12 +60,6 @@ def _int_rows(rows: Iterable[Vector]) -> list:
             l = l * d // gcd(l, d)
         out.append([int(x * l) for x in fr])
     return out
-
-
-def _canonical_rows(rows, n: int) -> tuple:
-    """Canonical basis rows (RREF + primitive scaling) of an integer row
-    span."""
-    return sum_rows((), rows, n) or ()
 
 
 def sum_rows(ech_pairs, rows, ambient_dim: int, _dim_only: bool = False):
@@ -137,8 +132,11 @@ class Subspace:
     """A rational linear subspace of R^n in canonical basis form.
 
     `rows` holds the canonical basis as integer tuples (see module
-    docstring); it is empty for the zero subspace.  Instances are created
-    through canonicalize/span/zero/full so the invariant always holds.
+    docstring); it is empty for the zero subspace.  The constructor trusts
+    its rows and checks nothing: the package passes it only rows already
+    in canonical form (`sum_rows` output, or rows taken or zero-padded
+    from a canonical basis), and a check would re-run the elimination on
+    every search candidate.  Other rows go through canonicalize/span.
     """
 
     ambient_dim: int
@@ -171,42 +169,27 @@ class Subspace:
             object.__setattr__(self, "_hash", h)
         return h
 
-    @property
+    @cached_property
     def pivots(self) -> tuple:
-        """Column index of each basis row's leading entry (cached)."""
-        p = self.__dict__.get("_pivots")
-        if p is None:
-            p = tuple(
-                next(i for i, x in enumerate(r) if x) for r in self.rows
-            )
-            object.__setattr__(self, "_pivots", p)
-        return p
+        """Column index of each basis row's leading entry."""
+        return tuple(next(i for i, x in enumerate(r) if x) for r in self.rows)
 
-    @property
+    @cached_property
     def ech_pairs(self) -> tuple:
-        """(pivot, row) pairs ready to seed an elimination (cached)."""
-        p = self.__dict__.get("_ech")
-        if p is None:
-            p = tuple(zip(self.pivots, self.rows))
-            object.__setattr__(self, "_ech", p)
-        return p
+        """(pivot, row) pairs ready to seed an elimination."""
+        return tuple(zip(self.pivots, self.rows))
 
-    @property
+    @cached_property
     def orth(self) -> "Subspace":
-        """Orthogonal complement (cached, with the back link to self).
+        """Orthogonal complement, cached with the back link to self.
 
         Complements turn meets into joins: A ∩ B = (A⊥ + B⊥)⊥, a route
         to an intersection independent of the Zassenhaus pass that
         `sum_intersect` takes.
         """
-        o = self.__dict__.get("_orth")
-        if o is None:
-            o = Subspace(
-                self.ambient_dim,
-                complement_rows(self.rows, self.ambient_dim, self.pivots),
-            )
-            object.__setattr__(o, "_orth", self)
-            object.__setattr__(self, "_orth", o)
+        o = Subspace(self.ambient_dim,
+                     complement_rows(self.rows, self.ambient_dim, self.pivots))
+        o.__dict__["orth"] = self
         return o
 
     @classmethod
@@ -286,9 +269,7 @@ class Subspace:
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check_ambient(other)
-        if other.dim > self.dim:
-            return False
-        return all(self.contains(r) for r in other.rows)
+        return self.sum_dim(other.rows) == self.dim
 
     def sort_key(self) -> tuple:
         return (len(self.rows), self.rows)
@@ -310,12 +291,12 @@ def canonicalize(ambient_dim: int, generators) -> Subspace:
             raise ValueError(
                 f"generator length {len(r)} != ambient {ambient_dim}"
             )
-    return Subspace(ambient_dim, _canonical_rows(int_rows, ambient_dim))
+    return Subspace(ambient_dim, sum_rows((), int_rows, ambient_dim) or ())
 
 
-def intersect_rows(rows_a, rows_b, ambient_dim: int, pivots_a=None) -> tuple:
+def intersect_rows(rows_a, rows_b, ambient_dim: int, pivots_a) -> tuple:
     """Canonical basis rows of span(rows_a) ∩ span(rows_b), for canonical
-    rows_a (`pivots_a` are their pivot columns, if the caller has them).
+    rows_a with pivot columns `pivots_a`.
 
     Zassenhaus trick: reduce the rows [a|a] and [b|0] at width 2n.  The
     [a|a] rows are already reduced, so they seed the echelon.  In the
@@ -324,21 +305,20 @@ def intersect_rows(rows_a, rows_b, ambient_dim: int, pivots_a=None) -> tuple:
     canonical basis of the intersection.
     """
     n = ambient_dim
-    if pivots_a is None:
-        pivots_a = [next(i for i, x in enumerate(r) if x) for r in rows_a]
     seed = [(p, tuple(r) * 2) for p, r in zip(pivots_a, rows_a)]
     zero = (0,) * n
     rows = sum_rows(seed, [tuple(r) + zero for r in rows_b], 2 * n) or ()
     return tuple(r[n:] for r in rows if not any(r[:n]))
 
 
-def complement_rows(rows, ambient_dim: int, pivots=None) -> tuple:
+def complement_rows(rows, ambient_dim: int, pivots) -> tuple:
     """Canonical basis rows of the orthogonal complement of span(rows).
 
-    The rows must already be canonical.  Their pivot columns are then
-    cleared everywhere else, so each free column yields one integer kernel
-    vector by back-substitution: put the lcm of the pivot entries in the
-    free slot and solve each pivot coordinate independently.
+    The rows must already be canonical, with pivot columns `pivots`, so
+    those columns are cleared everywhere else and each free column yields
+    one integer kernel vector by back-substitution: put the lcm of the
+    pivot entries in the free slot and solve each pivot coordinate
+    independently.
     """
     n = ambient_dim
     k = len(rows)
@@ -346,8 +326,6 @@ def complement_rows(rows, ambient_dim: int, pivots=None) -> tuple:
         return Subspace.full(n).rows
     if k == n:
         return ()
-    if pivots is None:
-        pivots = [next(i for i, x in enumerate(r) if x) for r in rows]
     leads = [r[p] for r, p in zip(rows, pivots)]
     big = lcm(*leads)
     taken = set(pivots)
@@ -362,7 +340,7 @@ def complement_rows(rows, ambient_dim: int, pivots=None) -> tuple:
             if x:
                 v[p] = -x * (big // l)
         out.append(v)
-    return _canonical_rows(out, n)
+    return sum_rows((), out, n)
 
 
 def direct_sum(a: Subspace, b: Subspace) -> Subspace:

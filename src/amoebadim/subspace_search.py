@@ -47,11 +47,10 @@ class ResourceLimitError(RuntimeError):
 
 @dataclass(frozen=True)
 class CandidateSet:
-    """Deduplicated candidate subspaces plus a completeness flag.
+    """The lattice closure's subspaces plus a completeness flag.
 
-    `complete` means the generating process provably finished: a closure
-    fixpoint, or a full exhaustive enumeration.  A capped closure that was
-    cut off reports False.
+    `complete` means the closure reached a fixpoint; a capped closure that
+    was cut off reports False.
     """
 
     subspaces: tuple
@@ -62,9 +61,6 @@ class CandidateSet:
 
     def __len__(self) -> int:
         return len(self.subspaces)
-
-    def __contains__(self, sub) -> bool:
-        return sub in self.subspaces
 
 
 @dataclass(frozen=True)
@@ -150,20 +146,20 @@ def candidate_lattice(sigma: SpanComplex, cap: int = DEFAULT_CAP) -> CandidateSe
     return CandidateSet(tuple(found), complete)
 
 
-def exhaustive_candidates(n: int, height_bound: int,
-                          budget: int = _EXHAUSTIVE_BUDGET) -> CandidateSet:
+def exhaustive_candidates(n: int, height_bound: int) -> tuple:
     """Every subspace spanned by integer vectors with entries in
-    [−height_bound, height_bound].
+    [−height_bound, height_bound], sorted canonically.
 
     Grown breadth-first one primitive generator at a time; refuses large
-    requests outright rather than silently truncating.
+    requests outright, and any run past `_EXHAUSTIVE_BUDGET` subspaces,
+    rather than silently truncating.
     """
     if n < 0:
         raise ValueError("ambient dimension < 0")
     if height_bound < 0:
         raise ValueError("height bound < 0")
     if height_bound == 0:  # no nonzero vector of height 0: the family is {0}
-        return CandidateSet((Subspace.zero(n),), True)
+        return (Subspace.zero(n),)
     if n > _EXHAUSTIVE_MAX_AMBIENT or height_bound > _EXHAUSTIVE_MAX_HEIGHT:
         raise ResourceLimitError(
             f"exhaustive enumeration refused for n={n}, "
@@ -183,14 +179,15 @@ def exhaustive_candidates(n: int, height_bound: int,
                 bigger = sub.sum_with_rows((v,))
                 if bigger is sub or bigger in seen:
                     continue
-                if len(seen) >= budget:
+                if len(seen) >= _EXHAUSTIVE_BUDGET:
                     raise ResourceLimitError(
-                        f"exhaustive enumeration exceeded {budget} subspaces"
+                        "exhaustive enumeration exceeded "
+                        f"{_EXHAUSTIVE_BUDGET} subspaces"
                     )
                 seen.add(bigger)
                 grown.append(bigger)
         frontier = grown
-    return CandidateSet(tuple(sorted(seen, key=Subspace.sort_key)), True)
+    return tuple(sorted(seen, key=Subspace.sort_key))
 
 
 def _primitive_vectors(n: int, height: int) -> list:
@@ -315,7 +312,7 @@ def amoeba_dim(sigma: SpanComplex, strategy: str | None = None,
         _check_cap(sigma, cap)
     lower = _pairwise_lower_bound(sigma)
     if kind in ("exhaustive", "combined"):
-        cheap.update(exhaustive_candidates(n, height).subspaces)
+        cheap.update(exhaustive_candidates(n, height))
 
     # {0} scores 2d; it is among the cheap candidates, and R^n too
     best = _score(sigma, sorted(cheap, key=Subspace.sort_key), (2 * d, 0, ()))

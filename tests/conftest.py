@@ -110,12 +110,12 @@ def random_pure_complex(rng: random.Random, n: int, num_cells: int = 3,
             cells.append(sub)
     if not cells:
         cells = [canonicalize(n, [])]
-    return SpanComplex.from_cells(n, cells)
+    return SpanComplex(n, cells)
 
 
 def transform_complex(sigma, mat):
     from amoebadim.polyhedral import SpanComplex
 
-    return SpanComplex.from_cells(
+    return SpanComplex(
         sigma.ambient_dim, [transform_subspace(c, mat) for c in sigma.cells]
     )

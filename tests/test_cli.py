@@ -74,6 +74,18 @@ DATA = Path(__file__).parent / "data"
 GOLDEN = ("hyperplane3", "hyperplane4", "curve3", "orbit4", "h2xh2",
           "curve4_e1", "plucker")
 
+# The `gen` calls that wrote those fan files, in order; "{k}" stands for
+# the file that call k wrote.
+GOLDEN_GEN = {
+    "hyperplane3": [("hyperplane", "3")],
+    "hyperplane4": [("hyperplane", "4")],
+    "curve3": [("curve", "3", "e1;e2;e3;-1,-1,-1")],
+    "orbit4": [("orbit", "4", "1,0,1,0;0,1,1,1")],
+    "h2xh2": [("hyperplane", "2"), ("product", "{0}", "{0}")],
+    "curve4_e1": [("curve", "4", "e2;e3;e4;0,-1,-1,-1"),
+                  ("torus_invariant", "{0}", "e1")],
+}
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -241,6 +253,18 @@ class TestGen:
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
+
+    @pytest.mark.parametrize("name", GOLDEN_GEN)
+    def test_golden_fan_files(self, capsys, tmp_path, name):
+        paths = []
+        for k, (family, *params) in enumerate(GOLDEN_GEN[name]):
+            path = str(tmp_path / f"gen{k}.json")
+            params = [p.format(*paths) for p in params]
+            assert main(["gen", family, *params, "--output", path]) == 0
+            paths.append(path)
+        capsys.readouterr()
+        assert Path(paths[-1]).read_bytes() == \
+            (DATA / f"{name}.fan.json").read_bytes()
 
     def test_torus_invariant_purity_failure(self, capsys, h3_file):
         code, out, err = run(capsys, "gen", "torus_invariant", h3_file,

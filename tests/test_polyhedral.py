@@ -6,17 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from amoebadim.families import torus_invariant
 from amoebadim.polyhedral import (
     ComplexFormatError,
     PurityError,
     SpanComplex,
     dim_sum_with_subspace,
     format_complex,
-    minkowski_with_subspace,
     parse_complex,
     product,
 )
 from amoebadim.rational_linalg import Subspace, canonicalize
+from amoebadim.subspace_search import amoeba_dim
 
 from conftest import random_pure_complex, random_subspace, random_unimodular, \
     transform_complex, transform_subspace
@@ -35,14 +36,14 @@ def hyperplane3():
     # 2-skeleton of the fan with rays e1, e2, e3, -(e1+e2+e3): every pair
     # of rays spans a two-dimensional cell, six distinct planes in all.
     rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
-    return SpanComplex.from_cells(
+    return SpanComplex(
         3, [span(3, a, b) for a, b in combinations(rays, 2)]
     )
 
 
 def curve_fan3():
     rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
-    return SpanComplex.from_cells(3, [span(3, r) for r in rays])
+    return SpanComplex(3, [span(3, r) for r in rays])
 
 
 class TestParse:
@@ -177,7 +178,7 @@ class TestParse:
         min_size=1, max_size=5,
     ))
     def test_round_trip_random_lines(self, vectors):
-        sigma = SpanComplex.from_cells(3, [span(3, v) for v in vectors])
+        sigma = SpanComplex(3, [span(3, v) for v in vectors])
         assert parse_complex(format_complex(sigma)) == sigma
 
 
@@ -185,29 +186,63 @@ class TestSpanComplex:
     def test_cells_sorted_and_deduped(self):
         a = span(2, (0, 1))
         b = span(2, (1, 0))
-        sigma = SpanComplex.from_cells(2, [a, b, a])
+        sigma = SpanComplex(2, [a, b, a])
         assert sigma.cells == (a, b)
 
     def test_ambient_mismatch(self):
         with pytest.raises(ComplexFormatError):
-            SpanComplex.from_cells(3, [span(2, (1, 0))])
+            SpanComplex(3, [span(2, (1, 0))])
 
     def test_label_count_mismatch(self):
         with pytest.raises(ComplexFormatError):
-            SpanComplex.from_cells(2, [span(2, (1, 0))], labels=["a", "b"])
+            SpanComplex(2, [span(2, (1, 0))], labels=["a", "b"])
+
+    def test_label_must_be_string(self):
+        # what format_complex writes, parse_complex must read back
+        with pytest.raises(ComplexFormatError, match="cell 0: label"):
+            SpanComplex(2, [span(2, (1, 0))], labels=[5])
 
     def test_constructor_without_labels_keeps_cells(self):
-        # The public constructor defaults `labels` to (); the complex must
-        # still serialize its cells and survive a Minkowski sum.
+        # `labels` defaults to None; the complex must still serialize its
+        # cells and survive a Minkowski sum.
         a, b = span(2, (0, 1)), span(2, (1, 0))  # canonical order
-        sigma = SpanComplex(2, 1, (a, b))
+        sigma = SpanComplex(2, (a, b))
         assert sigma.labels == (None, None)
         assert parse_complex(format_complex(sigma)).cells == (a, b)
-        summed = minkowski_with_subspace(sigma, span(2, (1, 1)))
+        summed = torus_invariant(sigma, span(2, (1, 1)))
         assert summed.cells == (Subspace.full(2),)
 
+    def test_constructor_refuses_impure_cells(self):
+        line = span(2, (1, 0))
+        with pytest.raises(PurityError) as exc_info:
+            SpanComplex(2, (line, Subspace.full(2), span(2, (0, 1))))
+        assert exc_info.value.offending == (1,)
+
+    def test_constructor_refuses_empty_cells(self):
+        with pytest.raises(ComplexFormatError, match="at least one cell"):
+            SpanComplex(2, ())
+
+    def test_constructor_sorts_cells(self):
+        a, b, c = span(2, (0, 1)), span(2, (1, -1)), span(2, (1, 0))
+        sigma = SpanComplex(2, [c, a, b], labels=["c", "a", "b"])
+        assert sigma == SpanComplex(2, [a, b, c])
+        assert sigma.cells == (a, b, c)
+        assert sigma.labels == ("a", "b", "c")
+
+    def test_constructor_merges_duplicates_keeping_label(self):
+        a, b = span(2, (0, 1)), span(2, (1, 0))
+        sigma = SpanComplex(2, [a, b, a], labels=[None, None, "a"])
+        assert sigma.cells == (a, b)
+        assert sigma.labels == ("a", None)
+        assert sigma.dim == 1
+
+    def test_line_built_directly_scores_one(self):
+        result = amoeba_dim(SpanComplex(2, (span(2, (1, 0)),)))
+        assert (result.value, result.lower_bound) == (1, 1)
+        assert result.certified
+
     def test_zero_dim_complex(self):
-        sigma = SpanComplex.from_cells(2, [Subspace.zero(2)])
+        sigma = SpanComplex(2, [Subspace.zero(2)])
         assert sigma.dim == 0
         assert len(sigma) == 1
 
@@ -224,7 +259,7 @@ class TestDimSum:
         assert dim_sum_with_subspace(curve_fan3(), Subspace.full(3)) == 3
 
     def test_line_inside_every_cell(self):
-        sigma = SpanComplex.from_cells(
+        sigma = SpanComplex(
             3, [span(3, (1, 1, 1), (1, 0, 0)), span(3, (1, 1, 1), (0, 1, 0))]
         )
         assert dim_sum_with_subspace(sigma, span(3, (1, 1, 1))) == 2
@@ -270,11 +305,11 @@ class TestDimSum:
 class TestMinkowski:
     def test_zero_is_identity(self):
         sigma = curve_fan3()
-        assert minkowski_with_subspace(sigma, Subspace.zero(3)) == sigma
+        assert torus_invariant(sigma, Subspace.zero(3)) == sigma
 
     def test_pure_sum_with_dedup(self):
-        sigma = SpanComplex.from_cells(2, [span(2, (1, 0)), span(2, (0, 1))])
-        out = minkowski_with_subspace(sigma, span(2, (1, 1)))
+        sigma = SpanComplex(2, [span(2, (1, 0)), span(2, (0, 1))])
+        out = torus_invariant(sigma, span(2, (1, 1)))
         assert out.dim == 2
         assert len(out) == 1
         assert out.cells[0].is_full()
@@ -286,7 +321,7 @@ class TestMinkowski:
         # cells left behind.
         sigma = hyperplane3()
         with pytest.raises(PurityError) as exc_info:
-            minkowski_with_subspace(sigma, span(3, (1, 1, 1)))
+            torus_invariant(sigma, span(3, (1, 1, 1)))
         offending = exc_info.value.offending
         assert offending == (3, 4, 5)
         low = [sigma.cells[i] for i in offending]
@@ -298,11 +333,11 @@ class TestMinkowski:
 
     def test_impure_message_names_cells(self):
         with pytest.raises(PurityError, match="cell 3"):
-            minkowski_with_subspace(hyperplane3(), span(3, (1, 1, 1)))
+            torus_invariant(hyperplane3(), span(3, (1, 1, 1)))
 
     def test_ambient_mismatch(self):
         with pytest.raises(ValueError):
-            minkowski_with_subspace(curve_fan3(), Subspace.zero(4))
+            torus_invariant(curve_fan3(), Subspace.zero(4))
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
@@ -312,7 +347,7 @@ class TestMinkowski:
         sigma = random_pure_complex(rng, n, num_cells=rng.randint(1, 4))
         sub = random_subspace(rng, n)
         try:
-            out = minkowski_with_subspace(sigma, sub)
+            out = torus_invariant(sigma, sub)
         except PurityError:
             return
         assert out.dim == dim_sum_with_subspace(sigma, sub)
@@ -325,16 +360,16 @@ class TestMinkowski:
         sigma = random_pure_complex(rng, n, num_cells=rng.randint(1, 4))
         sub = random_subspace(rng, n)
         try:
-            once = minkowski_with_subspace(sigma, sub)
+            once = torus_invariant(sigma, sub)
         except PurityError:
             return
         assert cellwise_invariant(once, sub)
-        assert minkowski_with_subspace(once, sub) == once
+        assert torus_invariant(once, sub) == once
 
 
 class TestCellwiseInvariant:
     def test_diagonal_line(self):
-        sigma = SpanComplex.from_cells(
+        sigma = SpanComplex(
             3, [span(3, (1, 1, 1), (1, 0, 0)), span(3, (1, 1, 1), (0, 1, 0))]
         )
         assert cellwise_invariant(sigma, span(3, (1, 1, 1)))
@@ -353,7 +388,7 @@ class TestCellwiseInvariant:
 class TestProduct:
     def test_curve_times_curve(self):
         rays = [(1, 0), (0, 1), (-1, -1)]
-        curve = SpanComplex.from_cells(2, [span(2, r) for r in rays])
+        curve = SpanComplex(2, [span(2, r) for r in rays])
         out = product(curve, curve)
         assert out.ambient_dim == 4
         assert out.dim == 2
@@ -367,15 +402,15 @@ class TestProduct:
 
     def test_dims_and_ambient_add(self):
         left = hyperplane3()
-        right = SpanComplex.from_cells(2, [span(2, (1, 0)), span(2, (0, 1))])
+        right = SpanComplex(2, [span(2, (1, 0)), span(2, (0, 1))])
         out = product(left, right)
         assert out.ambient_dim == 5
         assert out.dim == left.dim + right.dim
         assert len(out) == len(left) * len(right)
 
     def test_single_cells_give_direct_sum(self):
-        left = SpanComplex.from_cells(2, [span(2, (1, 2))])
-        right = SpanComplex.from_cells(3, [span(3, (0, 1, 1))])
+        left = SpanComplex(2, [span(2, (1, 2))])
+        right = SpanComplex(3, [span(3, (0, 1, 1))])
         out = product(left, right)
         assert out.cells == (
             canonicalize(5, [[1, 2, 0, 0, 0], [0, 0, 0, 1, 1]]),
@@ -415,13 +450,13 @@ class TestUnimodularEquivariance:
         sub = random_subspace(rng, n)
         mat = random_unimodular(rng, n)
         try:
-            plain = minkowski_with_subspace(sigma, sub)
+            plain = torus_invariant(sigma, sub)
         except PurityError:
             with pytest.raises(PurityError):
-                minkowski_with_subspace(
+                torus_invariant(
                     transform_complex(sigma, mat), transform_subspace(sub, mat)
                 )
             return
-        assert minkowski_with_subspace(
+        assert torus_invariant(
             transform_complex(sigma, mat), transform_subspace(sub, mat)
         ) == transform_complex(plain, mat)

@@ -219,12 +219,19 @@ class TestComplement:
     def test_zero_and_full(self):
         assert Subspace.zero(3).orth.is_full()
         assert Subspace.full(3).orth.is_zero()
-        assert complement_rows((), 2) == ((1, 0), (0, 1))
-        assert complement_rows(Subspace.full(2).rows, 2) == ()
+        assert complement_rows((), 2, ()) == ((1, 0), (0, 1))
+        assert complement_rows(Subspace.full(2).rows, 2, (0, 1)) == ()
 
     def test_cached_involution(self):
         u = span(4, [(1, 2, 3, 4), (0, 1, 0, 1)])
         assert u.orth.orth is u
+
+    def test_derived_bases_are_cached(self):
+        u = span(4, [(1, 2, 3, 4), (0, 1, 0, 1)])
+        assert u.pivots == (0, 1)
+        assert u.ech_pairs is u.ech_pairs
+        assert u.orth is u.orth
+        assert u == Subspace(4, u.rows)  # caches take no part in equality
 
     @settings(max_examples=300)
     @given(int_matrix())
@@ -283,11 +290,12 @@ class TestSumRows:
 class TestIntersectRows:
     def test_trivial_meets(self):
         a = span(3, [(1, 2, 3)])
-        assert intersect_rows(a.rows, (), 3) == ()
-        assert intersect_rows((), a.rows, 3) == ()
-        assert intersect_rows(a.rows, a.rows, 3) == a.rows
-        full = Subspace.full(2).rows
-        assert intersect_rows(full, full, 2) == full
+        assert intersect_rows(a.rows, (), 3, a.pivots) == ()
+        assert intersect_rows((), a.rows, 3, ()) == ()
+        assert intersect_rows(a.rows, a.rows, 3, a.pivots) == a.rows
+        full = Subspace.full(2)
+        assert intersect_rows(full.rows, full.rows, 2, full.pivots) \
+            == full.rows
 
     @settings(max_examples=300)
     @given(int_matrix(max_n=5, max_rows=4), st.data())
@@ -299,7 +307,6 @@ class TestIntersectRows:
                                    min_size=0, max_size=4))
         u = span(n, rows)
         want = u.orth.sum(span(n, other).orth).orth.rows
-        assert intersect_rows(u.rows, other, n) == want
         assert intersect_rows(u.rows, other, n, u.pivots) == want
 
 

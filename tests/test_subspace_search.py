@@ -8,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amoebadim import subspace_search
-from amoebadim.families import tropical_hyperplane
-from amoebadim.polyhedral import SpanComplex, minkowski_with_subspace, \
-    parse_complex, product
+from amoebadim.families import torus_invariant, tropical_hyperplane
+from amoebadim.polyhedral import SpanComplex, parse_complex, product
 from amoebadim.rational_linalg import Subspace, canonicalize, direct_sum
 from amoebadim.subspace_search import (
     CandidateSet,
@@ -40,18 +39,18 @@ def span(n, *gens):
 def hyperplane(n):
     rays = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     rays.append((-1,) * n)
-    return SpanComplex.from_cells(
+    return SpanComplex(
         n, [span(n, *p) for p in combinations(rays, n - 1)]
     )
 
 
 def curve_fan3():
     rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
-    return SpanComplex.from_cells(3, [span(3, r) for r in rays])
+    return SpanComplex(3, [span(3, r) for r in rays])
 
 
 def single_cell(n, *gens):
-    return SpanComplex.from_cells(n, [span(n, *gens)])
+    return SpanComplex(n, [span(n, *gens)])
 
 
 def reference_pair(a, b):
@@ -149,7 +148,7 @@ class TestCandidateLattice:
         assert span(3, (1, 0, 0)) in set(cs.subspaces)
 
     def test_tropical_line_closure_complete(self):
-        sigma = SpanComplex.from_cells(
+        sigma = SpanComplex(
             2, [span(2, v) for v in [(1, 0), (0, 1), (-1, -1)]]
         )
         cs = candidate_lattice(sigma, cap=10)
@@ -241,8 +240,7 @@ class TestExhaustiveCandidates:
 
     def test_height_zero_admitted_in_any_dimension(self):
         # the family is {0} whatever n is, so no size refusal applies
-        family = exhaustive_candidates(7, 0)
-        assert list(family) == [Subspace.zero(7)] and family.complete
+        assert exhaustive_candidates(7, 0) == (Subspace.zero(7),)
 
     def test_line_n1(self):
         assert set(exhaustive_candidates(1, 1)) == {
@@ -272,9 +270,10 @@ class TestExhaustiveCandidates:
         with pytest.raises(ResourceLimitError):
             exhaustive_candidates(3, 4)
 
-    def test_budget_refusal_is_loud(self):
-        with pytest.raises(ResourceLimitError):
-            exhaustive_candidates(4, 1, budget=50)
+    def test_budget_refusal_is_loud(self, monkeypatch):
+        monkeypatch.setattr(subspace_search, "_EXHAUSTIVE_BUDGET", 50)
+        with pytest.raises(ResourceLimitError, match="exceeded 50"):
+            exhaustive_candidates(4, 1)
 
     def test_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -332,7 +331,7 @@ class TestAmoebaDim:
     def test_tie_break_prefers_small_dimension(self):
         # two planes through a common line: the line and the full space
         # both score 3; the line has smaller dimension and must win
-        sigma = SpanComplex.from_cells(
+        sigma = SpanComplex(
             3, [span(3, (1, 0, 0), (0, 1, 0)), span(3, (1, 0, 0), (0, 0, 1))]
         )
         res = amoeba_dim(sigma)
@@ -527,7 +526,7 @@ class TestIncrementalMerge:
     def test_closure_tie_beats_the_full_space(self, left):
         # the Plücker fan times R^1 scores 7 on R^7 and on the extra axis,
         # above its bound 6: the closure's line must replace R^7
-        line = SpanComplex.from_cells(1, [Subspace.full(1)])
+        line = SpanComplex(1, [Subspace.full(1)])
         sigma = product(line, plucker()) if left else product(plucker(), line)
         res = amoeba_dim(sigma, strategy="lattice(cap=300)")
         axis = [0] * 7
@@ -541,7 +540,7 @@ class TestIncrementalMerge:
                                            sub.sort_key())) == res.witness_S
 
     def test_height_zero_runs_above_the_enumeration_limit(self):
-        line = SpanComplex.from_cells(1, [Subspace.full(1)])
+        line = SpanComplex(1, [Subspace.full(1)])
         res = amoeba_dim(product(plucker(), line), "exhaustive(height=0)")
         assert (res.value, res.lower_bound) == (7, 6)
         assert res.witness_S == Subspace.full(7)
@@ -568,7 +567,7 @@ class TestReduceTorus:
         # A vector of S can be missing from one cell yet already absorbed
         # by the cell that realizes the maximum; growing T against all
         # cells at once would add three vectors here instead of two.
-        sigma = SpanComplex.from_cells(5, [
+        sigma = SpanComplex(5, [
             span(5, (1, 0, 0, 0, 0), (0, 0, 0, 1, 0)),
             span(5, (1, 0, 0, 0, 0), (0, 1, 0, 0, 0)),
             span(5, (0, 1, 0, 0, 0), (0, 0, 1, 0, 0)),
@@ -633,10 +632,10 @@ class TestDetectNearAction:
 
     def test_stable_curve_fan_in_r4(self):
         rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
-        sigma0 = SpanComplex.from_cells(
+        sigma0 = SpanComplex(
             4, [span(4, (0,) + r) for r in rays]
         )
-        sigma = minkowski_with_subspace(sigma0, span(4, (1, 0, 0, 0)))
+        sigma = torus_invariant(sigma0, span(4, (1, 0, 0, 0)))
         report = detect_near_action(sigma)
         assert report.drop
         assert report.value == 3
@@ -679,7 +678,7 @@ class TestOrbitIndicator:
         assert amoeba_dim(sigma).value == 3 != sigma.dim
 
     def test_two_lines(self):
-        sigma = SpanComplex.from_cells(2, [span(2, (1, 0)), span(2, (0, 1))])
+        sigma = SpanComplex(2, [span(2, (1, 0)), span(2, (0, 1))])
         assert len(sigma.cells) == 2
         assert amoeba_dim(sigma).value == 2
 
@@ -762,8 +761,10 @@ class TestProductCandidates:
 
 class TestCandidateSetType:
     def test_container_protocol(self):
-        cs = exhaustive_candidates(2, 1)
-        assert len(cs) == 6
+        lines = [span(2, v) for v in [(0, 1), (1, -1), (1, 0), (1, 1)]]
+        cs = candidate_lattice(SpanComplex(2, lines))
+        assert isinstance(cs, CandidateSet)
+        assert cs.complete and len(cs) == 6
         assert Subspace.zero(2) in cs
         assert span(2, (1, 2)) not in cs
         assert sorted(s.dim for s in cs) == [0, 1, 1, 1, 1, 2]
