@@ -25,6 +25,7 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 _FULL_CACHE: dict = {}
+_ZERO_CACHE: dict = {}
 
 Vector = Sequence  # rational entries: int, Fraction, or "p/q" strings
 
@@ -148,7 +149,10 @@ class Subspace:
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, ())
+        sub = _ZERO_CACHE.get(ambient_dim)
+        if sub is None:
+            sub = _ZERO_CACHE[ambient_dim] = cls(ambient_dim, ())
+        return sub
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":

@@ -12,6 +12,17 @@ Proof for one pair, with k = dim(S+Σ) ≥ dim(S+C_i), dim(S+C_j):
 (S+C_i) + (S+C_j) contains C_i + C_j, and (S+C_i) ∩ (S+C_j) contains S,
 so dim(C_i + C_j) ≤ dim(S+C_i) + dim(S+C_j) − dim S ≤ 2k − dim S.
 
+The witness is the canonical minimizer: least value, then least dim S,
+then least canonical basis.  Two bounds prove it is {0} or R^n over all
+subspaces, so `combined` then skips its height enumeration:
+- bound 2d (d = dim Σ): {0} scores 2d and is the only subspace of
+  dimension 0;
+- bound n < 2d with every cell of dimension d = n − 1: an S scoring n has
+  k = dim(S+Σ) ∈ {d, n} and dim S = 2k − n.  k = n gives S = R^n; k = d
+  puts S inside every cell, so S ⊆ L = ∩ C_i with dim S = 2d − n.  So R^n
+  is the only minimizer exactly when dim L < 2d − n.  For n ≤ 4, a bound
+  n below 2d already forces d = n − 1 unless the one cell is R^n.
+
 Candidates come from the lattice generated by the cell spans under
 pairwise sum and intersection.  A minimizer has to trade its own dimension
 against how much every cell forces the sum to grow, and the lattice
@@ -28,7 +39,9 @@ the lower bound.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
+from functools import reduce
 
 from .polyhedral import SpanComplex, _max_cell_sum, dim_sum_with_subspace
 from .rational_linalg import Subspace
@@ -63,7 +76,7 @@ class CandidateSet:
         return len(self.subspaces)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SearchResult:
     value: int
     lower_bound: int
@@ -89,12 +102,18 @@ class SearchResult:
 
 @dataclass(frozen=True)
 class NearActionReport:
-    """Outcome of the dimension-drop test value < min(n, 2d)."""
+    """Outcome of the dimension-drop test value < min(n, 2d).
+
+    `proven` says the verdict holds over all subspaces: always for a drop,
+    which its witness attains, and for no drop only when the search's
+    proven lower bound reaches the threshold.
+    """
 
     drop: bool
     value: int
     threshold: int
     witness: Subspace | None
+    proven: bool
 
 
 def objective(sigma: SpanComplex, sub: Subspace) -> int:
@@ -146,6 +165,18 @@ def candidate_lattice(sigma: SpanComplex, cap: int = DEFAULT_CAP) -> CandidateSe
     return CandidateSet(tuple(found), complete)
 
 
+def _check_height(n: int, height_bound: int) -> None:
+    """Large enumerations are refused outright, before any work.  Height 0
+    is admitted in every dimension: its family is {0}."""
+    if height_bound and (n > _EXHAUSTIVE_MAX_AMBIENT
+                         or height_bound > _EXHAUSTIVE_MAX_HEIGHT):
+        raise ResourceLimitError(
+            f"exhaustive enumeration refused for n={n}, "
+            f"height={height_bound} (supported: n ≤ {_EXHAUSTIVE_MAX_AMBIENT}, "
+            f"height ≤ {_EXHAUSTIVE_MAX_HEIGHT})"
+        )
+
+
 def exhaustive_candidates(n: int, height_bound: int) -> tuple:
     """Every subspace spanned by integer vectors with entries in
     [−height_bound, height_bound], sorted canonically.
@@ -158,14 +189,9 @@ def exhaustive_candidates(n: int, height_bound: int) -> tuple:
         raise ValueError("ambient dimension < 0")
     if height_bound < 0:
         raise ValueError("height bound < 0")
+    _check_height(n, height_bound)
     if height_bound == 0:  # no nonzero vector of height 0: the family is {0}
         return (Subspace.zero(n),)
-    if n > _EXHAUSTIVE_MAX_AMBIENT or height_bound > _EXHAUSTIVE_MAX_HEIGHT:
-        raise ResourceLimitError(
-            f"exhaustive enumeration refused for n={n}, "
-            f"height={height_bound} (supported: n ≤ {_EXHAUSTIVE_MAX_AMBIENT}, "
-            f"height ≤ {_EXHAUSTIVE_MAX_HEIGHT})"
-        )
     vectors = _primitive_vectors(n, height_bound)
     zero = Subspace.zero(n)
     seen = {zero}
@@ -262,12 +288,16 @@ def _parse_strategy(text: str) -> tuple:
         descriptor = f"exhaustive(height={height})"
     else:
         descriptor = f"combined(cap={cap},height={height})"
-    return kind, cap, height, descriptor
+    # one shared string per strategy, however many results name it
+    return kind, cap, height, sys.intern(descriptor)
 
 
 def default_strategy(ambient_dim: int) -> str:
     """Lattice search, augmented by height-1 exhaustive candidates while the
-    ambient dimension keeps that family small."""
+    ambient dimension keeps that family small (n ≤ 4).  The enumeration
+    runs only when the pairwise bound does not already prove {0} or R^n to
+    be the witness, and the closure only when the value is still above the
+    bound after that."""
     if ambient_dim <= 4:
         return f"combined(cap={DEFAULT_CAP},height={DEFAULT_HEIGHT})"
     return f"lattice(cap={DEFAULT_CAP})"
@@ -279,10 +309,11 @@ def amoeba_dim(sigma: SpanComplex, strategy: str | None = None,
     strategy's candidates.
 
     The cheap candidates are scored first: {0, R^n}, `extra_candidates`
-    and, for `exhaustive` and `combined`, the height enumeration.  The
-    lattice closure of `lattice` and `combined` is built only when their
-    best value is still above the lower bound, and then only its new
-    members are scored.  The lower bound
+    and, for `exhaustive`, the height enumeration.  `combined` adds the
+    enumeration only when the lower bound does not prove {0} or R^n to be
+    the witness (below).  The lattice closure of `lattice` and `combined`
+    is built only when their best value is still above the lower bound,
+    and then only its new members are scored.  The lower bound
 
         max(dim Σ, max over cells i < j of dim(C_i + C_j))
 
@@ -294,6 +325,21 @@ def amoeba_dim(sigma: SpanComplex, strategy: str | None = None,
     The witness is the canonical minimizer among the candidates scored:
     smallest value, then smallest dim S, then the lexicographically
     smallest canonical basis.  It does not depend on the scoring order.
+    It is the canonical minimizer over all subspaces, so no candidate
+    family can change it, when
+    - the bound is 2d: then it is {0}, the only subspace of dimension 0;
+    - the bound is n < 2d, every cell has dimension d = n − 1, and
+      L = ∩ C_i has dim L < 2d − n: then it is R^n.  An S scoring n has
+      k ∈ {d, n} and dim S = 2k − n, and k = d puts S inside L with
+      dim S = 2d − n, which dim L < 2d − n rules out.
+    `combined` skips its enumeration in those two cases; `exhaustive`
+    scores its whole family whatever the bound.  Only
+    `candidates_evaluated` tells the two runs apart.
+
+    Refusals come before any scoring: a cap below the number of cells
+    plus 2 (ValueError), and a height the enumeration refuses outright
+    (ResourceLimitError), whether or not the closure or the enumeration
+    would run.
     """
     n = sigma.ambient_dim
     d = sigma.dim
@@ -310,8 +356,11 @@ def amoeba_dim(sigma: SpanComplex, strategy: str | None = None,
     closes = kind in ("lattice", "combined")
     if closes:
         _check_cap(sigma, cap)
+    if kind != "lattice":
+        _check_height(n, height)
     lower = _pairwise_lower_bound(sigma)
-    if kind in ("exhaustive", "combined"):
+    if kind == "exhaustive" or (
+            kind == "combined" and not _bound_fixes_witness(sigma, lower)):
         cheap.update(exhaustive_candidates(n, height))
 
     # {0} scores 2d; it is among the cheap candidates, and R^n too
@@ -323,7 +372,10 @@ def amoeba_dim(sigma: SpanComplex, strategy: str | None = None,
         best = _score(sigma, fresh, best)
         evaluated += len(fresh)
     value, _, rows = best
-    witness = Subspace(n, rows)
+    # {0} and R^n come as their shared instances, so results kept in bulk
+    # do not each hold a copy
+    witness = (Subspace.zero(n) if not rows else Subspace.full(n)
+               if len(rows) == n else Subspace(n, rows))
     return SearchResult(
         value=value,
         lower_bound=lower,
@@ -352,6 +404,18 @@ def _pairwise_lower_bound(sigma: SpanComplex) -> int:
                 if bound == top:
                     return bound
     return bound
+
+
+def _bound_fixes_witness(sigma: SpanComplex, lower: int) -> bool:
+    """Whether the proven bound `lower` makes {0} or R^n the canonical
+    minimizer over all subspaces; see `amoeba_dim` for the proof."""
+    n = sigma.ambient_dim
+    d = sigma.dim
+    if lower == 2 * d:
+        return True
+    if lower != n or d != n - 1:
+        return False
+    return reduce(Subspace.intersect, sigma.cells).dim < 2 * d - n
 
 
 def _score(sigma: SpanComplex, cands, best: tuple) -> tuple:
@@ -431,4 +495,5 @@ def detect_near_action(sigma: SpanComplex,
         value=result.value,
         threshold=threshold,
         witness=result.witness_S if drop else None,
+        proven=drop or result.lower_bound >= threshold,
     )

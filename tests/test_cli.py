@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -68,6 +69,16 @@ OUT_OF_RANGE_DOCS = {
 }
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def child_env() -> dict:
+    """This environment with `src` first on PYTHONPATH: a child
+    interpreter does not see the pytest `pythonpath` setting."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return env
 
 # Fan files under tests/data, written by `gen` (the Plücker fan by hand),
 # each with the exact `dim` output it gave when it was recorded.
@@ -338,6 +349,19 @@ class TestDim:
         code, out, _ = run(capsys, "dim", path, "--strategy", "exhaustive")
         assert (code, out) == (3, "")
 
+    @pytest.mark.parametrize("n,height", [(7, "1"), (3, "4")])
+    def test_refused_combined_height_exits_3(self, capsys, tmp_path, n,
+                                             height):
+        # the bound alone fixes the witness of both hyperplane fans, so
+        # the enumeration would not run; its refusal still stands
+        path = str(tmp_path / "h.json")
+        assert main(["gen", "hyperplane", str(n), "--output", path]) == 0
+        capsys.readouterr()
+        code, out, err = run(capsys, "dim", path, "--strategy", "combined",
+                             "--height", height)
+        assert (code, out) == (3, "")
+        assert f"refused for n={n}, height={height}" in err
+
     def test_exhaustive_height_zero_above_the_limit(self, capsys, tmp_path):
         path = str(tmp_path / "h7.json")
         assert main(["gen", "hyperplane", "7", "--output", path]) == 0
@@ -540,12 +564,12 @@ class TestEntryPoint:
         gen = subprocess.run(
             [sys.executable, "-m", "amoebadim.cli", "gen", "hyperplane",
              "3", "--output", str(fan)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=child_env(),
         )
         assert gen.returncode == 0
         dim = subprocess.run(
             [sys.executable, "-m", "amoebadim.cli", "dim", str(fan)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=child_env(),
         )
         assert dim.returncode == 0
         assert json.loads(dim.stdout)["value"] == 3
@@ -566,7 +590,7 @@ assert amoebadim.estimate_rank(phi, trials=5, seed=1).rank == 1
 assert "numpy" in sys.modules
 """
         proc = subprocess.run([sys.executable, "-c", script],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0, proc.stderr
 
     def test_no_arguments_is_a_usage_error(self, capsys):

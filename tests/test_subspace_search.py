@@ -1,5 +1,6 @@
 import json
 import random
+from functools import reduce
 from itertools import combinations
 from pathlib import Path
 
@@ -47,6 +48,14 @@ def hyperplane(n):
 def curve_fan3():
     rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
     return SpanComplex(3, [span(3, r) for r in rays])
+
+
+def two_planes_on_a_line():
+    """Two planes in R^3 through the height-1 line (1, 0, 0): the line and
+    R^3 both score 3, the bound."""
+    return SpanComplex(
+        3, [span(3, (1, 0, 0), (0, 1, 0)), span(3, (1, 0, 0), (0, 0, 1))]
+    )
 
 
 def single_cell(n, *gens):
@@ -331,9 +340,7 @@ class TestAmoebaDim:
     def test_tie_break_prefers_small_dimension(self):
         # two planes through a common line: the line and the full space
         # both score 3; the line has smaller dimension and must win
-        sigma = SpanComplex(
-            3, [span(3, (1, 0, 0), (0, 1, 0)), span(3, (1, 0, 0), (0, 0, 1))]
-        )
+        sigma = two_planes_on_a_line()
         res = amoeba_dim(sigma)
         assert res.value == 3
         assert res.witness_S == span(3, (1, 0, 0))
@@ -374,6 +381,14 @@ class TestAmoebaDim:
                             extra_candidates=[span(2, (1, 2))])
         assert helped.value == 1
         assert helped.certified
+
+    def test_zero_and_full_witnesses_are_shared(self):
+        # results kept in bulk do not each hold their own {0} or R^n
+        zero = amoeba_dim(curve_fan3())
+        full = amoeba_dim(hyperplane(3), strategy="exhaustive(height=1)")
+        assert zero.witness_S is zero.witness_T is Subspace.zero(3)
+        assert full.witness_S is Subspace.full(3)
+        assert zero.strategy is amoeba_dim(curve_fan3()).strategy
 
     def test_candidates_evaluated_counts_merged_set(self):
         res = amoeba_dim(hyperplane(2), strategy="exhaustive(height=1)")
@@ -491,6 +506,17 @@ class TestPairwiseLowerBound:
                        extra_candidates=[Subspace.zero(3)])
 
 
+def bound_fixes_witness(sigma, lower):
+    """The bound is 2d, or it is n with cells of dimension n − 1 that
+    meet in less than 2d − n: then {0} or R^n is the canonical minimizer
+    over all subspaces."""
+    n, d = sigma.ambient_dim, sigma.dim
+    if lower == 2 * d:
+        return True
+    meet = reduce(lambda a, b: reference_pair(a, b)[1], sigma.cells)
+    return lower == n and d == n - 1 and meet.dim < 2 * d - n
+
+
 class TestIncrementalMerge:
     """Scoring the closure after the cheap candidates picks the same value
     and witness as one scan over their union."""
@@ -504,8 +530,8 @@ class TestIncrementalMerge:
 
     @staticmethod
     def outcome(res):
-        return (res.value, res.witness_S, res.witness_T,
-                res.candidates_evaluated)
+        return (res.value, res.lower_bound, res.certified, res.witness_S,
+                res.witness_T)
 
     @pytest.mark.parametrize("strategy,cheap,max_n", [
         ("lattice(cap=300)", "exhaustive(height=0)", 4),
@@ -519,8 +545,14 @@ class TestIncrementalMerge:
         n = rng.randint(1, max_n)
         sigma = random_pure_complex(rng, n, num_cells=rng.randint(1, 4))
         res = amoeba_dim(sigma, strategy=strategy)
-        assert self.outcome(res) == \
-            self.outcome(self.one_scan(sigma, cheap, 300, res))
+        scan = self.one_scan(sigma, cheap, 300, res)
+        assert self.outcome(res) == self.outcome(scan)
+        # `combined` scores only {0} and R^n when the bound fixes the
+        # witness; otherwise it scores the union the one scan scores
+        skips = strategy.startswith("combined") and \
+            bound_fixes_witness(sigma, res.lower_bound)
+        assert res.candidates_evaluated == \
+            (2 if skips else scan.candidates_evaluated)
 
     @pytest.mark.parametrize("left", [True, False])
     def test_closure_tie_beats_the_full_space(self, left):
@@ -544,6 +576,85 @@ class TestIncrementalMerge:
         res = amoeba_dim(product(plucker(), line), "exhaustive(height=0)")
         assert (res.value, res.lower_bound) == (7, 6)
         assert res.witness_S == Subspace.full(7)
+
+
+class TestBoundFirstEnumeration:
+    """`combined` enumerates only when the bound leaves the witness open;
+    `exhaustive` always does."""
+
+    @staticmethod
+    def count_enumerations(monkeypatch):
+        calls = []
+        real = subspace_search.exhaustive_candidates
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(subspace_search, "exhaustive_candidates", counted)
+        return calls
+
+    @pytest.mark.parametrize("sigma,value,witness", [
+        # bound 4 = 2d: {0}, the only subspace of dimension 0
+        (product(hyperplane(2), hyperplane(2)), 4, Subspace.zero(4)),
+        # bound 4 = n, planes of R^4 meeting in {0}: only R^4 scores 4
+        (tropical_hyperplane(4), 4, Subspace.full(4)),
+    ])
+    def test_default_search_never_enumerates(self, monkeypatch, sigma,
+                                             value, witness):
+        forbid(monkeypatch, "exhaustive_candidates", "candidate_lattice")
+        res = amoeba_dim(sigma)
+        assert res.strategy == "combined(cap=10000,height=1)"
+        assert (res.value, res.lower_bound, res.certified) == \
+            (value, value, True)
+        assert res.witness_S == witness
+        assert res.candidates_evaluated == 2
+
+    def test_shared_line_still_enumerates(self, monkeypatch):
+        # bound 3 = n with d = 2, but the cells meet in a line of
+        # dimension 2d − n = 1, which ties with R^3 and must win
+        calls = self.count_enumerations(monkeypatch)
+        res = amoeba_dim(two_planes_on_a_line())
+        assert calls == [(3, 1)]
+        assert (res.value, res.certified) == (3, True)
+        assert res.witness_S == span(3, (1, 0, 0))
+        assert res.candidates_evaluated == 40
+
+    def test_exhaustive_scores_its_whole_family(self, monkeypatch):
+        calls = self.count_enumerations(monkeypatch)
+        res = amoeba_dim(hyperplane(3), strategy="exhaustive(height=1)")
+        assert calls == [(3, 1)]
+        assert res.witness_S == Subspace.full(3)
+        assert res.candidates_evaluated == 40
+
+    @pytest.mark.parametrize("name", GOLDEN_FANS)
+    def test_golden_fans_match_the_enumerating_search(self, name):
+        # the cheap candidates plus the full enumeration, scored as one
+        # set: only the count may differ
+        sigma = parse_complex((DATA / f"{name}.fan.json").read_text())
+        res = amoeba_dim(sigma)
+        full = amoeba_dim(sigma, extra_candidates=exhaustive_candidates(
+            sigma.ambient_dim, 1) if sigma.ambient_dim <= 4 else ())
+        assert TestIncrementalMerge.outcome(res) == \
+            TestIncrementalMerge.outcome(full)
+
+    @pytest.mark.parametrize("kind,height,sigma", [
+        ("combined", 4, hyperplane(3)),
+        ("combined", 4, two_planes_on_a_line()),
+        ("exhaustive", 4, hyperplane(3)),
+        ("combined", 1, tropical_hyperplane(7)),
+        ("combined", 1,
+         product(SpanComplex(1, [Subspace.full(1)]), plucker())),
+    ])
+    def test_refused_height_raises_before_scoring(self, monkeypatch, kind,
+                                                  height, sigma):
+        # refused whether or not the bound would skip the enumeration
+        forbid(monkeypatch, "exhaustive_candidates", "candidate_lattice",
+               "_score")
+        n = sigma.ambient_dim
+        with pytest.raises(ResourceLimitError,
+                           match=f"refused for n={n}, height={height}"):
+            amoeba_dim(sigma, strategy=f"{kind}(height={height})")
 
 
 class TestReduceTorus:
@@ -629,6 +740,25 @@ class TestDetectNearAction:
         assert report.value == 3
         assert report.threshold == 3
         assert report.witness is None
+        assert report.proven
+
+    def test_plucker_no_drop_is_unproven(self):
+        # value 6 reaches the threshold, but the bound stops at 5
+        report = detect_near_action(plucker())
+        assert (report.drop, report.value, report.threshold) == \
+            (False, 6, 6)
+        assert not report.proven
+
+    def test_h2_squared_no_drop_is_proven(self):
+        report = detect_near_action(product(hyperplane(2), hyperplane(2)))
+        assert (report.drop, report.value, report.threshold) == \
+            (False, 4, 4)
+        assert report.proven
+
+    def test_drop_is_proven_by_its_witness(self):
+        report = detect_near_action(single_cell(3, (1, 0, 0)))
+        assert report.drop
+        assert report.proven
 
     def test_stable_curve_fan_in_r4(self):
         rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
