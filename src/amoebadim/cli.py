@@ -208,8 +208,7 @@ _COMMANDS = {
 
 
 def _add_strategy_flags(sub):
-    sub.add_argument("--strategy", choices=("lattice", "exhaustive",
-                                            "combined"))
+    sub.add_argument("--strategy", choices=("lattice", "exhaustive"))
     sub.add_argument("--cap", type=int)
     sub.add_argument("--height", type=int)
 

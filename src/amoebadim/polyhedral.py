@@ -26,7 +26,7 @@ class PurityError(ValueError):
         self.offending = tuple(offending)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpanComplex:
     """Pure complex given by the spans of its maximal cells.
 

@@ -18,9 +18,8 @@ performs hundreds of thousands of row reductions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -67,9 +66,10 @@ def sum_rows(ech_pairs, rows, ambient_dim: int, _dim_only: bool = False):
     """Canonical rows of an echelon basis joined with extra integer rows,
     or None when the extra rows add nothing.
 
-    `ech_pairs` are the (pivot, row) pairs a Subspace caches for its
-    canonical basis, so only the incoming rows need elimination, and the
-    closing back-elimination touches just the pivot columns they added.
+    `ech_pairs` are the (pivot, row) pairs of a canonical basis, as
+    `Subspace.ech_pairs` gives them, so only the incoming rows need
+    elimination, and the closing back-elimination touches just the pivot
+    columns they added.
     With `_dim_only` the result is the dimension of the joined span,
     which the forward pass already knows, and the back pass is skipped.
     This is the package's only elimination loop; every other reduction
@@ -128,7 +128,7 @@ def sum_rows(ech_pairs, rows, ambient_dim: int, _dim_only: bool = False):
     return tuple(tuple(r) for _, r in ech)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Subspace:
     """A rational linear subspace of R^n in canonical basis form.
 
@@ -138,10 +138,20 @@ class Subspace:
     in canonical form (`sum_rows` output, or rows taken or zero-padded
     from a canonical basis), and a check would re-run the elimination on
     every search candidate.  Other rows go through canonicalize/span.
+
+    The hash, the pivots and the complement are derived on first use and
+    kept in slots, not in an instance dict: a search result or a parsed
+    complex kept in bulk holds these objects by the thousand.
     """
 
     ambient_dim: int
     rows: tuple
+    _hash: int | None = field(default=None, init=False, repr=False,
+                              compare=False)
+    _pivots: tuple | None = field(default=None, init=False, repr=False,
+                                  compare=False)
+    _orth: Subspace | None = field(default=None, init=False, repr=False,
+                                   compare=False)
 
     @property
     def dim(self) -> int:
@@ -167,23 +177,28 @@ class Subspace:
         return sub
 
     def __hash__(self) -> int:
-        h = self.__dict__.get("_hash")
+        h = self._hash
         if h is None:
             h = hash((self.ambient_dim, self.rows))
             object.__setattr__(self, "_hash", h)
         return h
 
-    @cached_property
+    @property
     def pivots(self) -> tuple:
         """Column index of each basis row's leading entry."""
-        return tuple(next(i for i, x in enumerate(r) if x) for r in self.rows)
+        piv = self._pivots
+        if piv is None:
+            piv = tuple(next(i for i, x in enumerate(r) if x)
+                        for r in self.rows)
+            object.__setattr__(self, "_pivots", piv)
+        return piv
 
-    @cached_property
-    def ech_pairs(self) -> tuple:
-        """(pivot, row) pairs ready to seed an elimination."""
-        return tuple(zip(self.pivots, self.rows))
+    @property
+    def ech_pairs(self):
+        """(pivot, row) pairs ready to seed an elimination, one pass."""
+        return zip(self.pivots, self.rows)
 
-    @cached_property
+    @property
     def orth(self) -> "Subspace":
         """Orthogonal complement, cached with the back link to self.
 
@@ -191,9 +206,12 @@ class Subspace:
         to an intersection independent of the Zassenhaus pass that
         `sum_intersect` takes.
         """
-        o = Subspace(self.ambient_dim,
-                     complement_rows(self.rows, self.ambient_dim, self.pivots))
-        o.__dict__["orth"] = self
+        o = self._orth
+        if o is None:
+            o = Subspace(self.ambient_dim, complement_rows(
+                self.rows, self.ambient_dim, self.pivots))
+            object.__setattr__(o, "_orth", self)
+            object.__setattr__(self, "_orth", o)
         return o
 
     @classmethod

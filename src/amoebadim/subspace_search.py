@@ -13,15 +13,22 @@ Proof for one pair, with k = dim(S+Σ) ≥ dim(S+C_i), dim(S+C_j):
 so dim(C_i + C_j) ≤ dim(S+C_i) + dim(S+C_j) − dim S ≤ 2k − dim S.
 
 The witness is the canonical minimizer: least value, then least dim S,
-then least canonical basis.  Two bounds prove it is {0} or R^n over all
-subspaces, so `combined` then skips its height enumeration:
-- bound 2d (d = dim Σ): {0} scores 2d and is the only subspace of
-  dimension 0;
-- bound n < 2d with every cell of dimension d = n − 1: an S scoring n has
-  k = dim(S+Σ) ∈ {d, n} and dim S = 2k − n.  k = n gives S = R^n; k = d
-  puts S inside every cell, so S ⊆ L = ∩ C_i with dim S = 2d − n.  So R^n
-  is the only minimizer exactly when dim L < 2d − n.  For n ≤ 4, a bound
-  n below 2d already forces d = n − 1 unless the one cell is R^n.
+then least canonical basis.  The meet L = ∩ C_i of the cells is the
+canonical minimizer over all subspaces whenever it attains the value.
+With d = dim Σ, L lies in every cell and scores 2d − dim L.  Any S with
+objective v has dim(S+Σ) ≥ d, so dim S ≥ 2d − v.  Equality forces
+dim(S+C_i) = d for every cell, so S ⊆ L.
+
+So the default search scores L with {0} and R^n before anything else, and
+at n ≤ 4 a stop at the bound there always yields the canonical minimizer
+over all subspaces:
+- {0}, at bound 2d: the only subspace of dimension 0;
+- L, when it ties: the argument above;
+- R^n, at bound n < 2d: for n ≤ 4 that forces d = n − 1 (or L = R^n),
+  and an S scoring n then has k = dim(S+Σ) ∈ {d, n} and dim S = 2k − n.
+  k = n gives S = R^n; k = d gives S ⊆ L, and then L scores at most n
+  and would have won.
+No candidate family can change a default answer that stops there.
 
 Candidates come from the lattice generated by the cell spans under
 pairwise sum and intersection.  A minimizer has to trade its own dimension
@@ -32,8 +39,8 @@ R^3 breed new lines and planes forever), which is why `candidate_lattice`
 takes a hard cap and reports in-band whether it reached a fixpoint.  A
 capped candidate set still yields correct upper bounds; it only weakens
 the search.  It is also the expensive part, so the search scores the
-cheap candidates first and builds the closure only when they stay above
-the lower bound.
+cheap candidates first ({0}, R^n and L, which the closure holds anyway)
+and builds the closure only when they stay above the lower bound.
 """
 
 from __future__ import annotations
@@ -44,10 +51,11 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .polyhedral import SpanComplex, _max_cell_sum, dim_sum_with_subspace
-from .rational_linalg import Subspace
+from .rational_linalg import Subspace, sum_rows
 
 DEFAULT_CAP = 10000
 DEFAULT_HEIGHT = 1
+DEFAULT_STRATEGY = f"lattice(cap={DEFAULT_CAP})"
 
 _EXHAUSTIVE_MAX_AMBIENT = 6
 _EXHAUSTIVE_MAX_HEIGHT = 3
@@ -165,9 +173,20 @@ def candidate_lattice(sigma: SpanComplex, cap: int = DEFAULT_CAP) -> CandidateSe
     return CandidateSet(tuple(found), complete)
 
 
-def _check_height(n: int, height_bound: int) -> None:
-    """Large enumerations are refused outright, before any work.  Height 0
-    is admitted in every dimension: its family is {0}."""
+def exhaustive_candidates(n: int, height_bound: int) -> tuple:
+    """Every subspace spanned by integer vectors with entries in
+    [−height_bound, height_bound], sorted canonically.
+
+    Grown breadth-first one primitive generator at a time, as bare
+    canonical rows fed to `sum_rows`; each Subspace is built once, at the
+    end.  Large requests are refused outright, before any work (height 0
+    is admitted in every dimension: its family is {0}), and so is any run
+    past `_EXHAUSTIVE_BUDGET` subspaces, rather than silently truncating.
+    """
+    if n < 0:
+        raise ValueError("ambient dimension < 0")
+    if height_bound < 0:
+        raise ValueError("height bound < 0")
     if height_bound and (n > _EXHAUSTIVE_MAX_AMBIENT
                          or height_bound > _EXHAUSTIVE_MAX_HEIGHT):
         raise ResourceLimitError(
@@ -175,35 +194,19 @@ def _check_height(n: int, height_bound: int) -> None:
             f"height={height_bound} (supported: n ≤ {_EXHAUSTIVE_MAX_AMBIENT}, "
             f"height ≤ {_EXHAUSTIVE_MAX_HEIGHT})"
         )
-
-
-def exhaustive_candidates(n: int, height_bound: int) -> tuple:
-    """Every subspace spanned by integer vectors with entries in
-    [−height_bound, height_bound], sorted canonically.
-
-    Grown breadth-first one primitive generator at a time; refuses large
-    requests outright, and any run past `_EXHAUSTIVE_BUDGET` subspaces,
-    rather than silently truncating.
-    """
-    if n < 0:
-        raise ValueError("ambient dimension < 0")
-    if height_bound < 0:
-        raise ValueError("height bound < 0")
-    _check_height(n, height_bound)
-    if height_bound == 0:  # no nonzero vector of height 0: the family is {0}
-        return (Subspace.zero(n),)
-    vectors = _primitive_vectors(n, height_bound)
-    zero = Subspace.zero(n)
-    seen = {zero}
-    frontier = [zero]
+    vectors = _primitive_vectors(n, height_bound) if height_bound else ()
+    seen = {()}
+    frontier = [()]
     while frontier:
         grown = []
-        for sub in frontier:
-            if len(sub.rows) == n:
+        for rows in frontier:
+            if len(rows) == n:
                 continue
+            ech = tuple((next(i for i, x in enumerate(r) if x), r)
+                        for r in rows)
             for v in vectors:
-                bigger = sub.sum_with_rows((v,))
-                if bigger is sub or bigger in seen:
+                bigger = sum_rows(ech, (v,), n)
+                if bigger is None or bigger in seen:
                     continue
                 if len(seen) >= _EXHAUSTIVE_BUDGET:
                     raise ResourceLimitError(
@@ -213,7 +216,10 @@ def exhaustive_candidates(n: int, height_bound: int) -> tuple:
                 seen.add(bigger)
                 grown.append(bigger)
         frontier = grown
-    return tuple(sorted(seen, key=Subspace.sort_key))
+    # {0} and R^n come as their shared instances
+    return tuple(Subspace.zero(n) if not rows else Subspace.full(n)
+                 if len(rows) == n else Subspace(n, rows)
+                 for rows in sorted(seen, key=lambda rows: (len(rows), rows)))
 
 
 def _primitive_vectors(n: int, height: int) -> list:
@@ -241,79 +247,61 @@ def _primitive_vectors(n: int, height: int) -> list:
 
 
 _STRATEGY_RE = re.compile(
-    r"\s*(lattice|exhaustive|combined)\s*(?:\(\s*([^()]*)\s*\))?\s*\Z"
+    r"\s*(lattice|exhaustive)\s*(?:\(\s*([^()]*)\s*\))?\s*\Z"
 )
+
+# each kind's one parameter and its default
+_STRATEGY_PARAMS = {"lattice": ("cap", DEFAULT_CAP),
+                    "exhaustive": ("height", DEFAULT_HEIGHT)}
 
 
 def _parse_strategy(text: str) -> tuple:
     """Normalize a strategy descriptor.
 
-    Accepts e.g. "lattice", "lattice(cap=500)", "exhaustive(height=2)",
-    "combined(cap=2000,height=1)".  Returns (kind, cap, height, canonical
-    descriptor string).
+    Accepts e.g. "lattice", "lattice(cap=500)", "exhaustive(height=2)".
+    Returns (kind, its parameter's value, canonical descriptor string).
     """
     m = _STRATEGY_RE.match(text)
     if not m:
         raise ValueError(f"invalid strategy {text!r}")
     kind, argtext = m.group(1), m.group(2)
-    allowed = {"lattice": ("cap",), "exhaustive": ("height",),
-               "combined": ("cap", "height")}[kind]
-    params = {}
-    if argtext:
-        for piece in argtext.split(","):
-            piece = piece.strip()
-            if not piece:
-                continue
-            key, eq, raw = piece.partition("=")
-            key = key.strip()
-            if not eq or key not in allowed:
-                raise ValueError(f"invalid strategy parameter {piece!r}")
-            if key in params:
-                raise ValueError(f"strategy parameter {key} given twice")
-            try:
-                params[key] = int(raw.strip())
-            except ValueError:
-                raise ValueError(
-                    f"strategy parameter {key} must be an integer"
-                ) from None
-    cap = params.get("cap", DEFAULT_CAP)
-    height = params.get("height", DEFAULT_HEIGHT)
-    if cap < 1:
+    name, value = _STRATEGY_PARAMS[kind]
+    given = False
+    for piece in (argtext or "").split(","):
+        piece = piece.strip()
+        if not piece:
+            continue
+        key, eq, raw = piece.partition("=")
+        key = key.strip()
+        if not eq or key != name:
+            raise ValueError(f"invalid strategy parameter {piece!r}")
+        if given:
+            raise ValueError(f"strategy parameter {key} given twice")
+        given = True
+        try:
+            value = int(raw.strip())
+        except ValueError:
+            raise ValueError(
+                f"strategy parameter {key} must be an integer"
+            ) from None
+    if kind == "lattice" and value < 1:
         raise ValueError("cap must be positive")
-    if height < 0:
+    if value < 0:
         raise ValueError("height must be nonnegative")
-    if kind == "lattice":
-        descriptor = f"lattice(cap={cap})"
-    elif kind == "exhaustive":
-        descriptor = f"exhaustive(height={height})"
-    else:
-        descriptor = f"combined(cap={cap},height={height})"
     # one shared string per strategy, however many results name it
-    return kind, cap, height, sys.intern(descriptor)
-
-
-def default_strategy(ambient_dim: int) -> str:
-    """Lattice search, augmented by height-1 exhaustive candidates while the
-    ambient dimension keeps that family small (n ≤ 4).  The enumeration
-    runs only when the pairwise bound does not already prove {0} or R^n to
-    be the witness, and the closure only when the value is still above the
-    bound after that."""
-    if ambient_dim <= 4:
-        return f"combined(cap={DEFAULT_CAP},height={DEFAULT_HEIGHT})"
-    return f"lattice(cap={DEFAULT_CAP})"
+    return kind, value, sys.intern(f"{kind}({name}={value})")
 
 
 def amoeba_dim(sigma: SpanComplex, strategy: str | None = None,
                extra_candidates=()) -> SearchResult:
     """Minimize the objective over {0, R^n}, the extra candidates and the
-    strategy's candidates.
+    strategy's candidates; the default strategy is `DEFAULT_STRATEGY`.
 
-    The cheap candidates are scored first: {0, R^n}, `extra_candidates`
-    and, for `exhaustive`, the height enumeration.  `combined` adds the
-    enumeration only when the lower bound does not prove {0} or R^n to be
-    the witness (below).  The lattice closure of `lattice` and `combined`
-    is built only when their best value is still above the lower bound,
-    and then only its new members are scored.  The lower bound
+    The cheap candidates are scored first: {0}, R^n, `extra_candidates`
+    and, for `lattice`, the meet L = ∩ C_i of the cells; for `exhaustive`,
+    its whole height enumeration, whatever the bound.  The lattice closure
+    is built only when the best value is still above the lower bound, and
+    then only its new members are scored.  The lower bound
 
         max(dim Σ, max over cells i < j of dim(C_i + C_j))
 
@@ -325,27 +313,23 @@ def amoeba_dim(sigma: SpanComplex, strategy: str | None = None,
     The witness is the canonical minimizer among the candidates scored:
     smallest value, then smallest dim S, then the lexicographically
     smallest canonical basis.  It does not depend on the scoring order.
-    It is the canonical minimizer over all subspaces, so no candidate
-    family can change it, when
-    - the bound is 2d: then it is {0}, the only subspace of dimension 0;
-    - the bound is n < 2d, every cell has dimension d = n − 1, and
-      L = ∩ C_i has dim L < 2d − n: then it is R^n.  An S scoring n has
-      k ∈ {d, n} and dim S = 2k − n, and k = d puts S inside L with
-      dim S = 2d − n, which dim L < 2d − n rules out.
-    `combined` skips its enumeration in those two cases; `exhaustive`
-    scores its whole family whatever the bound.  Only
-    `candidates_evaluated` tells the two runs apart.
+    When L attains the value, L is the canonical minimizer over all
+    subspaces: L lies in every cell and scores 2d − dim L (d = dim Σ); any
+    S with objective v has dim(S+Σ) ≥ d, so dim S ≥ 2d − v, and equality
+    forces dim(S+C_i) = d for every cell, so S ⊆ L.  At n ≤ 4, a `lattice`
+    run that stops at the bound before the closure has {0}, L or R^n as
+    its witness, each the canonical minimizer over all subspaces (see the
+    module docstring), so the height enumeration cannot change it.
 
     Refusals come before any scoring: a cap below the number of cells
     plus 2 (ValueError), and a height the enumeration refuses outright
-    (ResourceLimitError), whether or not the closure or the enumeration
-    would run.
+    (ResourceLimitError, raised by `exhaustive_candidates` before it
+    builds anything).
     """
     n = sigma.ambient_dim
     d = sigma.dim
-    if strategy is None:
-        strategy = default_strategy(n)
-    kind, cap, height, descriptor = _parse_strategy(strategy)
+    kind, param, descriptor = _parse_strategy(
+        DEFAULT_STRATEGY if strategy is None else strategy)
     cheap = {Subspace.zero(n), Subspace.full(n)}
     for sub in extra_candidates:
         if sub.ambient_dim != n:
@@ -353,29 +337,27 @@ def amoeba_dim(sigma: SpanComplex, strategy: str | None = None,
                 f"extra candidate in R^{sub.ambient_dim}, complex in R^{n}"
             )
         cheap.add(sub)
-    closes = kind in ("lattice", "combined")
-    if closes:
-        _check_cap(sigma, cap)
-    if kind != "lattice":
-        _check_height(n, height)
+    if kind == "lattice":
+        _check_cap(sigma, param)
+        cheap.add(reduce(Subspace.intersect, sigma.cells))
+    else:
+        cheap.update(exhaustive_candidates(n, param))
     lower = _pairwise_lower_bound(sigma)
-    if kind == "exhaustive" or (
-            kind == "combined" and not _bound_fixes_witness(sigma, lower)):
-        cheap.update(exhaustive_candidates(n, height))
 
     # {0} scores 2d; it is among the cheap candidates, and R^n too
     best = _score(sigma, sorted(cheap, key=Subspace.sort_key), (2 * d, 0, ()))
     evaluated = len(cheap)
-    if closes and best[0] > lower:
-        fresh = [sub for sub in candidate_lattice(sigma, cap)
+    if kind == "lattice" and best[0] > lower:
+        fresh = [sub for sub in candidate_lattice(sigma, param)
                  if sub not in cheap]
         best = _score(sigma, fresh, best)
         evaluated += len(fresh)
     value, _, rows = best
-    # {0} and R^n come as their shared instances, so results kept in bulk
-    # do not each hold a copy
-    witness = (Subspace.zero(n) if not rows else Subspace.full(n)
-               if len(rows) == n else Subspace(n, rows))
+    # {0}, R^n and the cells come as the instances that exist already, so
+    # results kept in bulk do not each hold a copy
+    witness = next((sub for sub in (Subspace.zero(n), Subspace.full(n),
+                                    *sigma.cells) if sub.rows == rows),
+                   None) or Subspace(n, rows)
     return SearchResult(
         value=value,
         lower_bound=lower,
@@ -404,18 +386,6 @@ def _pairwise_lower_bound(sigma: SpanComplex) -> int:
                 if bound == top:
                     return bound
     return bound
-
-
-def _bound_fixes_witness(sigma: SpanComplex, lower: int) -> bool:
-    """Whether the proven bound `lower` makes {0} or R^n the canonical
-    minimizer over all subspaces; see `amoeba_dim` for the proof."""
-    n = sigma.ambient_dim
-    d = sigma.dim
-    if lower == 2 * d:
-        return True
-    if lower != n or d != n - 1:
-        return False
-    return reduce(Subspace.intersect, sigma.cells).dim < 2 * d - n
 
 
 def _score(sigma: SpanComplex, cands, best: tuple) -> tuple:

@@ -163,7 +163,8 @@ class TestRunConfig:
             ("estimate", absent, "--kind", "param", "--seed", "-1"),
             ("verify", absent, absent, "--kind", "implicit", "--seed", "-5"),
             ("dim", absent, "--strategy", "lattice", "--cap", "0"),
-            ("dim", absent, "--strategy", "combined", "--height", "-1"),
+            ("dim", absent, "--strategy", "exhaustive", "--height", "-1"),
+            ("dim", absent, "--strategy", "combined"),
         ):
             code, out, err = run(capsys, *argv)
             assert (code, out) == (2, "")
@@ -350,14 +351,11 @@ class TestDim:
         assert (code, out) == (3, "")
 
     @pytest.mark.parametrize("n,height", [(7, "1"), (3, "4")])
-    def test_refused_combined_height_exits_3(self, capsys, tmp_path, n,
-                                             height):
-        # the bound alone fixes the witness of both hyperplane fans, so
-        # the enumeration would not run; its refusal still stands
+    def test_refused_height_exits_3(self, capsys, tmp_path, n, height):
         path = str(tmp_path / "h.json")
         assert main(["gen", "hyperplane", str(n), "--output", path]) == 0
         capsys.readouterr()
-        code, out, err = run(capsys, "dim", path, "--strategy", "combined",
+        code, out, err = run(capsys, "dim", path, "--strategy", "exhaustive",
                              "--height", height)
         assert (code, out) == (3, "")
         assert f"refused for n={n}, height={height}" in err

@@ -229,7 +229,7 @@ class TestComplement:
     def test_derived_bases_are_cached(self):
         u = span(4, [(1, 2, 3, 4), (0, 1, 0, 1)])
         assert u.pivots == (0, 1)
-        assert u.ech_pairs is u.ech_pairs
+        assert u.pivots is u.pivots
         assert u.orth is u.orth
         assert u == Subspace(4, u.rows)  # caches take no part in equality
 

@@ -13,11 +13,11 @@ from amoebadim.families import torus_invariant, tropical_hyperplane
 from amoebadim.polyhedral import SpanComplex, parse_complex, product
 from amoebadim.rational_linalg import Subspace, canonicalize, direct_sum
 from amoebadim.subspace_search import (
+    DEFAULT_STRATEGY,
     CandidateSet,
     ResourceLimitError,
     amoeba_dim,
     candidate_lattice,
-    default_strategy,
     detect_near_action,
     exhaustive_candidates,
     objective,
@@ -55,6 +55,14 @@ def two_planes_on_a_line():
     R^3 both score 3, the bound."""
     return SpanComplex(
         3, [span(3, (1, 0, 0), (0, 1, 0)), span(3, (1, 0, 0), (0, 0, 1))]
+    )
+
+
+def two_planes_on_a_height_two_line():
+    """Two planes in R^3 through the line (1, 2, 0), which no height-1
+    vector spans: the line and R^3 both score 3, the bound."""
+    return SpanComplex(
+        3, [span(3, (1, 0, 0), (0, 1, 0)), span(3, (1, 2, 0), (0, 0, 1))]
     )
 
 
@@ -346,11 +354,12 @@ class TestAmoebaDim:
         assert res.witness_S == span(3, (1, 0, 0))
         assert objective(sigma, Subspace.full(3)) == 3
 
-    def test_default_strategy_switches_on_ambient(self):
-        assert default_strategy(4) == "combined(cap=10000,height=1)"
-        assert default_strategy(5) == "lattice(cap=10000)"
-        assert amoeba_dim(hyperplane(2)).strategy == \
-            "combined(cap=10000,height=1)"
+    def test_tie_break_finds_a_line_of_height_two(self):
+        # the meet of the cells is scored first, so the line wins even
+        # though no height-1 vector spans it
+        res = amoeba_dim(two_planes_on_a_height_two_line())
+        assert (res.value, res.lower_bound, res.certified) == (3, 3, True)
+        assert res.witness_S == span(3, (1, 2, 0))
 
     def test_strategy_descriptor_normalized(self):
         res = amoeba_dim(curve_fan3(), strategy="lattice( cap = 500 )")
@@ -361,11 +370,17 @@ class TestAmoebaDim:
     @pytest.mark.parametrize("bad", [
         "annealing", "lattice(cap=0)", "lattice(height=2)", "combined(",
         "exhaustive(height=-1)", "lattice(cap=ten)", "lattice()extra",
-        "lattice(cap=5,cap=7)",
+        "lattice(cap=5,cap=7)", "exhaustive(cap=5)",
     ])
     def test_invalid_strategy(self, bad):
         with pytest.raises(ValueError):
             amoeba_dim(curve_fan3(), strategy=bad)
+
+    @pytest.mark.parametrize("gone", ["combined",
+                                      "combined(cap=2000,height=1)"])
+    def test_combined_is_not_a_strategy(self, gone):
+        with pytest.raises(ValueError, match="invalid strategy"):
+            amoeba_dim(curve_fan3(), strategy=gone)
 
     def test_extra_candidates_ambient_checked(self):
         with pytest.raises(ValueError):
@@ -389,6 +404,12 @@ class TestAmoebaDim:
         assert zero.witness_S is zero.witness_T is Subspace.zero(3)
         assert full.witness_S is Subspace.full(3)
         assert zero.strategy is amoeba_dim(curve_fan3()).strategy
+
+    @pytest.mark.parametrize("strategy", [None, "exhaustive(height=2)"])
+    def test_cell_witness_is_the_cell_itself(self, strategy):
+        sigma = single_cell(2, (1, 2))
+        res = amoeba_dim(sigma, strategy)
+        assert res.witness_S is sigma.cells[0]
 
     def test_candidates_evaluated_counts_merged_set(self):
         res = amoeba_dim(hyperplane(2), strategy="exhaustive(height=1)")
@@ -489,7 +510,7 @@ class TestPairwiseLowerBound:
         assert res.candidates_evaluated == len(real(plucker()))
 
     @pytest.mark.parametrize("strategy,n,cells", [
-        ("lattice(cap=3)", 5, 17), ("combined(cap=7,height=1)", 3, 8),
+        ("lattice(cap=3)", 5, 17), ("lattice(cap=7)", 3, 8),
     ])
     def test_cap_below_cells_refused_without_closure(self, monkeypatch,
                                                      strategy, n, cells):
@@ -506,15 +527,9 @@ class TestPairwiseLowerBound:
                        extra_candidates=[Subspace.zero(3)])
 
 
-def bound_fixes_witness(sigma, lower):
-    """The bound is 2d, or it is n with cells of dimension n − 1 that
-    meet in less than 2d − n: then {0} or R^n is the canonical minimizer
-    over all subspaces."""
-    n, d = sigma.ambient_dim, sigma.dim
-    if lower == 2 * d:
-        return True
-    meet = reduce(lambda a, b: reference_pair(a, b)[1], sigma.cells)
-    return lower == n and d == n - 1 and meet.dim < 2 * d - n
+def reference_meet(sigma):
+    """The intersection of all cells, through `reference_pair`."""
+    return reduce(lambda a, b: reference_pair(a, b)[1], sigma.cells)
 
 
 class TestIncrementalMerge:
@@ -522,37 +537,31 @@ class TestIncrementalMerge:
     and witness as one scan over their union."""
 
     @staticmethod
-    def one_scan(sigma, cheap, cap, res):
-        first = amoeba_dim(sigma, strategy=cheap)
+    def one_scan(sigma, cap, res):
+        # `lattice` scores {0}, R^n and the meet of the cells first
+        meet = reference_meet(sigma)
+        cheap = "exhaustive(height=0)"
+        first = amoeba_dim(sigma, strategy=cheap, extra_candidates=[meet])
         built = first.value > res.lower_bound
         extras = candidate_lattice(sigma, cap) if built else ()
-        return amoeba_dim(sigma, strategy=cheap, extra_candidates=extras)
+        return amoeba_dim(sigma, strategy=cheap,
+                          extra_candidates=[meet, *extras])
 
     @staticmethod
     def outcome(res):
         return (res.value, res.lower_bound, res.certified, res.witness_S,
                 res.witness_T)
 
-    @pytest.mark.parametrize("strategy,cheap,max_n", [
-        ("lattice(cap=300)", "exhaustive(height=0)", 4),
-        ("combined(cap=300,height=1)", "exhaustive(height=1)", 3),
-    ])
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
-    def test_matches_one_scan_over_the_union(self, strategy, cheap, max_n,
-                                             seed):
+    def test_matches_one_scan_over_the_union(self, seed):
         rng = random.Random(seed)
-        n = rng.randint(1, max_n)
+        n = rng.randint(1, 4)
         sigma = random_pure_complex(rng, n, num_cells=rng.randint(1, 4))
-        res = amoeba_dim(sigma, strategy=strategy)
-        scan = self.one_scan(sigma, cheap, 300, res)
+        res = amoeba_dim(sigma, strategy="lattice(cap=300)")
+        scan = self.one_scan(sigma, 300, res)
         assert self.outcome(res) == self.outcome(scan)
-        # `combined` scores only {0} and R^n when the bound fixes the
-        # witness; otherwise it scores the union the one scan scores
-        skips = strategy.startswith("combined") and \
-            bound_fixes_witness(sigma, res.lower_bound)
-        assert res.candidates_evaluated == \
-            (2 if skips else scan.candidates_evaluated)
+        assert res.candidates_evaluated == scan.candidates_evaluated
 
     @pytest.mark.parametrize("left", [True, False])
     def test_closure_tie_beats_the_full_space(self, left):
@@ -578,9 +587,16 @@ class TestIncrementalMerge:
         assert res.witness_S == Subspace.full(7)
 
 
-class TestBoundFirstEnumeration:
-    """`combined` enumerates only when the bound leaves the witness open;
-    `exhaustive` always does."""
+def seeded_complex(seed):
+    """A random pure complex with n ≤ 4 and 1 to 6 cells."""
+    rng = random.Random(seed)
+    return random_pure_complex(rng, rng.randint(1, 4),
+                               num_cells=rng.randint(1, 6))
+
+
+class TestEnumerationOnRequest:
+    """Only `exhaustive` enumerates, and it scores its whole family; the
+    default search never does, in any dimension."""
 
     @staticmethod
     def count_enumerations(monkeypatch):
@@ -599,26 +615,31 @@ class TestBoundFirstEnumeration:
         (product(hyperplane(2), hyperplane(2)), 4, Subspace.zero(4)),
         # bound 4 = n, planes of R^4 meeting in {0}: only R^4 scores 4
         (tropical_hyperplane(4), 4, Subspace.full(4)),
+        # bound 3 = n, the cells meet in a line that ties with R^3
+        (two_planes_on_a_line(), 3, span(3, (1, 0, 0))),
+        (two_planes_on_a_height_two_line(), 3, span(3, (1, 2, 0))),
     ])
-    def test_default_search_never_enumerates(self, monkeypatch, sigma,
-                                             value, witness):
+    def test_cheap_stage_settles_without_closure(self, monkeypatch, sigma,
+                                                 value, witness):
         forbid(monkeypatch, "exhaustive_candidates", "candidate_lattice")
         res = amoeba_dim(sigma)
-        assert res.strategy == "combined(cap=10000,height=1)"
+        assert res.strategy == DEFAULT_STRATEGY
         assert (res.value, res.lower_bound, res.certified) == \
             (value, value, True)
         assert res.witness_S == witness
-        assert res.candidates_evaluated == 2
+        # {0}, R^n and the meet of the cells, without repeats
+        assert res.candidates_evaluated == \
+            len({Subspace.zero(sigma.ambient_dim),
+                 Subspace.full(sigma.ambient_dim), reference_meet(sigma)})
 
-    def test_shared_line_still_enumerates(self, monkeypatch):
-        # bound 3 = n with d = 2, but the cells meet in a line of
-        # dimension 2d − n = 1, which ties with R^3 and must win
+    @pytest.mark.parametrize("sigma", [
+        hyperplane(2), curve_fan3(), tropical_hyperplane(5), plucker(),
+        product(SpanComplex(1, [Subspace.full(1)]), plucker()),
+    ])
+    def test_default_search_never_enumerates(self, monkeypatch, sigma):
         calls = self.count_enumerations(monkeypatch)
-        res = amoeba_dim(two_planes_on_a_line())
-        assert calls == [(3, 1)]
-        assert (res.value, res.certified) == (3, True)
-        assert res.witness_S == span(3, (1, 0, 0))
-        assert res.candidates_evaluated == 40
+        assert amoeba_dim(sigma).strategy == "lattice(cap=10000)"
+        assert calls == []
 
     def test_exhaustive_scores_its_whole_family(self, monkeypatch):
         calls = self.count_enumerations(monkeypatch)
@@ -627,34 +648,32 @@ class TestBoundFirstEnumeration:
         assert res.witness_S == Subspace.full(3)
         assert res.candidates_evaluated == 40
 
-    @pytest.mark.parametrize("name", GOLDEN_FANS)
+    @pytest.mark.parametrize("name", GOLDEN_FANS + [
+        f"seed{seed}" for seed in range(60)])
     def test_golden_fans_match_the_enumerating_search(self, name):
-        # the cheap candidates plus the full enumeration, scored as one
-        # set: only the count may differ
-        sigma = parse_complex((DATA / f"{name}.fan.json").read_text())
+        # the height-1 enumeration handed in on top of the default search
+        # changes no outcome, on the golden fans and on seeded random ones
+        if name.startswith("seed"):
+            sigma = seeded_complex(int(name[4:]))
+        else:
+            sigma = parse_complex((DATA / f"{name}.fan.json").read_text())
+        n = sigma.ambient_dim
         res = amoeba_dim(sigma)
         full = amoeba_dim(sigma, extra_candidates=exhaustive_candidates(
-            sigma.ambient_dim, 1) if sigma.ambient_dim <= 4 else ())
+            n, 1) if n <= 4 else ())
         assert TestIncrementalMerge.outcome(res) == \
             TestIncrementalMerge.outcome(full)
 
-    @pytest.mark.parametrize("kind,height,sigma", [
-        ("combined", 4, hyperplane(3)),
-        ("combined", 4, two_planes_on_a_line()),
-        ("exhaustive", 4, hyperplane(3)),
-        ("combined", 1, tropical_hyperplane(7)),
-        ("combined", 1,
-         product(SpanComplex(1, [Subspace.full(1)]), plucker())),
+    @pytest.mark.parametrize("height,sigma", [
+        (4, hyperplane(3)), (1, tropical_hyperplane(7)),
     ])
-    def test_refused_height_raises_before_scoring(self, monkeypatch, kind,
-                                                  height, sigma):
-        # refused whether or not the bound would skip the enumeration
-        forbid(monkeypatch, "exhaustive_candidates", "candidate_lattice",
-               "_score")
+    def test_refused_height_raises_before_scoring(self, monkeypatch, height,
+                                                  sigma):
+        forbid(monkeypatch, "candidate_lattice", "_score")
         n = sigma.ambient_dim
         with pytest.raises(ResourceLimitError,
                            match=f"refused for n={n}, height={height}"):
-            amoeba_dim(sigma, strategy=f"{kind}(height={height})")
+            amoeba_dim(sigma, strategy=f"exhaustive(height={height})")
 
 
 class TestReduceTorus:
