@@ -10,6 +10,9 @@ else; diagnostics go to the error stream.  Exit codes: 0 success,
 2 bad input or parameters, 3 resource-limit refusal, 4 every sample
 rejected, 5 verify found a mismatch.  Reruns with the same inputs and
 flags produce byte-identical output.
+
+Each command imports the modules it runs, so `gen` and `dim` never
+compile the estimator and `estimate` never compiles the exact search.
 """
 
 import argparse
@@ -18,24 +21,6 @@ import re
 import sys
 from fractions import Fraction
 from pathlib import Path
-
-from .estimator import (
-    DEFAULT_TOL,
-    DEFAULT_TRIALS,
-    EstimatorError,
-    _check_ambient,
-    _check_estimator_params,
-    cross_check,
-    estimate_rank,
-    estimate_rank_implicit,
-    parse_implicit,
-    parse_parametrization,
-)
-from .families import curve_fan, orbit_subspace, torus_invariant, \
-    tropical_hyperplane
-from .polyhedral import format_complex, parse_complex, product
-from .rational_linalg import canonicalize
-from .subspace_search import ResourceLimitError, _parse_strategy, amoeba_dim
 
 _GEN_FAMILIES = ("hyperplane", "orbit", "curve", "torus_invariant", "product")
 
@@ -51,6 +36,8 @@ def _strategy_descriptor(args: argparse.Namespace) -> str | None:
             raise ValueError("--cap and --height need an explicit --strategy")
         return None
     descriptor = f"{args.strategy}({params})" if params else args.strategy
+    from .subspace_search import _parse_strategy
+
     _parse_strategy(descriptor)
     return descriptor
 
@@ -123,6 +110,9 @@ def _int_param(raw: str, what: str) -> int:
 
 
 def cmd_dim(args: argparse.Namespace) -> int:
+    from .polyhedral import parse_complex
+    from .subspace_search import amoeba_dim
+
     sigma = parse_complex(_read_text(args.fan))
     result = amoeba_dim(sigma, strategy=args.strategy)
     _emit_json(result.to_json_dict(), args.output)
@@ -139,6 +129,11 @@ def _params_exactly(args: argparse.Namespace, count: int):
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    from .families import curve_fan, orbit_subspace, torus_invariant, \
+        tropical_hyperplane
+    from .polyhedral import format_complex, parse_complex, product
+    from .rational_linalg import canonicalize
+
     family = args.family
     if family == "hyperplane":
         (raw_n,) = _params_exactly(args, 1)
@@ -171,6 +166,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _read_variety(args: argparse.Namespace):
+    from .estimator import parse_implicit, parse_parametrization
+
     text = _read_text(args.variety)
     if args.kind == "param":
         return parse_parametrization(text)
@@ -178,6 +175,8 @@ def _read_variety(args: argparse.Namespace):
 
 
 def _run_estimator(args: argparse.Namespace, variety):
+    from .estimator import estimate_rank, estimate_rank_implicit
+
     run = estimate_rank if args.kind == "param" else estimate_rank_implicit
     return run(variety, trials=args.trials, tol=args.tol, seed=args.seed)
 
@@ -189,6 +188,12 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    # the exact side is compiled before the estimator loads numpy; the
+    # other order leaves the process a larger peak resident set
+    from . import subspace_search  # noqa: F401
+    from .estimator import _check_ambient, cross_check
+    from .polyhedral import parse_complex
+
     sigma = parse_complex(_read_text(args.fan))
     variety = _read_variety(args)
     # refused here too, so a wrong pairing fails before any sampling
@@ -215,8 +220,9 @@ def _add_strategy_flags(sub):
 
 def _add_estimator_flags(sub):
     sub.add_argument("--kind", choices=("param", "implicit"), required=True)
-    sub.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-    sub.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    # None until `_check_estimator_flags` fills in the estimator's defaults
+    sub.add_argument("--trials", type=int)
+    sub.add_argument("--tol", type=float)
     sub.add_argument("--seed", type=int, default=0)
 
 
@@ -260,6 +266,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_estimator_flags(args: argparse.Namespace) -> None:
+    from .estimator import DEFAULT_TOL, DEFAULT_TRIALS, _check_estimator_params
+
+    if args.trials is None:
+        args.trials = DEFAULT_TRIALS
+    if args.tol is None:
+        args.tol = DEFAULT_TOL
+    _check_estimator_params(args.trials, args.tol, args.seed)
+
+
+def _refusal_code(exc: RuntimeError) -> int | None:
+    """3 for a resource-limit refusal, 4 when every sample was rejected.
+    Each class is looked up in its module only if the command loaded it:
+    a module that never ran cannot have raised."""
+    search = sys.modules.get(f"{__package__}.subspace_search")
+    if search is not None and isinstance(exc, search.ResourceLimitError):
+        return 3
+    estimator = sys.modules.get(f"{__package__}.estimator")
+    if estimator is not None and isinstance(exc, estimator.EstimatorError):
+        return 4
+    return None
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -270,16 +299,16 @@ def main(argv=None) -> int:
         # check the flags before any input file is read; the strategy
         # flags become one search descriptor, None for the default
         if args.command in ("estimate", "verify"):
-            _check_estimator_params(args.trials, args.tol, args.seed)
+            _check_estimator_flags(args)
         if args.command in ("dim", "verify"):
             args.strategy = _strategy_descriptor(args)
         return _COMMANDS[args.command](args)
-    except ResourceLimitError as exc:
+    except RuntimeError as exc:
+        code = _refusal_code(exc)
+        if code is None:
+            raise
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except EstimatorError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return code
     except ValueError as exc:
         # covers fan/variety format errors, purity violations, bad
         # strategy descriptors, and parameter-range failures

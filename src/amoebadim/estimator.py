@@ -24,8 +24,8 @@ it, and an unlucky run shows up as a mismatch verdict, not a wrong
 silent answer.
 
 numpy (and `roots`) are imported by the kernels that use them, so the
-exact side of the package, which imports this module for its types and
-parsers, never loads them.
+exact side of the package never loads them.  Likewise the exact search
+is imported by `cross_check` only, so sampling alone never compiles it.
 """
 
 from __future__ import annotations
@@ -34,9 +34,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-from .polyhedral import SpanComplex
-from .subspace_search import amoeba_dim
 
 DEFAULT_TRIALS = 20
 DEFAULT_TOL = 1e-8
@@ -631,6 +628,8 @@ def cross_check(sigma: SpanComplex, estimate: RankEstimate,
     averaged away: both numbers and the certification flag are reported
     as they are.
     """
+    from .subspace_search import amoeba_dim
+
     _check_ambient(sigma, estimate)
     result = amoeba_dim(sigma, strategy=strategy)
     verdict = "agree" if result.value == estimate.rank else "mismatch"

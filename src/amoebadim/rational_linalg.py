@@ -18,10 +18,10 @@ performs hundreds of thousands of row reductions.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
 
 _FULL_CACHE: dict = {}
 _ZERO_CACHE: dict = {}

@@ -1,14 +1,27 @@
 """Shared test helpers: an independent naive-Fraction row reducer used as a
-reference implementation, and small random generators for complexes and
-subspaces."""
+reference implementation, small random generators for complexes and
+subspaces, and the environment for child interpreters."""
 
 from __future__ import annotations
 
+import os
 import random
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 from amoebadim.rational_linalg import Subspace, canonicalize
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def child_env() -> dict:
+    """This environment with `src` first on PYTHONPATH: a child
+    interpreter does not see the pytest `pythonpath` setting."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return env
 
 
 def reference_rref(rows, n):

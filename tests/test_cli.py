@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,6 +10,8 @@ from amoebadim.cli import main, parse_vector_list
 from amoebadim.families import torus_invariant, tropical_hyperplane
 from amoebadim.polyhedral import parse_complex, product
 from amoebadim.rational_linalg import canonicalize
+
+from conftest import child_env
 
 MOMENT_DOC = json.dumps({
     "domain_dim": 1, "ambient_dim": 2,
@@ -27,6 +28,12 @@ LINE_DOC = json.dumps({
         {"terms": [{"coeff": ["1", "0"], "exponents": [0]},
                    {"coeff": ["-1", "0"], "exponents": [1]}]},
     ],
+})
+
+# a zero coordinate: every sample leaves the torus
+ZERO_DOC = json.dumps({
+    "domain_dim": 1, "ambient_dim": 1,
+    "components": [{"terms": [{"coeff": ["0", "0"], "exponents": [1]}]}],
 })
 
 # (t, t^2, t^3)
@@ -69,16 +76,6 @@ OUT_OF_RANGE_DOCS = {
 }
 
 DATA = Path(__file__).parent / "data"
-SRC = Path(__file__).resolve().parent.parent / "src"
-
-
-def child_env() -> dict:
-    """This environment with `src` first on PYTHONPATH: a child
-    interpreter does not see the pytest `pythonpath` setting."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    return env
 
 # Fan files under tests/data, written by `gen` (the Plücker fan by hand),
 # each with the exact `dim` output it gave when it was recorded.
@@ -442,11 +439,7 @@ class TestEstimate:
                    "--tol", "2")[0] == 2
 
     def test_all_samples_rejected(self, capsys, tmp_path):
-        path = write(tmp_path, "z.json", json.dumps({
-            "domain_dim": 1, "ambient_dim": 1,
-            "components": [{"terms": [{"coeff": ["0", "0"],
-                                       "exponents": [1]}]}],
-        }))
+        path = write(tmp_path, "z.json", ZERO_DOC)
         code, out, err = run(capsys, "estimate", path, "--kind", "param")
         assert (code, out) == (4, "")
         assert "rejected" in err
@@ -556,6 +549,11 @@ class TestVerify:
             assert json.loads(out)["verdict"] == "agree"
 
 
+NUMERICAL_SIDE = {"amoebadim.estimator", "amoebadim.roots", "numpy"}
+EXACT_SIDE = {"amoebadim.rational_linalg", "amoebadim.polyhedral",
+              "amoebadim.subspace_search", "amoebadim.families"}
+
+
 class TestEntryPoint:
     def test_module_execution_round_trip(self, tmp_path):
         fan = tmp_path / "h3.json"
@@ -572,24 +570,89 @@ class TestEntryPoint:
         assert dim.returncode == 0
         assert json.loads(dim.stdout)["value"] == 3
 
-    def test_exact_commands_do_not_load_numpy(self, tmp_path):
-        # numpy is loaded by the estimator kernels on first use only
-        script = f"""
+    @staticmethod
+    def loaded_by(tmp_path, script):
+        """The `amoebadim.*` submodules and numpy that a fresh interpreter
+        has loaded after running `script`."""
+        script += """
 import sys
-import amoebadim
-from amoebadim import cli
-path = {str(tmp_path / "h3.json")!r}
-assert cli.main(["gen", "hyperplane", "3", "--output", path]) == 0
-assert cli.main(["dim", path]) == 0
-assert "numpy" not in sys.modules
-assert "amoebadim.roots" not in sys.modules
-phi = amoebadim.parse_parametrization({MOMENT_DOC!r})
-assert amoebadim.estimate_rank(phi, trials=5, seed=1).rank == 1
-assert "numpy" in sys.modules
+print(*sorted(m for m in sys.modules
+              if m == "numpy" or m.startswith("amoebadim.")))
 """
-        proc = subprocess.run([sys.executable, "-c", script],
+        proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
                               capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0, proc.stderr
+        return set(proc.stdout.split())
+
+    def command_loads(self, tmp_path, *argv):
+        script = f"""
+from amoebadim.cli import main
+assert main({[*argv, "--output", "out.json"]!r}) == 0
+"""
+        return self.loaded_by(tmp_path, script)
+
+    def test_import_loads_no_submodule(self, tmp_path):
+        assert self.loaded_by(tmp_path, "import amoebadim") == set()
+
+    @pytest.mark.parametrize("argv", [("gen", "hyperplane", "3"),
+                                      ("dim", "h3.json")])
+    def test_exact_commands_do_not_load_the_estimator(self, tmp_path, argv):
+        assert main(["gen", "hyperplane", "3",
+                     "--output", str(tmp_path / "h3.json")]) == 0
+        loaded = self.command_loads(tmp_path, *argv)
+        assert "amoebadim.polyhedral" in loaded
+        assert loaded.isdisjoint(NUMERICAL_SIDE)
+
+    def test_estimate_does_not_load_the_exact_search(self, tmp_path):
+        write(tmp_path, "moment.json", MOMENT_DOC)
+        loaded = self.command_loads(tmp_path, "estimate", "moment.json",
+                                    "--kind", "param")
+        assert "numpy" in loaded
+        assert loaded.isdisjoint(EXACT_SIDE)
+
+    def test_every_export_resolves(self, tmp_path):
+        script = """
+import sys
+import amoebadim
+assert set(amoebadim.__all__) <= set(dir(amoebadim))
+from amoebadim import *
+assert amoebadim.__all__ == sorted(set(amoebadim.__all__))
+for name in amoebadim.__all__:
+    value = globals()[name]
+    assert value is getattr(sys.modules[value.__module__], name), name
+try:
+    amoebadim.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("an unknown name resolved")
+"""
+        assert "numpy" not in self.loaded_by(tmp_path, script)
+
+    # Run by `python -m`, so nothing but the command's own imports has
+    # loaded the module whose exception picks the exit code.
+    @pytest.mark.parametrize("argv,code,error", [
+        (("dim", "h3.json", "--strategy", "exhaustive", "--height", "4"), 3,
+         "exhaustive enumeration refused for n=3, height=4 "
+         "(supported: n ≤ 6, height ≤ 3)"),
+        (("estimate", "zero.json", "--kind", "param"), 4,
+         "all 20 samples were rejected"),
+        (("verify", "line.json", "zero.json", "--kind", "param"), 4,
+         "all 20 samples were rejected"),
+    ], ids=("dim", "estimate", "verify"))
+    def test_refusal_exit_codes_in_a_fresh_process(self, tmp_path, argv,
+                                                   code, error):
+        assert main(["gen", "hyperplane", "3",
+                     "--output", str(tmp_path / "h3.json")]) == 0
+        assert main(["gen", "orbit", "1", "e1",
+                     "--output", str(tmp_path / "line.json")]) == 0
+        write(tmp_path, "zero.json", ZERO_DOC)
+        proc = subprocess.run(
+            [sys.executable, "-m", "amoebadim.cli", *argv], cwd=tmp_path,
+            capture_output=True, encoding="utf-8", env=child_env(),
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == \
+            (code, "", f"error: {error}\n")
 
     def test_no_arguments_is_a_usage_error(self, capsys):
         assert main([]) == 2

@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -16,7 +18,7 @@ from amoebadim.rational_linalg import (
     sum_rows,
 )
 
-from conftest import reference_canonical, reference_rref
+from conftest import child_env, reference_canonical, reference_rref
 
 
 def span(n, rows):
@@ -390,3 +392,19 @@ class TestMatrixShape:
         assert u.contains_subspace(Subspace.zero(3))
         assert Subspace.full(3).contains_subspace(u)
         assert not u.contains_subspace(Subspace.full(3))
+
+
+def test_dim_path_imports_no_typing(tmp_path):
+    # -S: no site, whose .pth files may load typing themselves
+    script = f"""
+import sys
+from amoebadim.cli import main
+fan, out = {str(tmp_path / "h3.json")!r}, {str(tmp_path / "out.json")!r}
+assert main(["gen", "hyperplane", "3", "--output", fan]) == 0
+assert main(["dim", fan, "--output", out]) == 0
+assert "amoebadim.rational_linalg" in sys.modules
+assert "typing" not in sys.modules
+"""
+    proc = subprocess.run([sys.executable, "-S", "-c", script],
+                          capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
