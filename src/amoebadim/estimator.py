@@ -60,6 +60,11 @@ class EstimatorError(RuntimeError):
     """No sample survived; the estimate does not exist."""
 
 
+def _check_dim(label, value):
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise VarietyFormatError(f"{label} must be a positive integer")
+
+
 def _check_terms(terms, nvars, what, laurent):
     cooked = []
     for t, (coeff, exponents) in enumerate(terms):
@@ -105,13 +110,8 @@ class Parametrization:
     components: tuple
 
     def __post_init__(self):
-        for label, value in (("domain_dim", self.domain_dim),
-                             ("ambient_dim", self.ambient_dim)):
-            if not isinstance(value, int) or isinstance(value, bool) \
-                    or value < 1:
-                raise VarietyFormatError(
-                    f"{label} must be a positive integer"
-                )
+        _check_dim("domain_dim", self.domain_dim)
+        _check_dim("ambient_dim", self.ambient_dim)
         comps = tuple(self.components)
         if len(comps) != self.ambient_dim:
             raise VarietyFormatError(
@@ -141,9 +141,7 @@ class ImplicitHypersurface:
     terms: tuple
 
     def __post_init__(self):
-        if not isinstance(self.ambient_dim, int) \
-                or isinstance(self.ambient_dim, bool) or self.ambient_dim < 1:
-            raise VarietyFormatError("ambient_dim must be a positive integer")
+        _check_dim("ambient_dim", self.ambient_dim)
         terms = tuple(self.terms)
         if len(terms) < 2:
             raise VarietyFormatError(
@@ -645,7 +643,7 @@ def _coeff_to_float(raw, where):
     if isinstance(raw, bool) or not isinstance(raw, (int, float, str)):
         raise VarietyFormatError(f"{where}: coefficient entry must be a number")
     try:
-        value = float(Fraction(raw) if isinstance(raw, str) else raw)
+        return float(Fraction(raw) if isinstance(raw, str) else raw)
     except (ValueError, ZeroDivisionError) as exc:
         raise VarietyFormatError(
             f"{where}: cannot read {raw!r} as a rational number"
@@ -654,14 +652,11 @@ def _coeff_to_float(raw, where):
         raise VarietyFormatError(
             f"{where}: coefficient entry out of the float range"
         ) from exc
-    if not math.isfinite(value):
-        raise VarietyFormatError(f"{where}: coefficient entry not finite")
-    return value
 
 
 def _parse_terms(raw_terms, where):
-    if not isinstance(raw_terms, list) or not raw_terms:
-        raise VarietyFormatError(f'{where}: "terms" must be a nonempty list')
+    if not isinstance(raw_terms, list):
+        raise VarietyFormatError(f'{where}: "terms" must be a list')
     terms = []
     for t, raw in enumerate(raw_terms):
         if not isinstance(raw, dict):
@@ -695,37 +690,26 @@ def _load_document(text, expected_keys):
     return doc
 
 
-def _read_dim(doc, key):
-    value = doc.get(key)
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise VarietyFormatError(f'"{key}" must be a positive integer')
-    return value
-
-
 def parse_parametrization(text: str) -> Parametrization:
     """Read the parametrization file format (see README)."""
     doc = _load_document(text, ("domain_dim", "ambient_dim", "components"))
-    m = _read_dim(doc, "domain_dim")
-    n = _read_dim(doc, "ambient_dim")
     raw_components = doc["components"]
-    if not isinstance(raw_components, list) or len(raw_components) != n:
-        raise VarietyFormatError(
-            f'"components" must be a list of {n} objects'
-        )
+    if not isinstance(raw_components, list):
+        raise VarietyFormatError('"components" must be a list')
     components = []
     for i, raw in enumerate(raw_components):
         if not isinstance(raw, dict):
             raise VarietyFormatError(f"component {i} must be an object")
         components.append(_parse_terms(raw.get("terms"), f"component {i}"))
-    return Parametrization(m, n, tuple(components))
+    return Parametrization(doc["domain_dim"], doc["ambient_dim"],
+                           tuple(components))
 
 
 def parse_implicit(text: str) -> ImplicitHypersurface:
     """Read the implicit-hypersurface file format (see README)."""
     doc = _load_document(text, ("ambient_dim", "polynomial"))
-    n = _read_dim(doc, "ambient_dim")
     raw_poly = doc["polynomial"]
     if not isinstance(raw_poly, dict):
         raise VarietyFormatError('"polynomial" must be an object')
     terms = _parse_terms(raw_poly.get("terms"), "polynomial")
-    return ImplicitHypersurface(n, tuple(terms))
+    return ImplicitHypersurface(doc["ambient_dim"], tuple(terms))

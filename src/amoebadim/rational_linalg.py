@@ -176,6 +176,16 @@ class Subspace:
             _FULL_CACHE[ambient_dim] = sub
         return sub
 
+    @classmethod
+    def of(cls, ambient_dim: int, rows: tuple) -> "Subspace":
+        """The subspace with these canonical rows, as the shared {0} or
+        R^n instance when it is one of those."""
+        if not rows:
+            return cls.zero(ambient_dim)
+        if len(rows) == ambient_dim:
+            return cls.full(ambient_dim)
+        return cls(ambient_dim, rows)
+
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
@@ -256,7 +266,7 @@ class Subspace:
         ds = total.dim
         di = self.dim + other.dim - ds
         if di == 0:
-            return total, Subspace(n, ())
+            return total, Subspace.zero(n)
         if di == self.dim:
             return total, self
         if di == other.dim:
@@ -268,11 +278,7 @@ class Subspace:
         """Span of this subspace plus extra integer rows (fast path: this
         basis is already reduced, only the new rows get eliminated)."""
         out = sum_rows(self.ech_pairs, rows, self.ambient_dim)
-        if out is None:
-            return self
-        if len(out) == self.ambient_dim:
-            return Subspace.full(self.ambient_dim)
-        return Subspace(self.ambient_dim, out)
+        return self if out is None else Subspace.of(self.ambient_dim, out)
 
     def sum_dim(self, rows: Iterable) -> int:
         """dim(self + span(rows)); the hot path of the dimension search."""
@@ -313,7 +319,7 @@ def canonicalize(ambient_dim: int, generators) -> Subspace:
             raise ValueError(
                 f"generator length {len(r)} != ambient {ambient_dim}"
             )
-    return Subspace(ambient_dim, sum_rows((), int_rows, ambient_dim) or ())
+    return Subspace.of(ambient_dim, sum_rows((), int_rows, ambient_dim) or ())
 
 
 def intersect_rows(rows_a, rows_b, ambient_dim: int, pivots_a) -> tuple:

@@ -49,6 +49,8 @@ import re
 import sys
 from dataclasses import dataclass
 from functools import reduce
+from itertools import product
+from math import gcd
 
 from .polyhedral import SpanComplex, _max_cell_sum, dim_sum_with_subspace
 from .rational_linalg import Subspace, sum_rows
@@ -86,14 +88,24 @@ class CandidateSet:
 
 @dataclass(frozen=True, slots=True)
 class SearchResult:
+    """The best objective found, its proven lower bound and the witnesses;
+    `upper_bound` and `certified` are derived, so certified holds exactly
+    when the two bounds meet."""
+
     value: int
     lower_bound: int
-    upper_bound: int
-    certified: bool
     witness_S: Subspace
     witness_T: Subspace
     strategy: str
     candidates_evaluated: int
+
+    @property
+    def upper_bound(self) -> int:
+        return self.value
+
+    @property
+    def certified(self) -> bool:
+        return self.value == self.lower_bound
 
     def to_json_dict(self) -> dict:
         return {
@@ -216,47 +228,27 @@ def exhaustive_candidates(n: int, height_bound: int) -> tuple:
                 seen.add(bigger)
                 grown.append(bigger)
         frontier = grown
-    # {0} and R^n come as their shared instances
-    return tuple(Subspace.zero(n) if not rows else Subspace.full(n)
-                 if len(rows) == n else Subspace(n, rows)
+    return tuple(Subspace.of(n, rows)
                  for rows in sorted(seen, key=lambda rows: (len(rows), rows)))
 
 
 def _primitive_vectors(n: int, height: int) -> list:
     """Primitive integer vectors with entries in [−height, height], first
     nonzero entry positive (one representative per line), sorted."""
-    from math import gcd
-
-    out = []
-    stack = [()]
-    for _ in range(n):
-        stack = [v + (x,) for v in stack for x in range(-height, height + 1)]
-    for v in stack:
-        lead = next((x for x in v if x), 0)
-        if lead <= 0:
-            continue
-        g = 0
-        for x in v:
-            g = gcd(g, x)
-            if g == 1:
-                break
-        if g == 1:
-            out.append(v)
-    out.sort()
-    return out
+    return [v for v in product(range(-height, height + 1), repeat=n)
+            if next((x for x in v if x), 0) > 0 and gcd(*v) == 1]
 
 
-_STRATEGY_RE = re.compile(
-    r"\s*(lattice|exhaustive)\s*(?:\(\s*([^()]*)\s*\))?\s*\Z"
-)
+_STRATEGY_RE = re.compile(r"\s*(lattice|exhaustive)\s*"
+                          r"(?:\(\s*([a-z]+)\s*=\s*([0-9]+)\s*\)\s*)?\Z")
 
-# each kind's one parameter and its default
-_STRATEGY_PARAMS = {"lattice": ("cap", DEFAULT_CAP),
-                    "exhaustive": ("height", DEFAULT_HEIGHT)}
+# each kind's one parameter, its default and its least legal value
+_STRATEGY_PARAMS = {"lattice": ("cap", DEFAULT_CAP, 1),
+                    "exhaustive": ("height", DEFAULT_HEIGHT, 0)}
 
 
 def _parse_strategy(text: str) -> tuple:
-    """Normalize a strategy descriptor.
+    """Normalize a strategy descriptor: `kind` or `kind(name=N)`.
 
     Accepts e.g. "lattice", "lattice(cap=500)", "exhaustive(height=2)".
     Returns (kind, its parameter's value, canonical descriptor string).
@@ -264,62 +256,33 @@ def _parse_strategy(text: str) -> tuple:
     m = _STRATEGY_RE.match(text)
     if not m:
         raise ValueError(f"invalid strategy {text!r}")
-    kind, argtext = m.group(1), m.group(2)
-    name, value = _STRATEGY_PARAMS[kind]
-    given = False
-    for piece in (argtext or "").split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
-        key, eq, raw = piece.partition("=")
-        key = key.strip()
-        if not eq or key != name:
-            raise ValueError(f"invalid strategy parameter {piece!r}")
-        if given:
-            raise ValueError(f"strategy parameter {key} given twice")
-        given = True
-        try:
-            value = int(raw.strip())
-        except ValueError:
-            raise ValueError(
-                f"strategy parameter {key} must be an integer"
-            ) from None
-    if kind == "lattice" and value < 1:
-        raise ValueError("cap must be positive")
-    if value < 0:
-        raise ValueError("height must be nonnegative")
+    kind, key, raw = m.groups()
+    name, value, least = _STRATEGY_PARAMS[kind]
+    if key is not None:
+        if key != name:
+            raise ValueError(f"strategy {kind} takes {name}, not {key}")
+        value = int(raw)
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}")
     # one shared string per strategy, however many results name it
     return kind, value, sys.intern(f"{kind}({name}={value})")
 
 
-def amoeba_dim(sigma: SpanComplex, strategy: str | None = None,
-               extra_candidates=()) -> SearchResult:
-    """Minimize the objective over {0, R^n}, the extra candidates and the
-    strategy's candidates; the default strategy is `DEFAULT_STRATEGY`.
+def amoeba_dim(sigma: SpanComplex,
+               strategy: str | None = None) -> SearchResult:
+    """Minimize the objective over the strategy's candidates; the default
+    strategy is `DEFAULT_STRATEGY`.
 
-    The cheap candidates are scored first: {0}, R^n, `extra_candidates`
-    and, for `lattice`, the meet L = ∩ C_i of the cells; for `exhaustive`,
-    its whole height enumeration, whatever the bound.  The lattice closure
-    is built only when the best value is still above the lower bound, and
-    then only its new members are scored.  The lower bound
-
-        max(dim Σ, max over cells i < j of dim(C_i + C_j))
-
-    is proven: for any S, with k = dim(S+Σ), the space (S+C_i) + (S+C_j)
-    contains C_i + C_j, and its dimension is at most 2k − dim S because
-    (S+C_i) ∩ (S+C_j) contains S.  So no S scores below the bound, and
-    `certified` means the value reached it.
-
-    The witness is the canonical minimizer among the candidates scored:
-    smallest value, then smallest dim S, then the lexicographically
-    smallest canonical basis.  It does not depend on the scoring order.
-    When L attains the value, L is the canonical minimizer over all
-    subspaces: L lies in every cell and scores 2d − dim L (d = dim Σ); any
-    S with objective v has dim(S+Σ) ≥ d, so dim S ≥ 2d − v, and equality
-    forces dim(S+C_i) = d for every cell, so S ⊆ L.  At n ≤ 4, a `lattice`
-    run that stops at the bound before the closure has {0}, L or R^n as
-    its witness, each the canonical minimizer over all subspaces (see the
-    module docstring), so the height enumeration cannot change it.
+    The cheap candidates are scored first: {0}, R^n and, for `lattice`,
+    the meet L = ∩ C_i of the cells; for `exhaustive`, its whole height
+    enumeration.  The lattice closure is built only when the best value is
+    still above the proven pairwise lower bound, and then only its new
+    members are scored.  The witness is the canonical minimizer among the
+    candidates scored: smallest value, then smallest dim S, then the
+    lexicographically smallest canonical basis, whatever the scoring
+    order.  The module docstring proves the bound, and that a `lattice`
+    stop before the closure at n ≤ 4 yields the canonical minimizer over
+    all subspaces.
 
     Refusals come before any scoring: a cap below the number of cells
     plus 2 (ValueError), and a height the enumeration refuses outright
@@ -331,12 +294,6 @@ def amoeba_dim(sigma: SpanComplex, strategy: str | None = None,
     kind, param, descriptor = _parse_strategy(
         DEFAULT_STRATEGY if strategy is None else strategy)
     cheap = {Subspace.zero(n), Subspace.full(n)}
-    for sub in extra_candidates:
-        if sub.ambient_dim != n:
-            raise ValueError(
-                f"extra candidate in R^{sub.ambient_dim}, complex in R^{n}"
-            )
-        cheap.add(sub)
     if kind == "lattice":
         _check_cap(sigma, param)
         cheap.add(reduce(Subspace.intersect, sigma.cells))
@@ -355,14 +312,11 @@ def amoeba_dim(sigma: SpanComplex, strategy: str | None = None,
     value, _, rows = best
     # {0}, R^n and the cells come as the instances that exist already, so
     # results kept in bulk do not each hold a copy
-    witness = next((sub for sub in (Subspace.zero(n), Subspace.full(n),
-                                    *sigma.cells) if sub.rows == rows),
-                   None) or Subspace(n, rows)
+    witness = next((sub for sub in sigma.cells if sub.rows == rows),
+                   None) or Subspace.of(n, rows)
     return SearchResult(
         value=value,
         lower_bound=lower,
-        upper_bound=value,
-        certified=value == lower,
         witness_S=witness,
         witness_T=reduce_torus(sigma, witness),
         strategy=descriptor,
@@ -371,9 +325,9 @@ def amoeba_dim(sigma: SpanComplex, strategy: str | None = None,
 
 
 def _pairwise_lower_bound(sigma: SpanComplex) -> int:
-    """max(dim Σ, max over cell pairs of dim(C_i + C_j)); see `amoeba_dim`
-    for the proof.  Stops early at min(2·dim Σ, n), which no pair can
-    exceed."""
+    """max(dim Σ, max over cell pairs of dim(C_i + C_j)), proven by the
+    pair lemma in the module docstring.  Stops early at min(2·dim Σ, n),
+    which no pair can exceed."""
     cells = sigma.cells
     top = min(2 * sigma.dim, sigma.ambient_dim)
     bound = sigma.dim
@@ -445,7 +399,7 @@ def reduce_torus(sigma: SpanComplex, sub: Subspace) -> Subspace:
             continue
         kept.append(v)
         grown = bigger
-    return Subspace(n, tuple(kept))
+    return Subspace.of(n, tuple(kept))
 
 
 def detect_near_action(sigma: SpanComplex,

@@ -185,6 +185,17 @@ class TestSumIntersect:
         got = span(3, [(1, 1, 0), (0, 0, 1)]).intersect(span(3, [(1, 0, 0), (0, 1, 1)]))
         assert got.rows == ((1, 1, 1),)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_trivial_results_are_the_shared_instances(self, n):
+        # `Subspace.of` alone decides when a result is {0} or R^n
+        identity = [[int(i == j) for j in range(n)] for i in range(n)]
+        assert canonicalize(n, identity) is Subspace.full(n)
+        assert canonicalize(n, []) is Subspace.zero(n)
+        axis, diagonal = span(n, [identity[0]]), span(n, [[1] * n])
+        if n > 1:
+            assert axis.intersect(diagonal) is Subspace.zero(n)
+        assert span(n, identity[1:]).sum(diagonal) is Subspace.full(n)
+
     def test_ambient_mismatch(self):
         with pytest.raises(ValueError):
             span(2, [(1, 0)]).sum(span(3, [(1, 0, 0)]))

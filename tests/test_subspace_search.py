@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from functools import reduce
@@ -13,9 +14,11 @@ from amoebadim.families import torus_invariant, tropical_hyperplane
 from amoebadim.polyhedral import SpanComplex, parse_complex, product
 from amoebadim.rational_linalg import Subspace, canonicalize, direct_sum
 from amoebadim.subspace_search import (
+    DEFAULT_CAP,
     DEFAULT_STRATEGY,
     CandidateSet,
     ResourceLimitError,
+    SearchResult,
     amoeba_dim,
     candidate_lattice,
     detect_near_action,
@@ -101,6 +104,36 @@ def reference_lattice(sigma, cap):
                 break
         i += 1
     return tuple(sorted(found, key=Subspace.sort_key)), complete
+
+
+def reference_lower_bound(sigma):
+    """max(dim Σ, max over cell pairs of dim(C_i + C_j)), by its
+    definition."""
+    return max([sigma.dim] + [a.sum(b).dim
+                              for a, b in combinations(sigma.cells, 2)])
+
+
+def reference_best(sigma, family):
+    """The least (objective, dim S, rows of S) over a family, each member
+    scored with `objective`: the witness rule without `_score`'s
+    pruning."""
+    return min((objective(sigma, sub), sub.dim, sub.rows) for sub in family)
+
+
+def reference_search(sigma, cheap, cap):
+    """The lattice search by its definition: the least triple over {0},
+    R^n and the cheap family, joined by the closure when that stays above
+    the pairwise bound; also the size of the family scored."""
+    n = sigma.ambient_dim
+    family = {Subspace.zero(n), Subspace.full(n), *cheap}
+    if reference_best(sigma, family)[0] > reference_lower_bound(sigma):
+        family.update(candidate_lattice(sigma, cap))
+    return reference_best(sigma, family), len(family)
+
+
+def outcome(res):
+    """A result's value and witness as the triple `reference_best` gives."""
+    return res.value, res.witness_S.dim, res.witness_S.rows
 
 
 class TestObjective:
@@ -292,6 +325,12 @@ class TestExhaustiveCandidates:
         with pytest.raises(ResourceLimitError, match="exceeded 50"):
             exhaustive_candidates(4, 1)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_ends_are_the_shared_instances(self, n):
+        family = exhaustive_candidates(n, 1)
+        assert family[0] is Subspace.zero(n)
+        assert family[-1] is Subspace.full(n)
+
     def test_bad_parameters(self):
         with pytest.raises(ValueError):
             exhaustive_candidates(-1, 1)
@@ -370,9 +409,13 @@ class TestAmoebaDim:
     @pytest.mark.parametrize("bad", [
         "annealing", "lattice(cap=0)", "lattice(height=2)", "combined(",
         "exhaustive(height=-1)", "lattice(cap=ten)", "lattice()extra",
-        "lattice(cap=5,cap=7)", "exhaustive(cap=5)",
+        "lattice(cap=5,cap=7)", "exhaustive(cap=5)", "lattice(height=500)",
+        "lattice(cap=5,)", "lattice(,cap=5)", "lattice(cap=+5)",
+        "lattice(cap=1_000)", "exhaustive(height=\u0663)", "lattice()",
     ])
     def test_invalid_strategy(self, bad):
+        with pytest.raises(ValueError):
+            subspace_search._parse_strategy(bad)
         with pytest.raises(ValueError):
             amoeba_dim(curve_fan3(), strategy=bad)
 
@@ -381,21 +424,6 @@ class TestAmoebaDim:
     def test_combined_is_not_a_strategy(self, gone):
         with pytest.raises(ValueError, match="invalid strategy"):
             amoeba_dim(curve_fan3(), strategy=gone)
-
-    def test_extra_candidates_ambient_checked(self):
-        with pytest.raises(ValueError):
-            amoeba_dim(curve_fan3(), extra_candidates=[Subspace.zero(2)])
-
-    def test_extra_candidates_can_improve(self):
-        # an exhaustive height-1 family in R^2 misses span((1,2)); handing
-        # it in as an extra candidate lets the search certify
-        sigma = single_cell(2, (1, 2))
-        plain = amoeba_dim(sigma, strategy="exhaustive(height=1)")
-        assert plain.value == 2
-        helped = amoeba_dim(sigma, strategy="exhaustive(height=1)",
-                            extra_candidates=[span(2, (1, 2))])
-        assert helped.value == 1
-        assert helped.certified
 
     def test_zero_and_full_witnesses_are_shared(self):
         # results kept in bulk do not each hold their own {0} or R^n
@@ -427,6 +455,21 @@ class TestAmoebaDim:
         assert doc["witness_T"] == []
         assert json.loads(json.dumps(doc)) == doc
 
+    def test_upper_bound_and_certified_are_derived(self):
+        # only the value and the lower bound are stored, so no result can
+        # claim `certified` while the two differ
+        assert [f.name for f in dataclasses.fields(SearchResult)] == [
+            "value", "lower_bound", "witness_S", "witness_T", "strategy",
+            "candidates_evaluated",
+        ]
+        res = amoeba_dim(plucker())
+        keys = list(res.to_json_dict())
+        for value in range(res.lower_bound - 1, res.lower_bound + 2):
+            moved = dataclasses.replace(res, value=value)
+            assert moved.upper_bound == value
+            assert moved.certified == (value == res.lower_bound)
+            assert list(moved.to_json_dict()) == keys
+
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_result_invariants(self, seed):
@@ -436,8 +479,7 @@ class TestAmoebaDim:
         res = amoeba_dim(sigma, strategy="lattice(cap=300)")
         d = sigma.dim
         assert d <= res.lower_bound <= res.value == res.upper_bound
-        assert res.lower_bound == max(
-            [d] + [a.sum(b).dim for a, b in combinations(sigma.cells, 2)])
+        assert res.lower_bound == reference_lower_bound(sigma)
         assert res.value <= min(2 * d, n)
         assert objective(sigma, res.witness_S) == res.value
         assert res.witness_S.contains_subspace(res.witness_T)
@@ -519,13 +561,6 @@ class TestPairwiseLowerBound:
                            match=f"below number of cells \\+ 2 = {cells}"):
             amoeba_dim(tropical_hyperplane(n), strategy=strategy)
 
-    def test_extra_candidates_refused_before_any_work(self, monkeypatch):
-        forbid(monkeypatch, "candidate_lattice", "exhaustive_candidates")
-        with pytest.raises(ValueError,
-                           match=r"extra candidate in R\^3, complex in R\^4"):
-            amoeba_dim(tropical_hyperplane(4),
-                       extra_candidates=[Subspace.zero(3)])
-
 
 def reference_meet(sigma):
     """The intersection of all cells, through `reference_pair`."""
@@ -536,22 +571,6 @@ class TestIncrementalMerge:
     """Scoring the closure after the cheap candidates picks the same value
     and witness as one scan over their union."""
 
-    @staticmethod
-    def one_scan(sigma, cap, res):
-        # `lattice` scores {0}, R^n and the meet of the cells first
-        meet = reference_meet(sigma)
-        cheap = "exhaustive(height=0)"
-        first = amoeba_dim(sigma, strategy=cheap, extra_candidates=[meet])
-        built = first.value > res.lower_bound
-        extras = candidate_lattice(sigma, cap) if built else ()
-        return amoeba_dim(sigma, strategy=cheap,
-                          extra_candidates=[meet, *extras])
-
-    @staticmethod
-    def outcome(res):
-        return (res.value, res.lower_bound, res.certified, res.witness_S,
-                res.witness_T)
-
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_matches_one_scan_over_the_union(self, seed):
@@ -559,9 +578,12 @@ class TestIncrementalMerge:
         n = rng.randint(1, 4)
         sigma = random_pure_complex(rng, n, num_cells=rng.randint(1, 4))
         res = amoeba_dim(sigma, strategy="lattice(cap=300)")
-        scan = self.one_scan(sigma, 300, res)
-        assert self.outcome(res) == self.outcome(scan)
-        assert res.candidates_evaluated == scan.candidates_evaluated
+        # `lattice` scores {0}, R^n and the meet of the cells first
+        best, scored = reference_search(sigma, [reference_meet(sigma)], 300)
+        assert outcome(res) == best
+        assert res.lower_bound == reference_lower_bound(sigma)
+        assert res.witness_T == reduce_torus(sigma, Subspace(n, best[2]))
+        assert res.candidates_evaluated == scored
 
     @pytest.mark.parametrize("left", [True, False])
     def test_closure_tie_beats_the_full_space(self, left):
@@ -651,18 +673,18 @@ class TestEnumerationOnRequest:
     @pytest.mark.parametrize("name", GOLDEN_FANS + [
         f"seed{seed}" for seed in range(60)])
     def test_golden_fans_match_the_enumerating_search(self, name):
-        # the height-1 enumeration handed in on top of the default search
-        # changes no outcome, on the golden fans and on seeded random ones
+        # the height-1 enumeration added to the default search's cheap
+        # stage changes no outcome, on the golden fans and on seeded
+        # random ones
         if name.startswith("seed"):
             sigma = seeded_complex(int(name[4:]))
         else:
             sigma = parse_complex((DATA / f"{name}.fan.json").read_text())
         n = sigma.ambient_dim
-        res = amoeba_dim(sigma)
-        full = amoeba_dim(sigma, extra_candidates=exhaustive_candidates(
-            n, 1) if n <= 4 else ())
-        assert TestIncrementalMerge.outcome(res) == \
-            TestIncrementalMerge.outcome(full)
+        cheap = [reference_meet(sigma),
+                 *(exhaustive_candidates(n, 1) if n <= 4 else ())]
+        best, _ = reference_search(sigma, cheap, DEFAULT_CAP)
+        assert outcome(amoeba_dim(sigma)) == best
 
     @pytest.mark.parametrize("height,sigma", [
         (4, hyperplane(3)), (1, tropical_hyperplane(7)),
@@ -885,9 +907,9 @@ class TestProductCandidates:
         both = product(left, right)
         extras = [direct_sum(a, b) for a in candidate_lattice(left, 100)
                   for b in candidate_lattice(right, 100)]
-        res = amoeba_dim(both, extra_candidates=extras)
-        assert res.value == 1 + 2
-        assert res.certified
+        # the direct sums alone reach the proven bound
+        assert reference_best(both, extras)[0] == 1 + 2 == \
+            reference_lower_bound(both)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -903,9 +925,7 @@ class TestProductCandidates:
         v2 = amoeba_dim(right, strategy="lattice(cap=200)").value
         extras = [direct_sum(a, b) for a in candidate_lattice(left, 200)
                   for b in candidate_lattice(right, 200)]
-        res = amoeba_dim(product(left, right), strategy="lattice(cap=200)",
-                         extra_candidates=extras)
-        assert res.value <= v1 + v2
+        assert reference_best(product(left, right), extras)[0] <= v1 + v2
 
 
 class TestCandidateSetType:
