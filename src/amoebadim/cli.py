@@ -204,14 +204,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if verdict.verdict == "agree" else 5
 
 
-_COMMANDS = {
-    "dim": cmd_dim,
-    "gen": cmd_gen,
-    "estimate": cmd_estimate,
-    "verify": cmd_verify,
-}
-
-
 def _add_strategy_flags(sub):
     sub.add_argument("--strategy", choices=("lattice", "exhaustive"))
     sub.add_argument("--cap", type=int)
@@ -260,7 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_estimator_flags(verify)
     _add_strategy_flags(verify)
 
-    for sub in (dim, gen, estimate, verify):
+    for sub, run in ((dim, cmd_dim), (gen, cmd_gen),
+                     (estimate, cmd_estimate), (verify, cmd_verify)):
+        sub.set_defaults(run=run)
         sub.add_argument("--output", help="write the JSON here instead of "
                                           "standard output")
     return parser
@@ -276,19 +270,6 @@ def _check_estimator_flags(args: argparse.Namespace) -> None:
     _check_estimator_params(args.trials, args.tol, args.seed)
 
 
-def _refusal_code(exc: RuntimeError) -> int | None:
-    """3 for a resource-limit refusal, 4 when every sample was rejected.
-    Each class is looked up in its module only if the command loaded it:
-    a module that never ran cannot have raised."""
-    search = sys.modules.get(f"{__package__}.subspace_search")
-    if search is not None and isinstance(exc, search.ResourceLimitError):
-        return 3
-    estimator = sys.modules.get(f"{__package__}.estimator")
-    if estimator is not None and isinstance(exc, estimator.EstimatorError):
-        return 4
-    return None
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -302,9 +283,10 @@ def main(argv=None) -> int:
             _check_estimator_flags(args)
         if args.command in ("dim", "verify"):
             args.strategy = _strategy_descriptor(args)
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except RuntimeError as exc:
-        code = _refusal_code(exc)
+        # a refusal carries its exit code; any other error propagates
+        code = getattr(exc, "exit_code", None)
         if code is None:
             raise
         print(f"error: {exc}", file=sys.stderr)

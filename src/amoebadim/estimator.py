@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 DEFAULT_TRIALS = 20
@@ -58,6 +58,8 @@ class VarietyFormatError(ValueError):
 
 class EstimatorError(RuntimeError):
     """No sample survived; the estimate does not exist."""
+
+    exit_code = 4
 
 
 def _check_dim(label, value):
@@ -192,12 +194,7 @@ class CrossCheckResult:
     verdict: str
 
     def to_json_dict(self) -> dict:
-        return {
-            "combinatorial": self.combinatorial,
-            "numerical": self.numerical,
-            "certified": self.certified,
-            "verdict": self.verdict,
-        }
+        return asdict(self)
 
 
 class _Monomials:
@@ -248,17 +245,6 @@ class _Monomials:
         return values, partials
 
 
-def _first_failure(count, *checks):
-    """Per sample, the code of the first (code, failed mask) check it
-    fails, 0 where it passes them all."""
-    import numpy as np
-
-    reasons = np.zeros(count, dtype=np.int8)
-    for code, failed in reversed(checks):
-        reasons[failed] = code
-    return reasons
-
-
 def log_jacobian(poly: _Monomials, z):
     """Jacobians of log|phi| at the points z (B, m), phi the n polynomials
     of `poly`, and a rejection code per point.
@@ -275,13 +261,9 @@ def log_jacobian(poly: _Monomials, z):
     values, partials = poly.evaluate(z)
     with np.errstate(all="ignore"):
         q = partials / values[:, :, None]
-    reasons = _first_failure(
-        len(z),
-        (1, (z == 0).any(axis=1)),
-        (2, ~np.isfinite(z).all(axis=1)),
-        (3, (values == 0).any(axis=1)),
-        (4, ~np.isfinite(q).all(axis=(1, 2))),
-    )
+    reasons = np.select([(z == 0).any(axis=1), ~np.isfinite(z).all(axis=1),
+                         (values == 0).any(axis=1),
+                         ~np.isfinite(q).all(axis=(1, 2))], [1, 2, 3, 4])
     matrices = np.empty(q.shape[:2] + (2 * q.shape[2],))
     matrices[:, :, 0::2] = q.real
     matrices[:, :, 1::2] = -q.imag

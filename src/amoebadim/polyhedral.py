@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .rational_linalg import Subspace, canonicalize, direct_sum, format_rational
+from .rational_linalg import Subspace, canonicalize, direct_sum
 
 
 class ComplexFormatError(ValueError):
@@ -130,7 +130,7 @@ def format_complex(sigma: SpanComplex) -> str:
     cells = []
     for cell, label in zip(sigma.cells, sigma.labels):
         entry: dict = {
-            "span": [[format_rational(x) for x in row] for row in cell.rows]
+            "span": [[str(x) for x in row] for row in cell.rows]
         }
         if label is not None:
             entry["label"] = label

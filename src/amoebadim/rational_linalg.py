@@ -42,22 +42,12 @@ def parse_rational(text) -> Fraction:
         raise ValueError(f"not a rational: {text!r}") from exc
 
 
-def format_rational(value: Fraction) -> str:
-    value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
-
-
 def _int_rows(rows: Iterable[Vector]) -> list:
     """Clear denominators row by row (row spans are scale-invariant)."""
     out = []
     for row in rows:
         fr = [parse_rational(x) for x in row]
-        l = 1
-        for x in fr:
-            d = x.denominator
-            l = l * d // gcd(l, d)
+        l = lcm(*(x.denominator for x in fr))
         out.append([int(x * l) for x in fr])
     return out
 

@@ -59,13 +59,14 @@ DEFAULT_CAP = 10000
 DEFAULT_HEIGHT = 1
 DEFAULT_STRATEGY = f"lattice(cap={DEFAULT_CAP})"
 
-_EXHAUSTIVE_MAX_AMBIENT = 6
-_EXHAUSTIVE_MAX_HEIGHT = 3
-_EXHAUSTIVE_BUDGET = 200000
+# largest height enumerated in R^n for n < 6; only 0 (family {0}) beyond
+_MAX_HEIGHT = (3, 3, 3, 3, 1, 1)
 
 
 class ResourceLimitError(RuntimeError):
-    """Raised instead of silently truncating an exhaustive enumeration."""
+    """An enumeration refused before any work; the CLI exits `exit_code`."""
+
+    exit_code = 3
 
 
 @dataclass(frozen=True)
@@ -191,22 +192,25 @@ def exhaustive_candidates(n: int, height_bound: int) -> tuple:
 
     Grown breadth-first one primitive generator at a time, as bare
     canonical rows fed to `sum_rows`; each Subspace is built once, at the
-    end.  Large requests are refused outright, before any work (height 0
-    is admitted in every dimension: its family is {0}), and so is any run
-    past `_EXHAUSTIVE_BUDGET` subspaces, rather than silently truncating.
+    end.  A height above `_MAX_HEIGHT[n]` is refused before any work.
+    Sizes (n, height: members), as this enumeration counts them: 1, 3: 2;
+    2, 1: 6; 2, 2: 10; 2, 3: 18; 3, 1: 40; 3, 2: 400; 3, 3: 3,364 (2-3 s);
+    4, 1: 1,084; 5, 1: 190,264 (2 to 4 minutes).  (4, 2) and (6, 1)
+    each have over 200,000.  The family at height h lies in the one at
+    h + 1, and the family in R^n, padded with zeros, in the one in
+    R^(n+1); so every other refused pair with height ≤ 3 is larger still.
     """
     if n < 0:
         raise ValueError("ambient dimension < 0")
     if height_bound < 0:
         raise ValueError("height bound < 0")
-    if height_bound and (n > _EXHAUSTIVE_MAX_AMBIENT
-                         or height_bound > _EXHAUSTIVE_MAX_HEIGHT):
+    limit = _MAX_HEIGHT[n] if n < len(_MAX_HEIGHT) else 0
+    if height_bound > limit:
         raise ResourceLimitError(
             f"exhaustive enumeration refused for n={n}, "
-            f"height={height_bound} (supported: n ≤ {_EXHAUSTIVE_MAX_AMBIENT}, "
-            f"height ≤ {_EXHAUSTIVE_MAX_HEIGHT})"
+            f"height={height_bound} (R^{n} admits height ≤ {limit})"
         )
-    vectors = _primitive_vectors(n, height_bound) if height_bound else ()
+    vectors = _primitive_vectors(n, height_bound)
     seen = {()}
     frontier = [()]
     while frontier:
@@ -218,15 +222,9 @@ def exhaustive_candidates(n: int, height_bound: int) -> tuple:
                         for r in rows)
             for v in vectors:
                 bigger = sum_rows(ech, (v,), n)
-                if bigger is None or bigger in seen:
-                    continue
-                if len(seen) >= _EXHAUSTIVE_BUDGET:
-                    raise ResourceLimitError(
-                        "exhaustive enumeration exceeded "
-                        f"{_EXHAUSTIVE_BUDGET} subspaces"
-                    )
-                seen.add(bigger)
-                grown.append(bigger)
+                if bigger is not None and bigger not in seen:
+                    seen.add(bigger)
+                    grown.append(bigger)
         frontier = grown
     return tuple(Subspace.of(n, rows)
                  for rows in sorted(seen, key=lambda rows: (len(rows), rows)))
@@ -285,7 +283,7 @@ def amoeba_dim(sigma: SpanComplex,
     all subspaces.
 
     Refusals come before any scoring: a cap below the number of cells
-    plus 2 (ValueError), and a height the enumeration refuses outright
+    plus 2 (ValueError), and a height the enumeration refuses
     (ResourceLimitError, raised by `exhaustive_candidates` before it
     builds anything).
     """

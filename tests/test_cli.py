@@ -634,7 +634,7 @@ else:
     @pytest.mark.parametrize("argv,code,error", [
         (("dim", "h3.json", "--strategy", "exhaustive", "--height", "4"), 3,
          "exhaustive enumeration refused for n=3, height=4 "
-         "(supported: n ≤ 6, height ≤ 3)"),
+         "(R^3 admits height ≤ 3)"),
         (("estimate", "zero.json", "--kind", "param"), 4,
          "all 20 samples were rejected"),
         (("verify", "line.json", "zero.json", "--kind", "param"), 4,

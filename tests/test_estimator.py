@@ -168,7 +168,9 @@ class TestLogJacobian:
         assert jacobians(SURFACE, [1 + 1j, 2 - 1j])[0].shape == (1, 3, 4)
 
     def test_zero_coordinate_rejected(self):
-        assert jacobians(MOMENT, [0], [1])[1].tolist() == [1, 0]
+        # at 0 both components vanish too, and code 1 comes first
+        assert jacobians(MOMENT, [0], [1], [math.inf])[1].tolist() == \
+            [1, 0, 2]
 
     def test_vanishing_component_rejected(self):
         shifted = param(1, 1, [(1, (1,)), (-1, (0,))])  # t - 1

@@ -12,7 +12,6 @@ from amoebadim.rational_linalg import (
     Subspace,
     canonicalize,
     complement_rows,
-    format_rational,
     intersect_rows,
     parse_rational,
     sum_rows,
@@ -365,11 +364,9 @@ class TestSumDim:
 
 class TestSerialization:
     def test_integer_form(self):
-        assert format_rational(Fraction(5)) == "5"
         assert parse_rational("5") == 5
 
     def test_fraction_form(self):
-        assert format_rational(Fraction(-2, 6)) == "-1/3"
         assert parse_rational("-1/3") == Fraction(-1, 3)
 
     def test_reduction_on_parse(self):
@@ -382,7 +379,7 @@ class TestSerialization:
 
     @given(st.fractions())
     def test_round_trip(self, q):
-        assert parse_rational(format_rational(q)) == q
+        assert parse_rational(str(q)) == q
 
 
 class TestMatrixShape:

@@ -308,22 +308,25 @@ class TestExhaustiveCandidates:
             ((1, 0), (0, 1)),
         }
 
+    # the sizes the `exhaustive_candidates` docstring records; (5, 1),
+    # 190,264 members, takes minutes and is left out
     @pytest.mark.parametrize("n,height,count", [
-        (2, 2, 10), (3, 1, 40), (3, 2, 400), (4, 1, 1084),
+        (1, 3, 2), (2, 1, 6), (2, 2, 10), (2, 3, 18), (3, 1, 40),
+        (3, 2, 400), (3, 3, 3364), (4, 1, 1084),
     ])
     def test_counts(self, n, height, count):
         assert len(exhaustive_candidates(n, height)) == count
 
-    def test_refuses_large_requests(self):
-        with pytest.raises(ResourceLimitError):
-            exhaustive_candidates(7, 1)
-        with pytest.raises(ResourceLimitError):
-            exhaustive_candidates(3, 4)
-
-    def test_budget_refusal_is_loud(self, monkeypatch):
-        monkeypatch.setattr(subspace_search, "_EXHAUSTIVE_BUDGET", 50)
-        with pytest.raises(ResourceLimitError, match="exceeded 50"):
-            exhaustive_candidates(4, 1)
+    def test_refuses_large_requests(self, monkeypatch):
+        # every refused pair with n ≤ 7 and height ≤ 3, and one height
+        # above 3; a refusal builds nothing
+        forbid(monkeypatch, "sum_rows", "_primitive_vectors")
+        refused = [(4, 2), (4, 3), (5, 2), (5, 3),
+                   *((n, h) for n in (6, 7) for h in (1, 2, 3)), (3, 4)]
+        for n, height in refused:
+            with pytest.raises(ResourceLimitError,
+                               match=f"refused for n={n}, height={height} "):
+                exhaustive_candidates(n, height)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_ends_are_the_shared_instances(self, n):
