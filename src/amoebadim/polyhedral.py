@@ -48,6 +48,8 @@ class SpanComplex:
         labels = self.labels
         if labels is None:
             labels = [None] * len(cells)
+        elif isinstance(labels, str):
+            raise ComplexFormatError("labels must be a sequence, not a string")
         elif len(labels) != len(cells):
             raise ComplexFormatError("one label per cell, or none at all")
         for i, label in enumerate(labels):
@@ -78,12 +80,6 @@ class SpanComplex:
     @property
     def dim(self) -> int:
         return self.cells[0].dim
-
-    def __iter__(self):
-        return iter(self.cells)
-
-    def __len__(self) -> int:
-        return len(self.cells)
 
 
 def parse_complex(text: str) -> SpanComplex:

@@ -7,26 +7,24 @@ basis, with each row rescaled to a primitive integer vector (gcd of entries
 rows are equal, which makes deduplication a set lookup.
 
 Every reduction goes through one kernel, `sum_rows`: canonical bases,
-sums, dimensions of sums, membership and (by the Zassenhaus trick at
-double width) intersections.  It eliminates fraction-free over Python
-integers: rows are cleared of denominators up front and kept primitive
-after every update.  This is observationally identical to naive
-elimination over Fraction (the test suite checks that on random inputs)
-but several times faster, which matters because the subspace search
-performs hundreds of thousands of row reductions.
+sums, dimensions of sums and (by the Zassenhaus trick at double width)
+intersections.  It eliminates fraction-free over Python integers: rows
+are cleared of denominators up front and kept primitive after every
+update.  This is observationally identical to naive elimination over
+Fraction (the test suite checks that on random inputs) but several times
+faster, which matters because the subspace search performs hundreds of
+thousands of row reductions.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
 _FULL_CACHE: dict = {}
 _ZERO_CACHE: dict = {}
-
-Vector = Sequence  # rational entries: int, Fraction, or "p/q" strings
 
 
 def parse_rational(text) -> Fraction:
@@ -42,7 +40,7 @@ def parse_rational(text) -> Fraction:
         raise ValueError(f"not a rational: {text!r}") from exc
 
 
-def _int_rows(rows: Iterable[Vector]) -> list:
+def _int_rows(rows: Iterable) -> list:
     """Clear denominators row by row (row spans are scale-invariant)."""
     out = []
     for row in rows:
@@ -127,11 +125,11 @@ class Subspace:
     its rows and checks nothing: the package passes it only rows already
     in canonical form (`sum_rows` output, or rows taken or zero-padded
     from a canonical basis), and a check would re-run the elimination on
-    every search candidate.  Other rows go through canonicalize/span.
+    every search candidate.  Other rows go through canonicalize.
 
-    The hash, the pivots and the complement are derived on first use and
-    kept in slots, not in an instance dict: a search result or a parsed
-    complex kept in bulk holds these objects by the thousand.
+    The hash and the pivots are derived on first use and kept in slots,
+    not in an instance dict: a search result or a parsed complex kept in
+    bulk holds these objects by the thousand.
     """
 
     ambient_dim: int
@@ -140,8 +138,6 @@ class Subspace:
                               compare=False)
     _pivots: tuple | None = field(default=None, init=False, repr=False,
                                   compare=False)
-    _orth: Subspace | None = field(default=None, init=False, repr=False,
-                                   compare=False)
 
     @property
     def dim(self) -> int:
@@ -198,32 +194,6 @@ class Subspace:
         """(pivot, row) pairs ready to seed an elimination, one pass."""
         return zip(self.pivots, self.rows)
 
-    @property
-    def orth(self) -> "Subspace":
-        """Orthogonal complement, cached with the back link to self.
-
-        Complements turn meets into joins: A ∩ B = (A⊥ + B⊥)⊥, a route
-        to an intersection independent of the Zassenhaus pass that
-        `sum_intersect` takes.
-        """
-        o = self._orth
-        if o is None:
-            o = Subspace(self.ambient_dim, complement_rows(
-                self.rows, self.ambient_dim, self.pivots))
-            object.__setattr__(o, "_orth", self)
-            object.__setattr__(self, "_orth", o)
-        return o
-
-    @classmethod
-    def span(cls, ambient_dim: int, generators: Iterable[Vector]) -> "Subspace":
-        return canonicalize(ambient_dim, generators)
-
-    def is_zero(self) -> bool:
-        return not self.rows
-
-    def is_full(self) -> bool:
-        return len(self.rows) == self.ambient_dim
-
     def _check_ambient(self, other: "Subspace") -> None:
         if self.ambient_dim != other.ambient_dim:
             raise ValueError(
@@ -275,27 +245,8 @@ class Subspace:
         return sum_rows(self.ech_pairs, rows, self.ambient_dim,
                         _dim_only=True)
 
-    def contains(self, vector: Vector) -> bool:
-        """Membership test: true iff the vector lies in the subspace."""
-        row = _int_rows([vector])[0]
-        if len(row) != self.ambient_dim:
-            raise ValueError(
-                f"vector length {len(row)} != ambient {self.ambient_dim}"
-            )
-        return sum_rows(self.ech_pairs, (row,), self.ambient_dim,
-                        _dim_only=True) == self.dim
-
-    def contains_subspace(self, other: "Subspace") -> bool:
-        self._check_ambient(other)
-        return self.sum_dim(other.rows) == self.dim
-
     def sort_key(self) -> tuple:
         return (len(self.rows), self.rows)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        if self.is_zero():
-            return f"Subspace({self.ambient_dim}, zero)"
-        return f"Subspace({self.ambient_dim}, {list(map(list, self.rows))})"
 
 
 def canonicalize(ambient_dim: int, generators) -> Subspace:

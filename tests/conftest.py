@@ -1,6 +1,7 @@
-"""Shared test helpers: an independent naive-Fraction row reducer used as a
-reference implementation, small random generators for complexes and
-subspaces, and the environment for child interpreters."""
+"""Shared test helpers: an independent naive-Fraction row reducer and a
+meet through orthogonal complements, used as reference implementations,
+small random generators for complexes and subspaces, and the environment
+for child interpreters."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
-from amoebadim.rational_linalg import Subspace, canonicalize
+from amoebadim.rational_linalg import Subspace, canonicalize, complement_rows
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -66,6 +67,19 @@ def reference_canonical(rows, n):
             g = -g
         out.append(tuple(v // g for v in ints))
     return tuple(out)
+
+
+def complement(sub: Subspace) -> tuple:
+    """Canonical rows of the orthogonal complement of `sub`."""
+    return complement_rows(sub.rows, sub.ambient_dim, sub.pivots)
+
+
+def reference_meet(a: Subspace, b: Subspace) -> Subspace:
+    """a ∩ b as (a⊥ + b⊥)⊥: a route to the meet through complements,
+    independent of the Zassenhaus pass that `Subspace.intersect` takes."""
+    n = a.ambient_dim
+    join = canonicalize(n, complement(a) + complement(b))
+    return canonicalize(n, complement(join))
 
 
 def random_subspace(rng: random.Random, n: int, max_dim: int | None = None,

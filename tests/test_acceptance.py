@@ -131,7 +131,8 @@ def test_a3_torus_invariant_additivity(capsys, tmp_path):
     report = detect_near_action(sigma)
     assert report.drop
     assert report.witness is not None
-    assert not report.witness.is_zero() and not report.witness.is_full()
+    assert report.witness.dim != 0
+    assert report.witness != Subspace.full(sigma.ambient_dim)
 
     oracle = min(objective(sigma, sub)
                  for sub in exhaustive_candidates(4, 1))
@@ -221,7 +222,7 @@ def test_a6_reduce_torus_contract():
         sub = random_subspace(rng, n)
         t = reduce_torus(sigma, sub)
         target = dim_sum_with_subspace(sigma, sub)
-        ok = (sub.contains_subspace(t)
+        ok = (sub.sum_dim(t.rows) == sub.dim
               and t.dim == target - sigma.dim
               and dim_sum_with_subspace(sigma, t) == target)
         failures += not ok

@@ -29,7 +29,7 @@ def span(n, *gens):
 
 def cellwise_invariant(sigma, sub):
     """S lies in every cell span (a sufficient condition for S + |Σ| = |Σ|)."""
-    return all(cell.contains_subspace(sub) for cell in sigma.cells)
+    return all(cell.sum(sub) == cell for cell in sigma.cells)
 
 
 def hyperplane3():
@@ -54,7 +54,7 @@ class TestParse:
         }))
         assert sigma.ambient_dim == 3
         assert sigma.dim == 2
-        assert len(sigma) == 1
+        assert len(sigma.cells) == 1
         assert sigma.cells[0] == span(3, (1, 0, 0), (0, 1, 0))
 
     def test_purity_rejected(self):
@@ -76,7 +76,7 @@ class TestParse:
                 {"span": [["2", "0"], ["0", "1"]]},
             ],
         }))
-        assert len(sigma) == 1
+        assert len(sigma.cells) == 1
 
     def test_dependent_rows_collapse(self):
         sigma = parse_complex(json.dumps({
@@ -87,7 +87,7 @@ class TestParse:
             ],
         }))
         assert sigma.dim == 2
-        assert len(sigma) == 2
+        assert len(sigma.cells) == 2
 
     def test_rational_entries(self):
         sigma = parse_complex(json.dumps({
@@ -202,6 +202,12 @@ class TestSpanComplex:
         with pytest.raises(ComplexFormatError, match="cell 0: label"):
             SpanComplex(2, [span(2, (1, 0))], labels=[5])
 
+    def test_labels_string_refused(self):
+        # a string is a sequence of one-letter labels; it must not be
+        # split across the cells
+        with pytest.raises(ComplexFormatError, match="not a string"):
+            SpanComplex(2, [span(2, (1, 0)), span(2, (0, 1))], labels="ab")
+
     def test_constructor_without_labels_keeps_cells(self):
         # `labels` defaults to None; the complex must still serialize its
         # cells and survive a Minkowski sum.
@@ -244,7 +250,14 @@ class TestSpanComplex:
     def test_zero_dim_complex(self):
         sigma = SpanComplex(2, [Subspace.zero(2)])
         assert sigma.dim == 0
-        assert len(sigma) == 1
+        assert len(sigma.cells) == 1
+
+    def test_public_surface(self):
+        # a new public name on SpanComplex is a deliberate edit here; the
+        # complex is no container, its cells are read through `cells`
+        public = sorted(k for k in vars(SpanComplex) if not k.startswith("_"))
+        assert public == ["ambient_dim", "cells", "dim", "labels"]
+        assert not {"__iter__", "__len__"} & set(vars(SpanComplex))
 
 
 class TestDimSum:
@@ -311,8 +324,8 @@ class TestMinkowski:
         sigma = SpanComplex(2, [span(2, (1, 0)), span(2, (0, 1))])
         out = torus_invariant(sigma, span(2, (1, 1)))
         assert out.dim == 2
-        assert len(out) == 1
-        assert out.cells[0].is_full()
+        assert len(out.cells) == 1
+        assert out.cells[0] == Subspace.full(2)
 
     def test_impure_sum_rejected(self):
         # (1,1,1) lies in span(e_i, -e1-e2-e3) for each i, so those three
@@ -392,7 +405,7 @@ class TestProduct:
         out = product(curve, curve)
         assert out.ambient_dim == 4
         assert out.dim == 2
-        assert len(out) == 9
+        assert len(out.cells) == 9
         # same nine planes out of an independent construction
         expected = {
             canonicalize(4, [list(a) + [0, 0], [0, 0] + list(b)])
@@ -406,7 +419,7 @@ class TestProduct:
         out = product(left, right)
         assert out.ambient_dim == 5
         assert out.dim == left.dim + right.dim
-        assert len(out) == len(left) * len(right)
+        assert len(out.cells) == len(left.cells) * len(right.cells)
 
     def test_single_cells_give_direct_sum(self):
         left = SpanComplex(2, [span(2, (1, 2))])
