@@ -318,6 +318,43 @@ class TestIntersectRows:
         assert intersect_rows(u.rows, other, n, u.pivots) == want
 
 
+def contains(u, vec):
+    """Membership the way the package tests it: adding the vector leaves
+    the dimension unchanged."""
+    return u.sum_dim([list(vec)]) == u.dim
+
+
+class TestMembership:
+    def test_axis_membership(self):
+        assert contains(span(2, [(1, 0)]), (3, 0))
+        assert not contains(span(2, [(1, 0)]), (0, 1))
+
+    def test_rational_multiple(self):
+        # a rational vector enters through canonicalize
+        line = span(2, [("1/2", 1)])
+        assert contains(span(2, [(1, 2)]), line.rows[0])
+        assert not contains(span(2, [(1, 3)]), line.rows[0])
+
+    def test_zero_vector_everywhere(self):
+        assert contains(Subspace.zero(3), (0, 0, 0))
+        assert not contains(Subspace.zero(3), (1, 0, 0))
+
+    def test_full_space_contains_everything(self):
+        for vec in ((1, -7, 0), (0, 0, 0), (0, 0, 5)):
+            assert contains(Subspace.full(3), vec)
+
+    @settings(max_examples=300)
+    @given(int_matrix(max_n=4, max_rows=3), st.lists(entries, min_size=1, max_size=4))
+    def test_membership_iff_orthogonal_to_complement(self, case, vec):
+        n, rows = case
+        vec = vec[:n] + [0] * (n - len(vec))
+        u = span(n, rows)
+        orthogonal = all(sum(x * y for x, y in zip(vec, w)) == 0
+                         for w in complement(u))
+        assert contains(u, vec) == orthogonal
+        assert contains(u, vec) == (u.sum(span(n, [vec])).dim == u.dim)
+
+
 class TestSumDim:
     @settings(max_examples=300)
     @given(int_matrix(max_n=5, max_rows=4), st.data())
