@@ -13,6 +13,7 @@ import importlib
 _EXPORTS = {
     "ComplexFormatError": "polyhedral",
     "CrossCheckResult": "estimator",
+    "DegreeLimitError": "estimator",
     "EstimatorError": "estimator",
     "ImplicitHypersurface": "estimator",
     "NearActionReport": "subspace_search",

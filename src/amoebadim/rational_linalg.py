@@ -116,6 +116,18 @@ def sum_rows(ech_pairs, rows, ambient_dim: int, _dim_only: bool = False):
     return tuple(tuple(r) for _, r in ech)
 
 
+def _checked_rows(rows: Iterable, ambient_dim: int) -> tuple:
+    """The rows as a tuple, refused unless each has ambient_dim entries;
+    the check sits at the Subspace methods, outside sum_rows' loop."""
+    rows = tuple(rows)
+    for r in rows:
+        if len(r) != ambient_dim:
+            raise ValueError(
+                f"row length {len(r)} != ambient {ambient_dim}"
+            )
+    return rows
+
+
 @dataclass(frozen=True, slots=True)
 class Subspace:
     """A rational linear subspace of R^n in canonical basis form.
@@ -236,13 +248,17 @@ class Subspace:
 
     def sum_with_rows(self, rows: Iterable) -> "Subspace":
         """Span of this subspace plus extra integer rows (fast path: this
-        basis is already reduced, only the new rows get eliminated)."""
-        out = sum_rows(self.ech_pairs, rows, self.ambient_dim)
-        return self if out is None else Subspace.of(self.ambient_dim, out)
+        basis is already reduced, only the new rows get eliminated).
+        Raises ValueError for a row whose length is not ambient_dim."""
+        n = self.ambient_dim
+        out = sum_rows(self.ech_pairs, _checked_rows(rows, n), n)
+        return self if out is None else Subspace.of(n, out)
 
     def sum_dim(self, rows: Iterable) -> int:
-        """dim(self + span(rows)); the hot path of the dimension search."""
-        return sum_rows(self.ech_pairs, rows, self.ambient_dim,
+        """dim(self + span(rows)); the hot path of the dimension search.
+        Raises ValueError for a row whose length is not ambient_dim."""
+        n = self.ambient_dim
+        return sum_rows(self.ech_pairs, _checked_rows(rows, n), n,
                         _dim_only=True)
 
     def sort_key(self) -> tuple:

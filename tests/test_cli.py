@@ -36,6 +36,15 @@ ZERO_DOC = json.dumps({
     "components": [{"terms": [{"coeff": ["0", "0"], "exponents": [1]}]}],
 })
 
+# y^1000000 - 1: a degree the implicit path refuses before any work
+HUGE_DEGREE_DOC = json.dumps({
+    "ambient_dim": 2,
+    "polynomial": {"terms": [
+        {"coeff": ["1", "0"], "exponents": [0, 10 ** 6]},
+        {"coeff": ["-1", "0"], "exponents": [0, 0]},
+    ]},
+})
+
 # (t, t^2, t^3)
 MOMENT3_DOC = json.dumps({
     "domain_dim": 1, "ambient_dim": 3,
@@ -610,6 +619,22 @@ assert main({[*argv, "--output", "out.json"]!r}) == 0
         assert "numpy" in loaded
         assert loaded.isdisjoint(EXACT_SIDE)
 
+    @pytest.mark.parametrize("argv", [
+        ("estimate", "huge.json", "--kind", "implicit"),
+        ("verify", "h2.json", "huge.json", "--kind", "implicit"),
+    ], ids=("estimate", "verify"))
+    def test_degree_refusal_loads_no_numpy(self, tmp_path, argv):
+        assert main(["gen", "hyperplane", "2",
+                     "--output", str(tmp_path / "h2.json")]) == 0
+        write(tmp_path, "huge.json", HUGE_DEGREE_DOC)
+        script = f"""
+from amoebadim.cli import main
+assert main({list(argv)!r}) == 3
+"""
+        loaded = self.loaded_by(tmp_path, script)
+        assert "amoebadim.estimator" in loaded
+        assert loaded.isdisjoint({"amoebadim.roots", "numpy"})
+
     def test_every_export_resolves(self, tmp_path):
         script = """
 import sys
@@ -639,7 +664,10 @@ else:
          "all 20 samples were rejected"),
         (("verify", "line.json", "zero.json", "--kind", "param"), 4,
          "all 20 samples were rejected"),
-    ], ids=("dim", "estimate", "verify"))
+        (("estimate", "huge.json", "--kind", "implicit"), 3,
+         "implicit input refused: degree 1000000 in x2 "
+         "(at most 64 is solved for)"),
+    ], ids=("dim", "estimate", "verify", "degree"))
     def test_refusal_exit_codes_in_a_fresh_process(self, tmp_path, argv,
                                                    code, error):
         assert main(["gen", "hyperplane", "3",
@@ -647,6 +675,7 @@ else:
         assert main(["gen", "orbit", "1", "e1",
                      "--output", str(tmp_path / "line.json")]) == 0
         write(tmp_path, "zero.json", ZERO_DOC)
+        write(tmp_path, "huge.json", HUGE_DEGREE_DOC)
         proc = subprocess.run(
             [sys.executable, "-m", "amoebadim.cli", *argv], cwd=tmp_path,
             capture_output=True, encoding="utf-8", env=child_env(),

@@ -4,13 +4,17 @@ import math
 import numpy as np
 import pytest
 
+import amoebadim.estimator as estimator
 from amoebadim.estimator import (
+    BLOCK,
     CrossCheckResult,
+    DegreeLimitError,
     EstimatorError,
     ImplicitHypersurface,
     Parametrization,
     RankEstimate,
     VarietyFormatError,
+    _MAX_DEGREE,
     _Monomials,
     _Streams,
     cross_check,
@@ -327,10 +331,31 @@ class TestEstimateRankImplicit:
         est = estimate_rank_implicit(PLANE_IMPL, trials=10, seed=4)
         assert est.rank <= min(3, 2 * 2)
 
+    def test_huge_degree_refused(self):
+        # y^1000000 - 1 would need a (BLOCK, 1000001) coefficient array
+        huge = ImplicitHypersurface(2, ((1, (0, 10 ** 6)), (-1, (0, 0))))
+        with pytest.raises(DegreeLimitError, match="degree 1000000 in x2"):
+            estimate_rank_implicit(huge)
+        assert DegreeLimitError.exit_code == 3
+
+    def test_degree_limit_counts_the_solved_variable(self):
+        # x y^(MAX + 5) - y^5: the limit applies after y^5 is divided out,
+        # and y^(MAX + 1) - x is one over it
+        top = _MAX_DEGREE
+        at_limit = ImplicitHypersurface(
+            2, ((1, (1, top + 5)), (-1, (0, 5))))
+        assert estimate_rank_implicit(at_limit, trials=4, seed=1).rank == 1
+        over = ImplicitHypersurface(2, ((1, (0, top + 1)), (-1, (1, 0))))
+        with pytest.raises(DegreeLimitError):
+            estimate_rank_implicit(over)
+
 
 class TestBlockedSampling:
     """Samples are processed in blocks of BLOCK, but sample k always gets
     child k of the seed sequence and its own arithmetic."""
+
+    # two whole blocks and a partial third
+    TRIALS = 2 * BLOCK + 88
 
     VARIETIES = [
         pytest.param(estimate_rank, MOMENT, id="moment"),
@@ -348,8 +373,8 @@ class TestBlockedSampling:
 
     @pytest.mark.parametrize("estimate,variety", VARIETIES)
     def test_prefix_across_block_boundaries(self, estimate, variety):
-        long = estimate(variety, trials=600, seed=5)
-        for k in (1, 255, 257, 600):
+        long = estimate(variety, trials=self.TRIALS, seed=5)
+        for k in (1, BLOCK - 1, BLOCK + 1, self.TRIALS):
             try:
                 short = estimate(variety, trials=k, seed=5)
             except EstimatorError:
@@ -358,12 +383,23 @@ class TestBlockedSampling:
             assert long.per_sample_ranks[:used] == short.per_sample_ranks
             assert long.per_sample_gaps[:used] == short.per_sample_gaps
 
+    @pytest.mark.parametrize("block", [1, 7, 256])
+    @pytest.mark.parametrize("estimate,variety", VARIETIES)
+    def test_estimate_does_not_depend_on_block_size(self, estimate, variety,
+                                                    block, monkeypatch):
+        shipped = estimate(variety, trials=300, seed=5)
+        monkeypatch.setattr(estimator, "BLOCK", block)
+        blocked = estimate(variety, trials=300, seed=5)
+        assert blocked == shipped
+        # equality leaves the gaps out
+        assert blocked.per_sample_gaps == shipped.per_sample_gaps
+
     def test_sample_k_uses_child_k(self):
         # the seed contract, spelled out: sample k draws log radii, then
         # angles, from child k of SeedSequence(seed)
-        long = estimate_rank(MOMENT, trials=600, seed=5)
-        children = np.random.SeedSequence(5).spawn(600)
-        for k in (0, 255, 256, 599):
+        long = estimate_rank(MOMENT, trials=self.TRIALS, seed=5)
+        children = np.random.SeedSequence(5).spawn(self.TRIALS)
+        for k in (0, BLOCK - 1, BLOCK, self.TRIALS - 1):
             rng = np.random.default_rng(children[k])
             radius = np.exp(rng.uniform(-3.0, 3.0, 1))
             angle = rng.uniform(0.0, 2.0 * math.pi, 1)
@@ -378,11 +414,12 @@ class TestBlockedSampling:
         # picked with child k's integers()
         product = ImplicitHypersurface(2, ((1, (0, 2)), (-1, (0, 1)),
                                            (-1, (2, 0)), (1, (1, 0))))
-        long = estimate_rank_implicit(product, trials=600, seed=5)
-        assert long.samples_used == 600
+        trials = BLOCK + 88
+        long = estimate_rank_implicit(product, trials=trials, seed=5)
+        assert long.samples_used == trials
         assert set(long.per_sample_ranks) == {1, 2}
-        children = np.random.SeedSequence(5).spawn(600)
-        for k in range(600):
+        children = np.random.SeedSequence(5).spawn(trials)
+        for k in range(trials):
             rng = np.random.default_rng(children[k])
             radius = np.exp(rng.uniform(-3.0, 3.0))
             x = radius * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
@@ -454,8 +491,9 @@ class TestBlockedSampling:
         import amoebadim.estimator as estimator
         import amoebadim.roots as roots
 
-        implicit = estimate_rank_implicit(HYPERBOLA, trials=600, seed=5)
-        parametric = estimate_rank(SURFACE, trials=600, seed=5)
+        trials = self.TRIALS
+        implicit = estimate_rank_implicit(HYPERBOLA, trials=trials, seed=5)
+        parametric = estimate_rank(SURFACE, trials=trials, seed=5)
         calls = []
 
         def counted(name, kernel):
@@ -468,11 +506,11 @@ class TestBlockedSampling:
                             counted("roots", roots.polynomial_roots))
         monkeypatch.setattr(estimator, "log_jacobian",
                             counted("jacobian", estimator.log_jacobian))
-        assert estimate_rank_implicit(HYPERBOLA, trials=600, seed=5) \
+        assert estimate_rank_implicit(HYPERBOLA, trials=trials, seed=5) \
             .per_sample_ranks == implicit.per_sample_ranks
         assert calls == ["roots"] * 3
         calls.clear()
-        assert estimate_rank(SURFACE, trials=600, seed=5) \
+        assert estimate_rank(SURFACE, trials=trials, seed=5) \
             .per_sample_ranks == parametric.per_sample_ranks
         assert calls == ["jacobian"] * 3
 

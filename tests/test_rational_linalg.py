@@ -367,6 +367,24 @@ class TestSumDim:
         u = span(n, rows)
         assert u.sum_dim(other) == len(reference_canonical(rows + other, n))
 
+    @pytest.mark.parametrize("row", [(0, 1), (0, 1, 0, 5)])
+    def test_row_length_mismatch_rejected(self, row):
+        with pytest.raises(ValueError, match=f"row length {len(row)}"):
+            span(3, [(1, 0, 0)]).sum_dim([row])
+
+
+class TestSumWithRows:
+    def test_row_length_mismatch_rejected(self):
+        # once returned the malformed Subspace(3, ((1, 0, 0), (0, 1)))
+        with pytest.raises(ValueError, match="row length 2 != ambient 3"):
+            span(3, [(1, 0, 0)]).sum_with_rows([(0, 1)])
+
+    def test_rows_may_be_any_iterable(self):
+        line = span(3, [(1, 0, 0)])
+        grown = line.sum_with_rows(iter([(0, 1, 0)]))
+        assert grown == span(3, [(1, 0, 0), (0, 1, 0)])
+        assert line.sum_dim(r for r in [(0, 2, 0)]) == 2
+
 
 class TestSerialization:
     def test_integer_form(self):
