@@ -488,7 +488,6 @@ class TestBlockedSampling:
                                                             monkeypatch):
         # a caller that wraps roots.polynomial_roots or
         # estimator.log_jacobian, as a tracer does, sees one call per block
-        import amoebadim.estimator as estimator
         import amoebadim.roots as roots
 
         trials = self.TRIALS

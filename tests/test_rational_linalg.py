@@ -375,7 +375,6 @@ class TestSumDim:
 
 class TestSumWithRows:
     def test_row_length_mismatch_rejected(self):
-        # once returned the malformed Subspace(3, ((1, 0, 0), (0, 1)))
         with pytest.raises(ValueError, match="row length 2 != ambient 3"):
             span(3, [(1, 0, 0)]).sum_with_rows([(0, 1)])
 
