@@ -8,7 +8,7 @@ skeleton, so no coefficient data is taken or checked.
 
 from itertools import combinations
 
-from .polyhedral import PurityError, SpanComplex, _check_ambient
+from .polyhedral import PurityError, SpanComplex
 from .rational_linalg import Subspace, canonicalize
 
 
@@ -63,7 +63,6 @@ def torus_invariant(sigma0: SpanComplex, sub: Subspace) -> SpanComplex:
     dimension (this genuinely happens: a subspace can lie inside some
     cells and not others).
     """
-    _check_ambient(sigma0, sub)
     summed = [cell.sum(sub) for cell in sigma0.cells]
     dims = {c.dim for c in summed}
     if len(dims) > 1:

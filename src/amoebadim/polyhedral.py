@@ -11,7 +11,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .rational_linalg import Subspace, canonicalize, direct_sum
+from .rational_linalg import Subspace, _check_ambient, canonicalize, \
+    direct_sum
 
 
 class ComplexFormatError(ValueError):
@@ -135,14 +136,6 @@ def format_complex(sigma: SpanComplex) -> str:
                       indent=2)
 
 
-def _check_ambient(sigma: SpanComplex, sub: Subspace) -> None:
-    if sigma.ambient_dim != sub.ambient_dim:
-        raise ValueError(
-            f"ambient mismatch: complex in R^{sigma.ambient_dim}, "
-            f"subspace in R^{sub.ambient_dim}"
-        )
-
-
 def dim_sum_with_subspace(sigma: SpanComplex, sub: Subspace) -> int:
     """dim(S + Sigma) = max over cells C of dim(<C> + S).
 
@@ -151,25 +144,26 @@ def dim_sum_with_subspace(sigma: SpanComplex, sub: Subspace) -> int:
     largest summed-span dimension.
     """
     _check_ambient(sigma, sub)
-    return _max_cell_sum(sigma.cells, sub, sigma.ambient_dim)
+    return _max_cell_sum(sigma.cells, sub, sigma.ambient_dim)[0]
 
 
-def _max_cell_sum(cells, sub: Subspace, stop: int) -> int:
-    """Largest dim(<C> + S) over the cells, scanned in order; the scan ends
-    as soon as the running maximum reaches `stop`, so a result of at
-    least `stop` only says the maximum is that large."""
+def _max_cell_sum(cells, sub: Subspace, stop: int) -> tuple:
+    """Largest dim(<C> + S) over the cells, scanned in order, and the
+    first cell attaining it (None when that is 0); the scan ends once the
+    running maximum reaches `stop`, so a result of at least `stop` only
+    says the maximum is that large."""
     s = len(sub.rows)
-    best = 0
+    best, first = 0, None
     for cell in cells:
         if len(cell.rows) >= s:
             got = cell.sum_dim(sub.rows)
         else:
             got = sub.sum_dim(cell.rows)
         if got > best:
-            best = got
+            best, first = got, cell
             if best >= stop:
                 break
-    return best
+    return best, first
 
 
 def product(sigma1: SpanComplex, sigma2: SpanComplex) -> SpanComplex:

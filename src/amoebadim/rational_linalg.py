@@ -21,10 +21,8 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
-
-_FULL_CACHE: dict = {}
-_ZERO_CACHE: dict = {}
 
 
 def parse_rational(text) -> Fraction:
@@ -116,6 +114,19 @@ def sum_rows(ech_pairs, rows, ambient_dim: int, _dim_only: bool = False):
     return tuple(tuple(r) for _, r in ech)
 
 
+def _pivots_of(rows) -> tuple:
+    """Column index of each canonical row's leading entry."""
+    return tuple(next(i for i, x in enumerate(r) if x) for r in rows)
+
+
+def _check_ambient(a, b) -> None:
+    """Refuse two subspaces or complexes from different ambient spaces."""
+    if a.ambient_dim != b.ambient_dim:
+        raise ValueError(
+            f"ambient mismatch: {a.ambient_dim} vs {b.ambient_dim}"
+        )
+
+
 def _checked_rows(rows: Iterable, ambient_dim: int) -> tuple:
     """The rows as a tuple, refused unless each has ambient_dim entries;
     the check sits at the Subspace methods, outside sum_rows' loop."""
@@ -156,23 +167,17 @@ class Subspace:
         return len(self.rows)
 
     @classmethod
+    @cache
     def zero(cls, ambient_dim: int) -> "Subspace":
-        sub = _ZERO_CACHE.get(ambient_dim)
-        if sub is None:
-            sub = _ZERO_CACHE[ambient_dim] = cls(ambient_dim, ())
-        return sub
+        return cls(ambient_dim, ())
 
     @classmethod
+    @cache
     def full(cls, ambient_dim: int) -> "Subspace":
-        sub = _FULL_CACHE.get(ambient_dim)
-        if sub is None:
-            rows = tuple(
-                tuple(1 if j == i else 0 for j in range(ambient_dim))
-                for i in range(ambient_dim)
-            )
-            sub = cls(ambient_dim, rows)
-            _FULL_CACHE[ambient_dim] = sub
-        return sub
+        return cls(ambient_dim, tuple(
+            tuple(1 if j == i else 0 for j in range(ambient_dim))
+            for i in range(ambient_dim)
+        ))
 
     @classmethod
     def of(cls, ambient_dim: int, rows: tuple) -> "Subspace":
@@ -196,8 +201,7 @@ class Subspace:
         """Column index of each basis row's leading entry."""
         piv = self._pivots
         if piv is None:
-            piv = tuple(next(i for i, x in enumerate(r) if x)
-                        for r in self.rows)
+            piv = _pivots_of(self.rows)
             object.__setattr__(self, "_pivots", piv)
         return piv
 
@@ -206,14 +210,8 @@ class Subspace:
         """(pivot, row) pairs ready to seed an elimination, one pass."""
         return zip(self.pivots, self.rows)
 
-    def _check_ambient(self, other: "Subspace") -> None:
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError(
-                f"ambient mismatch: {self.ambient_dim} vs {other.ambient_dim}"
-            )
-
     def sum(self, other: "Subspace") -> "Subspace":
-        self._check_ambient(other)
+        _check_ambient(self, other)
         return self.sum_with_rows(other.rows)
 
     def intersect(self, other: "Subspace") -> "Subspace":
@@ -226,7 +224,7 @@ class Subspace:
         general case does one elimination for the sum and, only when the
         intersection is proper, one Zassenhaus elimination for it.
         """
-        self._check_ambient(other)
+        _check_ambient(self, other)
         n = self.ambient_dim
         if not self.rows or other.dim == n:
             return other, self

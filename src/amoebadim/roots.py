@@ -27,8 +27,11 @@ import numpy as np
 # Status codes of `polynomial_roots`; 0 means the roots were found.
 ZERO_POLYNOMIAL, COINCIDENT, NOT_FINITE, NO_CONVERGENCE = 1, 2, 3, 4
 
+_TOL = 1e-12
+_MAX_ITER = 200
 
-def _durand_kerner(monic, tol, max_iter):
+
+def _durand_kerner(monic):
     """Roots of each row of `monic` (B, d+1), low order first, leading 1.
 
     Returns the (B, d) iterates and a status per row.  The initial guesses
@@ -42,7 +45,7 @@ def _durand_kerner(monic, tol, max_iter):
     roots = (-monic[:, :1]) ** (1 / degree) * unit
     status = np.full(count, NO_CONVERGENCE, dtype=np.int8)
     live = np.arange(count)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         if live.size == 0:
             break
         r = roots[live]
@@ -69,13 +72,13 @@ def _durand_kerner(monic, tol, max_iter):
         done = np.where(coincident, COINCIDENT,
                         np.where(np.isnan(worst) | np.isnan(scale),
                                  NOT_FINITE,
-                                 np.where(worst <= tol * scale, 0, -1)))
+                                 np.where(worst <= _TOL * scale, 0, -1)))
         status[live[done >= 0]] = done[done >= 0]
         live = live[done < 0]
     return roots, status
 
 
-def polynomial_roots(coeffs, tol: float = 1e-12, max_iter: int = 200):
+def polynomial_roots(coeffs):
     """All complex roots of each row of `coeffs` (B, k+1), low order first.
 
     Returns `(roots, status)`.  `roots` is (B, k): each row holds the
@@ -102,8 +105,7 @@ def polynomial_roots(coeffs, tol: float = 1e-12, max_iter: int = 200):
         if hi > lo:
             part = coeffs[group, lo:hi + 1]
             with np.errstate(all="ignore"):
-                found, status[group] = _durand_kerner(
-                    part / part[:, -1:], tol, max_iter)
+                found, status[group] = _durand_kerner(part / part[:, -1:])
             roots[group, lo:hi] = found
     roots[status != 0] = np.nan
     return np.sort(roots, axis=1), status

@@ -19,15 +19,25 @@ With d = dim Σ, L lies in every cell and scores 2d − dim L.  Any S with
 objective v has dim(S+Σ) ≥ d, so dim S ≥ 2d − v.  Equality forces
 dim(S+C_i) = d for every cell, so S ⊆ L.
 
-So the default search scores L with {0} and R^n before anything else, and
-at n ≤ 4 a stop at the bound there always yields the canonical minimizer
-over all subspaces:
+Every minimizer S lies between L and the join J = Σ C_i of the cells.
+L lies in every cell, so (S+L) + C_i = S + C_i, and S+L scores
+dim(S+L) − dim S below S.  Every cell lies in J, so S ∩ C_i =
+(S ∩ J) ∩ C_i, each dim(S+C_i) exceeds dim((S ∩ J) + C_i) by
+dim S − dim(S ∩ J), and S ∩ J scores that much below S.  Both drops are
+strict unless L ⊆ S ⊆ J.  So the search over all subspaces is the search
+for the complex {C_i / L} in J / L, of dimension d − dim L in ambient
+dimension m = dim J − dim L, with every value shifted by dim L.
+
+So the default search scores L and J with {0} and R^n before anything
+else, and at m ≤ 4 (so at every n ≤ 4) a stop at the bound there always
+yields the canonical minimizer over all subspaces:
 - {0}, at bound 2d: the only subspace of dimension 0;
 - L, when it ties: the argument above;
-- R^n, at bound n < 2d: for n ≤ 4 that forces d = n − 1 (or L = R^n),
-  and an S scoring n then has k = dim(S+Σ) ∈ {d, n} and dim S = 2k − n.
-  k = n gives S = R^n; k = d gives S ⊆ L, and then L scores at most n
-  and would have won.
+- J, at bound dim J < 2d − dim L (R^n scores n, so it wins only as J):
+  with m ≤ 4 that forces d = dim J − 1 (or L = J, the case above), and
+  a minimizer S then has k = dim(S+Σ) ∈ {d, dim J} and
+  dim S = 2k − dim J.  k = dim J gives S = J; k = d gives S ⊆ L, so
+  dim S ≤ dim L < 2d − dim J, a contradiction.
 No candidate family can change a default answer that stops there.
 
 Candidates come from the lattice generated by the cell spans under
@@ -39,8 +49,8 @@ R^3 breed new lines and planes forever), which is why `candidate_lattice`
 takes a hard cap and reports in-band whether it reached a fixpoint.  A
 capped candidate set still yields correct upper bounds; it only weakens
 the search.  It is also the expensive part, so the search scores the
-cheap candidates first ({0}, R^n and L, which the closure holds anyway)
-and builds the closure only when they stay above the lower bound.
+cheap candidates first ({0}, R^n, L and J, which the closure holds
+anyway) and builds the closure only when they stay above the lower bound.
 """
 
 from __future__ import annotations
@@ -53,7 +63,7 @@ from itertools import product
 from math import gcd
 
 from .polyhedral import SpanComplex, _max_cell_sum, dim_sum_with_subspace
-from .rational_linalg import Subspace, sum_rows
+from .rational_linalg import Subspace, _check_ambient, _pivots_of, sum_rows
 
 DEFAULT_CAP = 10000
 DEFAULT_HEIGHT = 1
@@ -218,8 +228,7 @@ def exhaustive_candidates(n: int, height_bound: int) -> tuple:
         for rows in frontier:
             if len(rows) == n:
                 continue
-            ech = tuple((next(i for i, x in enumerate(r) if x), r)
-                        for r in rows)
+            ech = tuple(zip(_pivots_of(rows), rows))
             for v in vectors:
                 bigger = sum_rows(ech, (v,), n)
                 if bigger is not None and bigger not in seen:
@@ -272,15 +281,15 @@ def amoeba_dim(sigma: SpanComplex,
     strategy is `DEFAULT_STRATEGY`.
 
     The cheap candidates are scored first: {0}, R^n and, for `lattice`,
-    the meet L = ∩ C_i of the cells; for `exhaustive`, its whole height
-    enumeration.  The lattice closure is built only when the best value is
-    still above the proven pairwise lower bound, and then only its new
-    members are scored.  The witness is the canonical minimizer among the
-    candidates scored: smallest value, then smallest dim S, then the
-    lexicographically smallest canonical basis, whatever the scoring
-    order.  The module docstring proves the bound, and that a `lattice`
-    stop before the closure at n ≤ 4 yields the canonical minimizer over
-    all subspaces.
+    the meet L = ∩ C_i and the join J = Σ C_i of the cells; for
+    `exhaustive`, its whole height enumeration.  The lattice closure is
+    built only when the best value is still above the proven pairwise
+    lower bound, and then only its new members are scored.  The witness
+    is the canonical minimizer among the candidates scored: smallest
+    value, then smallest dim S, then the lexicographically smallest
+    canonical basis, whatever the scoring order.  The module docstring proves the bound, and that a `lattice`
+    stop before the closure at dim J − dim L ≤ 4 yields the canonical
+    minimizer over all subspaces.
 
     Refusals come before any scoring: a cap below the number of cells
     plus 2 (ValueError), and a height the enumeration refuses
@@ -295,6 +304,7 @@ def amoeba_dim(sigma: SpanComplex,
     if kind == "lattice":
         _check_cap(sigma, param)
         cheap.add(reduce(Subspace.intersect, sigma.cells))
+        cheap.add(reduce(Subspace.sum, sigma.cells))
     else:
         cheap.update(exhaustive_candidates(n, param))
     lower = _pairwise_lower_bound(sigma)
@@ -360,7 +370,8 @@ def _score(sigma: SpanComplex, cands, best: tuple) -> tuple:
             continue
         # the running cell maximum only grows, so the scan can stop once
         # it reaches the smallest sum whose objective exceeds `limit`
-        val = 2 * _max_cell_sum(cells, sub, min(n, (limit + s) // 2 + 1)) - s
+        stop = min(n, (limit + s) // 2 + 1)
+        val = 2 * _max_cell_sum(cells, sub, stop)[0] - s
         if val <= limit:
             key = (val, s, sub.rows)
             if key < best:
@@ -380,14 +391,11 @@ def reduce_torus(sigma: SpanComplex, sub: Subspace) -> Subspace:
     overshoot: a vector may be forced by one cell while another cell
     already absorbed it, and the result ends up larger than M − dim Σ.
     """
+    _check_ambient(sigma, sub)
     n = sigma.ambient_dim
-    target = dim_sum_with_subspace(sigma, sub)
+    target, grown = _max_cell_sum(sigma.cells, sub, n)
     if target == sigma.dim:
         return Subspace.zero(n)
-    anchor = next(
-        cell for cell in sigma.cells if cell.sum_dim(sub.rows) == target
-    )
-    grown = anchor
     kept = []
     for v in sub.rows:
         if len(grown.rows) == target:

@@ -45,6 +45,15 @@ HUGE_DEGREE_DOC = json.dumps({
     ]},
 })
 
+# x - 2 in C*: one point, an amoeba of dimension 0
+POINT_DOC = json.dumps({
+    "ambient_dim": 1,
+    "polynomial": {"terms": [
+        {"coeff": ["1", "0"], "exponents": [1]},
+        {"coeff": ["-2", "0"], "exponents": [0]},
+    ]},
+})
+
 # (t, t^2, t^3)
 MOMENT3_DOC = json.dumps({
     "domain_dim": 1, "ambient_dim": 3,
@@ -556,6 +565,46 @@ class TestVerify:
                                "--kind", "implicit", "--seed", seed)
             assert code == 0
             assert json.loads(out)["verdict"] == "agree"
+
+
+class TestSmallAmbient:
+    """What n = 0 and n = 1 give; `gen hyperplane 1` exiting 2 is in
+    `TestGen.test_bad_parameters`."""
+
+    def test_dim_in_r0(self, capsys, tmp_path):
+        fan = write(tmp_path, "r0.json", json.dumps({
+            "ambient_dim": 0, "cells": [{"span": []}],
+        }))
+        code, out, _ = run(capsys, "dim", fan)
+        assert (code, json.loads(out)["value"]) == (0, 0)
+
+    @pytest.mark.parametrize("strategy", ["lattice", "exhaustive"])
+    def test_dim_of_r1(self, capsys, tmp_path, strategy):
+        fan = write(tmp_path, "r1.json", json.dumps({
+            "ambient_dim": 1, "cells": [{"span": [["1"]]}],
+        }))
+        code, out, _ = run(capsys, "dim", fan, "--strategy", strategy)
+        assert (code, json.loads(out)["value"]) == (0, 1)
+
+    def test_estimate_of_a_point(self, capsys, tmp_path):
+        path = write(tmp_path, "x.json", POINT_DOC)
+        code, out, _ = run(capsys, "estimate", path, "--kind", "implicit",
+                           "--seed", "1")
+        assert (code, json.loads(out)["rank"]) == (0, 0)
+
+    def test_verify_a_point(self, capsys, tmp_path):
+        zero = write(tmp_path, "zero.json", json.dumps({
+            "ambient_dim": 1, "cells": [{"span": []}],
+        }))
+        line = str(tmp_path / "line.json")
+        assert main(["gen", "orbit", "1", "1", "--output", line]) == 0
+        variety = write(tmp_path, "x.json", POINT_DOC)
+        verdicts = []
+        for fan in (zero, line):
+            code, out, _ = run(capsys, "verify", fan, variety,
+                               "--kind", "implicit", "--seed", "1")
+            verdicts.append((code, json.loads(out)["verdict"]))
+        assert verdicts == [(0, "agree"), (5, "mismatch")]
 
 
 NUMERICAL_SIDE = {"amoebadim.estimator", "amoebadim.roots", "numpy"}

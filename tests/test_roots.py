@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from amoebadim.roots import NO_CONVERGENCE, ZERO_POLYNOMIAL, polynomial_roots
 
 
-def solve(coeffs, **kwargs):
+def solve(coeffs):
     """The roots of one polynomial as a tuple, padding dropped, and its
     status."""
-    roots, status = polynomial_roots([coeffs], **kwargs)
+    roots, status = polynomial_roots([coeffs])
     row = roots[0]
     return tuple(row[~np.isnan(row)].tolist()), int(status[0])
 
@@ -72,16 +72,17 @@ class TestPolynomialRoots:
         coeffs = [3 - 1j, 2, 0, 1 + 2j]
         assert solve(coeffs) == solve(coeffs)
 
-    def test_budget_exhaustion_is_loud(self):
-        assert solve([24, -50, 35, -10, 1], max_iter=2) == \
-            ((), NO_CONVERGENCE)
+    def test_budget_exhaustion_is_loud(self, monkeypatch):
+        monkeypatch.setattr("amoebadim.roots._MAX_ITER", 2)
+        assert solve([24, -50, 35, -10, 1]) == ((), NO_CONVERGENCE)
 
     @pytest.mark.parametrize("c", [1, -2, 3 + 4j, -0.5j, 1e-3 - 2j])
     @pytest.mark.parametrize("d", range(1, 7))
-    def test_binomial_converges_in_one_sweep(self, d, c):
+    def test_binomial_converges_in_one_sweep(self, monkeypatch, d, c):
         # the starts are the roots of c + t^d, so one sweep confirms them
+        monkeypatch.setattr("amoebadim.roots._MAX_ITER", 1)
         coeffs = [c] + [0] * (d - 1) + [1]
-        roots, status = solve(coeffs, max_iter=1)
+        roots, status = solve(coeffs)
         assert status == 0 and len(roots) == d
         base = (-c) ** (1 / d)
         for k in range(d):

@@ -69,6 +69,13 @@ def two_planes_on_a_height_two_line():
     )
 
 
+def three_coordinate_planes():
+    """The planes e1e2, e2e3 and e1e3 in R^4.  {0} and R^4 score 4 and the
+    meet is {0}; the join, the hyperplane x4 = 0, scores 3, the bound."""
+    e1, e2, e3 = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)
+    return SpanComplex(4, [span(4, e1, e2), span(4, e2, e3), span(4, e1, e3)])
+
+
 def single_cell(n, *gens):
     return SpanComplex(n, [span(n, *gens)])
 
@@ -571,6 +578,12 @@ def reference_cell_meet(sigma):
     return reduce(lambda a, b: reference_pair(a, b)[1], sigma.cells)
 
 
+def reference_cell_join(sigma):
+    """The sum of all cells: the span of all their rows."""
+    return canonicalize(sigma.ambient_dim,
+                        [r for cell in sigma.cells for r in cell.rows])
+
+
 class TestIncrementalMerge:
     """Scoring the closure after the cheap candidates picks the same value
     and witness as one scan over their union."""
@@ -582,9 +595,10 @@ class TestIncrementalMerge:
         n = rng.randint(1, 4)
         sigma = random_pure_complex(rng, n, num_cells=rng.randint(1, 4))
         res = amoeba_dim(sigma, strategy="lattice(cap=300)")
-        # `lattice` scores {0}, R^n and the meet of the cells first
-        best, scored = reference_search(sigma, [reference_cell_meet(sigma)],
-                                        300)
+        # `lattice` scores {0}, R^n and the meet and join of the cells first
+        best, scored = reference_search(
+            sigma, [reference_cell_meet(sigma), reference_cell_join(sigma)],
+            300)
         assert outcome(res) == best
         assert res.lower_bound == reference_lower_bound(sigma)
         assert res.witness_T == reduce_torus(sigma, Subspace(n, best[2]))
@@ -612,6 +626,46 @@ class TestIncrementalMerge:
         res = amoeba_dim(product(plucker(), line), "exhaustive(height=0)")
         assert (res.value, res.lower_bound) == (7, 6)
         assert res.witness_S == Subspace.full(7)
+
+
+class TestMeetAndJoin:
+    """The lemma of the module docstring: S + L and S ∩ J never score more
+    than S, so every minimizer lies between the meet L and the join J of
+    the cells."""
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_moving_into_the_interval_lowers_the_objective(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(1, 5)
+        sigma = random_pure_complex(rng, n, num_cells=rng.randint(1, 4))
+        sub = random_subspace(rng, n)
+        val = objective(sigma, sub)
+        up = sub.sum(reference_cell_meet(sigma))
+        down = sub.intersect(reference_cell_join(sigma))
+        assert objective(sigma, up) == val - (up.dim - sub.dim)
+        assert objective(sigma, down) == val - (sub.dim - down.dim)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_every_minimizer_lies_between_meet_and_join(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(1, 3)
+        sigma = random_pure_complex(rng, n, num_cells=rng.randint(1, 4))
+        if n < 3 and rng.random() < 0.5:
+            # one more axis, in every cell (so in L) or in none (so not in J)
+            axis = Subspace.full(1) if rng.random() < 0.5 else \
+                Subspace.zero(1)
+            sigma = product(sigma, SpanComplex(1, [axis]))
+        meet, join = reference_cell_meet(sigma), reference_cell_join(sigma)
+        # L and J can have entries above height 2, so they join the family
+        family = {meet, join, *exhaustive_candidates(sigma.ambient_dim, 2)}
+        scores = {sub: objective(sigma, sub) for sub in family}
+        best = min(scores.values())
+        for sub, val in scores.items():
+            if val == best:
+                assert sub.sum_dim(meet.rows) == sub.dim
+                assert join.sum_dim(sub.rows) == join.dim
 
 
 def seeded_complex(seed):
@@ -645,6 +699,9 @@ class TestEnumerationOnRequest:
         # bound 3 = n, the cells meet in a line that ties with R^3
         (two_planes_on_a_line(), 3, span(3, (1, 0, 0))),
         (two_planes_on_a_height_two_line(), 3, span(3, (1, 2, 0))),
+        # bound 3 = dim J < n: only the join of the cells reaches it
+        (three_coordinate_planes(), 3,
+         span(4, (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))),
     ])
     def test_cheap_stage_settles_without_closure(self, monkeypatch, sigma,
                                                  value, witness):
@@ -654,10 +711,11 @@ class TestEnumerationOnRequest:
         assert (res.value, res.lower_bound, res.certified) == \
             (value, value, True)
         assert res.witness_S == witness
-        # {0}, R^n and the meet of the cells, without repeats
+        # {0}, R^n and the meet and join of the cells, without repeats
         assert res.candidates_evaluated == \
             len({Subspace.zero(sigma.ambient_dim),
-                 Subspace.full(sigma.ambient_dim), reference_cell_meet(sigma)})
+                 Subspace.full(sigma.ambient_dim), reference_cell_meet(sigma),
+                 reference_cell_join(sigma)})
 
     @pytest.mark.parametrize("sigma", [
         hyperplane(2), curve_fan3(), tropical_hyperplane(5), plucker(),
