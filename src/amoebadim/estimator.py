@@ -235,17 +235,6 @@ class _Monomials:
         self.exponents = np.array(
             [e for _, _, e in terms], dtype=np.int64).reshape(len(terms), nvars)
 
-    def _terms(self, z):
-        """Coefficient times monomial, one (B,) array per term."""
-        import numpy as np
-
-        for owner, coeff, exponents in zip(self.owners, self.coeffs,
-                                           self.exponents):
-            v = np.full(len(z), coeff)
-            for j in np.flatnonzero(exponents):
-                v = v * z[:, j] ** exponents[j]
-            yield owner, exponents, v
-
     def evaluate(self, z):
         """Values (B, P) of every polynomial at every point, and their
         complex partials (B, P, m), which need nonzero coordinates."""
@@ -254,9 +243,14 @@ class _Monomials:
         values = np.zeros((len(z), self.count), dtype=complex)
         partials = np.zeros(values.shape + (z.shape[1],), dtype=complex)
         with np.errstate(all="ignore"):
-            for owner, exponents, v in self._terms(z):
+            for owner, coeff, exponents in zip(self.owners, self.coeffs,
+                                               self.exponents):
+                used = np.flatnonzero(exponents)
+                v = np.full(len(z), coeff)
+                for j in used:
+                    v = v * z[:, j] ** exponents[j]
                 values[:, owner] = values[:, owner] + v
-                for j in np.flatnonzero(exponents):
+                for j in used:
                     partials[:, owner, j] = (partials[:, owner, j]
                                              + v * exponents[j] / z[:, j])
         return values, partials
@@ -314,7 +308,9 @@ def _mix_in(pool, word, const):
 def _seed_pool(seed):
     """The pool of SeedSequence(seed) before a spawn key is mixed in, and
     the hash constant reached: the run entropy's 32-bit words, padded
-    with zeros to the pool size, mixed as numpy mixes them."""
+    with zeros to the pool size, mixed as numpy mixes them.  Taking the
+    pool from numpy instead would import numpy.random, about 6 MB of
+    resident memory per process."""
     words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
     words += [0] * (_POOL - len(words))
     pool, const = [], _INIT_A

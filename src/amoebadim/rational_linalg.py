@@ -129,7 +129,8 @@ def _check_ambient(a, b) -> None:
 
 def _checked_rows(rows: Iterable, ambient_dim: int) -> tuple:
     """The rows as a tuple, refused unless each has ambient_dim entries;
-    the check sits at the Subspace methods, outside sum_rows' loop."""
+    the check sits at the Subspace methods and canonicalize, outside
+    sum_rows' loop."""
     rows = tuple(rows)
     for r in rows:
         if len(r) != ambient_dim:
@@ -220,9 +221,9 @@ class Subspace:
     def sum_intersect(self, other: "Subspace") -> tuple:
         """(self + other, self ∩ other) in one pass.
 
-        Degenerate and nested cases are answered without elimination; the
-        general case does one elimination for the sum and, only when the
-        intersection is proper, one Zassenhaus elimination for it.
+        {0} and R^n are answered without elimination; otherwise one
+        elimination gives the sum and, only when the intersection is
+        proper, one Zassenhaus elimination gives it.
         """
         _check_ambient(self, other)
         n = self.ambient_dim
@@ -230,8 +231,6 @@ class Subspace:
             return other, self
         if not other.rows or self.dim == n:
             return self, other
-        if self.rows == other.rows:
-            return self, self
         total = self.sum_with_rows(other.rows)
         ds = total.dim
         di = self.dim + other.dim - ds
@@ -268,12 +267,7 @@ def canonicalize(ambient_dim: int, generators) -> Subspace:
     generator set gives the zero subspace."""
     if ambient_dim < 0:
         raise ValueError("ambient_dim < 0")
-    int_rows = _int_rows(generators)
-    for r in int_rows:
-        if len(r) != ambient_dim:
-            raise ValueError(
-                f"generator length {len(r)} != ambient {ambient_dim}"
-            )
+    int_rows = _checked_rows(_int_rows(generators), ambient_dim)
     return Subspace.of(ambient_dim, sum_rows((), int_rows, ambient_dim) or ())
 
 

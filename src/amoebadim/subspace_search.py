@@ -287,9 +287,9 @@ def amoeba_dim(sigma: SpanComplex,
     lower bound, and then only its new members are scored.  The witness
     is the canonical minimizer among the candidates scored: smallest
     value, then smallest dim S, then the lexicographically smallest
-    canonical basis, whatever the scoring order.  The module docstring proves the bound, and that a `lattice`
-    stop before the closure at dim J − dim L ≤ 4 yields the canonical
-    minimizer over all subspaces.
+    canonical basis, whatever the scoring order.  The module docstring
+    proves the bound, and that a `lattice` stop before the closure at
+    dim J − dim L ≤ 4 yields the canonical minimizer over all subspaces.
 
     Refusals come before any scoring: a cap below the number of cells
     plus 2 (ValueError), and a height the enumeration refuses
@@ -309,8 +309,9 @@ def amoeba_dim(sigma: SpanComplex,
         cheap.update(exhaustive_candidates(n, param))
     lower = _pairwise_lower_bound(sigma)
 
-    # {0} scores 2d; it is among the cheap candidates, and R^n too
-    best = _score(sigma, sorted(cheap, key=Subspace.sort_key), (2 * d, 0, ()))
+    # {0} scores 2d and R^n scores n; both are among the cheap candidates
+    best = _score(sigma, sorted(cheap, key=Subspace.sort_key),
+                  min((2 * d, 0, ()), (n, n, Subspace.full(n).rows)))
     evaluated = len(cheap)
     if kind == "lattice" and best[0] > lower:
         fresh = [sub for sub in candidate_lattice(sigma, param)
@@ -340,29 +341,25 @@ def _pairwise_lower_bound(sigma: SpanComplex) -> int:
     top = min(2 * sigma.dim, sigma.ambient_dim)
     bound = sigma.dim
     for j in range(1, len(cells)):
-        rows = cells[j].rows
-        for i in range(j):
-            got = cells[i].sum_dim(rows)
-            if got > bound:
-                bound = got
-                if bound == top:
-                    return bound
+        got = _max_cell_sum(cells[:j], cells[j], top)[0]
+        if got > bound:
+            bound = got
+            if bound == top:
+                return bound
     return bound
 
 
 def _score(sigma: SpanComplex, cands, best: tuple) -> tuple:
     """Fold candidates into `best`, a (value, dim S, rows of S) triple;
-    the least triple wins.  The pruning takes min(2·dim Σ, n) as a value
-    some candidate attains, so R^n must be among `cands` or scored
-    already."""
+    the least triple wins.  Its one precondition: `best` is attained,
+    so pruning against `best[0]` drops only candidates that cannot
+    win."""
     n = sigma.ambient_dim
     d = sigma.dim
     cells = sigma.cells
-    ub = min(2 * d, n)
     for sub in cands:
         s = len(sub.rows)
-        best_val = best[0]
-        limit = best_val if best_val < ub else ub
+        limit = best[0]
         bound = 2 * d - s
         if s > bound:
             bound = s
@@ -371,11 +368,9 @@ def _score(sigma: SpanComplex, cands, best: tuple) -> tuple:
         # the running cell maximum only grows, so the scan can stop once
         # it reaches the smallest sum whose objective exceeds `limit`
         stop = min(n, (limit + s) // 2 + 1)
-        val = 2 * _max_cell_sum(cells, sub, stop)[0] - s
-        if val <= limit:
-            key = (val, s, sub.rows)
-            if key < best:
-                best = key
+        key = (2 * _max_cell_sum(cells, sub, stop)[0] - s, s, sub.rows)
+        if key < best:
+            best = key
     return best
 
 

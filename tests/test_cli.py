@@ -628,6 +628,21 @@ class TestEntryPoint:
         assert dim.returncode == 0
         assert json.loads(dim.stdout)["value"] == 3
 
+    def test_package_runs_the_cli(self, tmp_path):
+        assert main(["gen", "hyperplane", "3",
+                     "--output", str(tmp_path / "h3.json")]) == 0
+
+        def run_module(*argv):
+            return subprocess.run([sys.executable, "-m", *argv], cwd=tmp_path,
+                                  capture_output=True, text=True,
+                                  env=child_env())
+
+        package = run_module("amoebadim", "dim", "h3.json")
+        cli = run_module("amoebadim.cli", "dim", "h3.json")
+        assert package.returncode == cli.returncode == 0
+        assert package.stdout == cli.stdout
+        assert run_module("amoebadim").returncode == 2
+
     @staticmethod
     def loaded_by(tmp_path, script):
         """The `amoebadim.*` submodules and numpy that a fresh interpreter

@@ -431,7 +431,8 @@ class TestBlockedSampling:
 
     @pytest.mark.parametrize("seed", [
         0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 1,
-        2 ** 160 + 12345,  # more run entropy than the 4-word pool holds
+        # more run entropy than the 4-word pool holds: 5 and 6 words
+        2 ** 128, 2 ** 160 + 12345,
     ])
     def test_streams_match_numpy_generators(self, seed):
         # row k of _Streams against default_rng(child k): log radii, then

@@ -217,6 +217,9 @@ class TestSumIntersect:
         assert meet.intersect(u) == meet and meet.intersect(v) == meet
         assert u.sum(v) == v.sum(u)
         assert u.intersect(v) == v.intersect(u)
+        # a subspace with itself: the very instance, twice
+        total, meet = u.sum_intersect(u)
+        assert total is u and meet is u
 
 
 class TestComplement:
@@ -371,6 +374,8 @@ class TestSumDim:
     def test_row_length_mismatch_rejected(self, row):
         with pytest.raises(ValueError, match=f"row length {len(row)}"):
             span(3, [(1, 0, 0)]).sum_dim([row])
+        with pytest.raises(ValueError, match=f"row length {len(row)}"):
+            canonicalize(3, [(1, 0, 0), row])
 
 
 class TestSumWithRows:
