@@ -28,12 +28,14 @@ strict unless L ⊆ S ⊆ J.  So the search over all subspaces is the search
 for the complex {C_i / L} in J / L, of dimension d − dim L in ambient
 dimension m = dim J − dim L, with every value shifted by dim L.
 
-So the default search scores L and J with {0} and R^n before anything
-else, and at m ≤ 4 (so at every n ≤ 4) a stop at the bound there always
-yields the canonical minimizer over all subspaces:
-- {0}, at bound 2d: the only subspace of dimension 0;
-- L, when it ties: the argument above;
-- J, at bound dim J < 2d − dim L (R^n scores n, so it wins only as J):
+Neither {0} nor R^n needs a scan.  L lies in every cell, so
+objective(L) = 2d − dim L ≤ 2d = objective({0}); every cell lies in J,
+so objective(J) = dim J ≤ n = objective(R^n).  Each is strict unless the
+two are equal.  So the default search scans L and J from the better of
+{0} and R^n, and at m ≤ 4 (so at every n ≤ 4) a stop at the bound
+there always yields the canonical minimizer over all subspaces:
+- L, when it ties (so {0} at bound 2d): the argument above;
+- J, at bound dim J < 2d − dim L (so R^n at bound n):
   with m ≤ 4 that forces d = dim J − 1 (or L = J, the case above), and
   a minimizer S then has k = dim(S+Σ) ∈ {d, dim J} and
   dim S = 2k − dim J.  k = dim J gives S = J; k = d gives S ⊆ L, so
@@ -49,8 +51,8 @@ R^3 breed new lines and planes forever), which is why `candidate_lattice`
 takes a hard cap and reports in-band whether it reached a fixpoint.  A
 capped candidate set still yields correct upper bounds; it only weakens
 the search.  It is also the expensive part, so the search scores the
-cheap candidates first ({0}, R^n, L and J, which the closure holds
-anyway) and builds the closure only when they stay above the lower bound.
+cheap candidates L and J first (a complete closure holds both anyway)
+and builds the closure only when they stay above the lower bound.
 """
 
 from __future__ import annotations
@@ -242,6 +244,8 @@ def exhaustive_candidates(n: int, height_bound: int) -> tuple:
 def _primitive_vectors(n: int, height: int) -> list:
     """Primitive integer vectors with entries in [−height, height], first
     nonzero entry positive (one representative per line), sorted."""
+    if not height:
+        return []  # the zero vector alone, which spans nothing
     return [v for v in product(range(-height, height + 1), repeat=n)
             if next((x for x in v if x), 0) > 0 and gcd(*v) == 1]
 
@@ -280,16 +284,18 @@ def amoeba_dim(sigma: SpanComplex,
     """Minimize the objective over the strategy's candidates; the default
     strategy is `DEFAULT_STRATEGY`.
 
-    The cheap candidates are scored first: {0}, R^n and, for `lattice`,
-    the meet L = ∩ C_i and the join J = Σ C_i of the cells; for
-    `exhaustive`, its whole height enumeration.  The lattice closure is
-    built only when the best value is still above the proven pairwise
-    lower bound, and then only its new members are scored.  The witness
-    is the canonical minimizer among the candidates scored: smallest
-    value, then smallest dim S, then the lexicographically smallest
-    canonical basis, whatever the scoring order.  The module docstring
-    proves the bound, and that a `lattice` stop before the closure at
-    dim J − dim L ≤ 4 yields the canonical minimizer over all subspaces.
+    The cheap candidates are scored first: for `lattice`, the meet
+    L = ∩ C_i and the join J = Σ C_i of the cells; for `exhaustive`, its
+    whole height enumeration.  {0} and R^n, which score 2d and n, only
+    seed the scan.  The lattice closure is built only when the best value
+    is still above the proven pairwise lower bound, and then only its new
+    members are scored; `candidates_evaluated` counts the strategy's own
+    candidates scanned.  The witness is the canonical minimizer among
+    them, {0} and R^n: smallest value, then smallest dim S, then the
+    lexicographically smallest canonical basis, whatever the scoring
+    order.  The module docstring proves the bound, and that a `lattice`
+    stop before the closure at dim J − dim L ≤ 4 yields the canonical
+    minimizer over all subspaces.
 
     Refusals come before any scoring: a cap below the number of cells
     plus 2 (ValueError), and a height the enumeration refuses
@@ -300,18 +306,19 @@ def amoeba_dim(sigma: SpanComplex,
     d = sigma.dim
     kind, param, descriptor = _parse_strategy(
         DEFAULT_STRATEGY if strategy is None else strategy)
-    cheap = {Subspace.zero(n), Subspace.full(n)}
     if kind == "lattice":
         _check_cap(sigma, param)
-        cheap.add(reduce(Subspace.intersect, sigma.cells))
-        cheap.add(reduce(Subspace.sum, sigma.cells))
+        cheap = sorted({reduce(Subspace.intersect, sigma.cells),
+                        reduce(Subspace.sum, sigma.cells)},
+                       key=Subspace.sort_key)
     else:
-        cheap.update(exhaustive_candidates(n, param))
+        cheap = exhaustive_candidates(n, param)
     lower = _pairwise_lower_bound(sigma)
 
-    # {0} scores 2d and R^n scores n; both are among the cheap candidates
-    best = _score(sigma, sorted(cheap, key=Subspace.sort_key),
-                  min((2 * d, 0, ()), (n, n, Subspace.full(n).rows)))
+    # {0} scores 2d and R^n scores n, so the better of the two seeds the
+    # scan; R^n's rows are built only when it is that one
+    best = _score(sigma, cheap, (n, n, Subspace.full(n).rows) if n < 2 * d
+                  else (2 * d, 0, ()))
     evaluated = len(cheap)
     if kind == "lattice" and best[0] > lower:
         fresh = [sub for sub in candidate_lattice(sigma, param)
@@ -341,11 +348,9 @@ def _pairwise_lower_bound(sigma: SpanComplex) -> int:
     top = min(2 * sigma.dim, sigma.ambient_dim)
     bound = sigma.dim
     for j in range(1, len(cells)):
-        got = _max_cell_sum(cells[:j], cells[j], top)[0]
-        if got > bound:
-            bound = got
-            if bound == top:
-                return bound
+        bound = max(bound, _max_cell_sum(cells[:j], cells[j], top)[0])
+        if bound == top:
+            return bound
     return bound
 
 
@@ -360,10 +365,7 @@ def _score(sigma: SpanComplex, cands, best: tuple) -> tuple:
     for sub in cands:
         s = len(sub.rows)
         limit = best[0]
-        bound = 2 * d - s
-        if s > bound:
-            bound = s
-        if bound > limit:
+        if max(2 * d - s, s) > limit:
             continue
         # the running cell maximum only grows, so the scan can stop once
         # it reaches the smallest sum whose objective exceeds `limit`
@@ -407,10 +409,8 @@ def detect_near_action(sigma: SpanComplex,
                        strategy: str | None = None) -> NearActionReport:
     """Dimension-drop test: value < min(n, 2d)?
 
-    When the drop holds, the minimizing subspace satisfies both strict
-    inequalities 2d > objective(S) and n > objective(S), and it is
-    automatically neither {0} nor R^n (those two candidates pin the
-    objective to 2d and n respectively).
+    When the drop holds, the witness scores below both 2d and n, so it
+    is neither {0} nor R^n, which score 2d and n.
     """
     result = amoeba_dim(sigma, strategy)
     threshold = min(sigma.ambient_dim, 2 * sigma.dim)

@@ -399,6 +399,14 @@ class TestDim:
         code, out, _ = run(capsys, "dim", h3_file, "--cap", "10")
         assert (code, out) == (2, "")
 
+    def test_readme_example(self, capsys, h3_file):
+        # the README's `amoebadim dim h3.json` block is this program's answer
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        block = readme.split("$ amoebadim dim h3.json\n", 1)[1]
+        code, out, _ = run(capsys, "dim", h3_file)
+        assert code == 0
+        assert json.loads(out) == json.loads(block.split("```", 1)[0])
+
     @pytest.mark.parametrize("name", GOLDEN)
     def test_golden_output(self, capsys, name):
         code, out, _ = run(capsys, "dim", str(DATA / f"{name}.fan.json"))

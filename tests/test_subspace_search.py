@@ -128,11 +128,10 @@ def reference_best(sigma, family):
 
 
 def reference_search(sigma, cheap, cap):
-    """The lattice search by its definition: the least triple over {0},
-    R^n and the cheap family, joined by the closure when that stays above
-    the pairwise bound; also the size of the family scored."""
-    n = sigma.ambient_dim
-    family = {Subspace.zero(n), Subspace.full(n), *cheap}
+    """The lattice search by its definition: the least triple over the
+    cheap family, joined by the closure when that stays above the
+    pairwise bound; also the size of the family scored."""
+    family = set(cheap)
     if reference_best(sigma, family)[0] > reference_lower_bound(sigma):
         family.update(candidate_lattice(sigma, cap))
     return reference_best(sigma, family), len(family)
@@ -595,7 +594,7 @@ class TestIncrementalMerge:
         n = rng.randint(1, 4)
         sigma = random_pure_complex(rng, n, num_cells=rng.randint(1, 4))
         res = amoeba_dim(sigma, strategy="lattice(cap=300)")
-        # `lattice` scores {0}, R^n and the meet and join of the cells first
+        # `lattice` scores the meet and join of the cells first
         best, scored = reference_search(
             sigma, [reference_cell_meet(sigma), reference_cell_join(sigma)],
             300)
@@ -668,6 +667,34 @@ class TestMeetAndJoin:
                 assert join.sum_dim(sub.rows) == join.dim
 
 
+class TestCheapStage:
+    """The two inequalities of the module docstring: L scores no more than
+    {0} and J no more than R^n, each strictly unless the two are equal.
+    So the search scans L and J, not {0} and R^n, and finds what a scan
+    of all four finds."""
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_meet_and_join_dominate_zero_and_full(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(0, 5)
+        sigma = random_pure_complex(rng, n, num_cells=rng.randint(1, 4))
+        d = sigma.dim
+        meet, join = reference_cell_meet(sigma), reference_cell_join(sigma)
+        assert objective(sigma, meet) <= 2 * d
+        assert (objective(sigma, meet) == 2 * d) == (meet.dim == 0)
+        assert objective(sigma, join) <= n
+        assert (objective(sigma, join) == n) == (join.dim == n)
+        ends = [Subspace.zero(n), Subspace.full(n)]
+        best, _ = reference_search(sigma, [*ends, meet, join], 300)
+        assert outcome(amoeba_dim(sigma, "lattice(cap=300)")) == best
+        if n <= 3:
+            for height in (0, 1):
+                family = [*ends, *exhaustive_candidates(n, height)]
+                res = amoeba_dim(sigma, f"exhaustive(height={height})")
+                assert outcome(res) == reference_best(sigma, family)
+
+
 def seeded_complex(seed):
     """A random pure complex with n ≤ 4 and 1 to 6 cells."""
     rng = random.Random(seed)
@@ -711,11 +738,9 @@ class TestEnumerationOnRequest:
         assert (res.value, res.lower_bound, res.certified) == \
             (value, value, True)
         assert res.witness_S == witness
-        # {0}, R^n and the meet and join of the cells, without repeats
+        # the meet and join of the cells, without repeats
         assert res.candidates_evaluated == \
-            len({Subspace.zero(sigma.ambient_dim),
-                 Subspace.full(sigma.ambient_dim), reference_cell_meet(sigma),
-                 reference_cell_join(sigma)})
+            len({reference_cell_meet(sigma), reference_cell_join(sigma)})
 
     @pytest.mark.parametrize("sigma", [
         hyperplane(2), curve_fan3(), tropical_hyperplane(5), plucker(),
@@ -759,6 +784,32 @@ class TestEnumerationOnRequest:
         with pytest.raises(ResourceLimitError,
                            match=f"refused for n={n}, height={height}"):
             amoeba_dim(sigma, strategy=f"exhaustive(height={height})")
+
+
+class TestHugeAmbient:
+    """A 0-dimensional fan settles with no work that grows with n: neither
+    R^n's identity nor an n-fold product of coordinates is built."""
+
+    @pytest.mark.parametrize("strategy", [None, "exhaustive(height=0)"])
+    def test_zero_fan_in_a_million_dimensions(self, monkeypatch, strategy):
+        full, real_product = Subspace.full, subspace_search.product
+
+        def small_full(cls, n):
+            if n > 10:
+                raise AssertionError(f"R^{n} built")
+            return full(n)
+
+        def small_product(*args, repeat=1):
+            if repeat > 10:
+                raise AssertionError(f"{repeat}-fold product built")
+            return real_product(*args, repeat=repeat)
+
+        monkeypatch.setattr(Subspace, "full", classmethod(small_full))
+        monkeypatch.setattr(subspace_search, "product", small_product)
+        n = 10 ** 6
+        res = amoeba_dim(SpanComplex(n, [Subspace.zero(n)]), strategy)
+        assert (res.value, res.certified) == (0, True)
+        assert res.candidates_evaluated == 1
 
 
 class TestReduceTorus:
