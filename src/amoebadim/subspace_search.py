@@ -46,13 +46,16 @@ Candidates come from the lattice generated by the cell spans under
 pairwise sum and intersection.  A minimizer has to trade its own dimension
 against how much every cell forces the sum to grow, and the lattice
 elements are the natural rational subspaces realizing those trade-offs.
+The cells alone seed it: {0} and R^n add nothing under sum and meet
+(X + {0} = X ∩ R^n = X, X ∩ {0} = {0}, X + R^n = R^n).  The cells lie
+in [L, J], which sums and meets never leave, so every member lies there.
 The closure frequently does not terminate (already four generic planes in
 R^3 breed new lines and planes forever), which is why `candidate_lattice`
 takes a hard cap and reports in-band whether it reached a fixpoint.  A
 capped candidate set still yields correct upper bounds; it only weakens
 the search.  It is also the expensive part, so the search scores the
-cheap candidates L and J first (a complete closure holds both anyway)
-and builds the closure only when they stay above the lower bound.
+cheap candidates L and J first and builds the closure only when they
+stay above the lower bound.
 """
 
 from __future__ import annotations
@@ -155,16 +158,15 @@ def objective(sigma: SpanComplex, sub: Subspace) -> int:
 
 
 def _check_cap(sigma: SpanComplex, cap: int) -> None:
-    """The closure starts from the cells, {0} and R^n; a cap below that
-    is refused, not truncated."""
-    if cap < len(sigma.cells) + 2:
+    """The closure starts from the cells; a cap below their number is
+    refused, not truncated."""
+    if cap < len(sigma.cells):
         raise ValueError(
-            f"cap {cap} below number of cells + 2 = {len(sigma.cells) + 2}"
-        )
+            f"cap {cap} below number of cells = {len(sigma.cells)}")
 
 
 def candidate_lattice(sigma: SpanComplex, cap: int = DEFAULT_CAP) -> CandidateSet:
-    """Closure of the cell spans ∪ {0, R^n} under pairwise sum/intersection.
+    """Closure of the cell spans under pairwise sum/intersection.
 
     Pairs are processed in generation order (all pairs among earlier
     elements before pairs involving later ones), and each pair's join and
@@ -172,12 +174,11 @@ def candidate_lattice(sigma: SpanComplex, cap: int = DEFAULT_CAP) -> CandidateSe
     keeps the integer entries of intermediate bases small, where a
     depth-first order lets them explode.  Stops at a fixpoint or after
     `cap` distinct subspaces, whichever comes first, and says which one
-    happened.
+    happened.  The cells seed it as they come, canonical and sorted; {0}
+    and R^n are members only when a sum or meet yields them.
     """
     _check_cap(sigma, cap)
-    n = sigma.ambient_dim
-    found = sorted({Subspace.zero(n), Subspace.full(n), *sigma.cells},
-                   key=Subspace.sort_key)
+    found = list(sigma.cells)
     seen = set(found)
     complete = True
     i = 1
@@ -298,9 +299,8 @@ def amoeba_dim(sigma: SpanComplex,
     minimizer over all subspaces.
 
     Refusals come before any scoring: a cap below the number of cells
-    plus 2 (ValueError), and a height the enumeration refuses
-    (ResourceLimitError, raised by `exhaustive_candidates` before it
-    builds anything).
+    (ValueError), and a height the enumeration refuses (ResourceLimitError,
+    raised by `exhaustive_candidates` before it builds anything).
     """
     n = sigma.ambient_dim
     d = sigma.dim

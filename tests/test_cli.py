@@ -54,6 +54,16 @@ POINT_DOC = json.dumps({
     ]},
 })
 
+# x + y + 1 in (C*)^2
+LINE2_DOC = json.dumps({
+    "ambient_dim": 2,
+    "polynomial": {"terms": [
+        {"coeff": ["1", "0"], "exponents": [1, 0]},
+        {"coeff": ["1", "0"], "exponents": [0, 1]},
+        {"coeff": ["1", "0"], "exponents": [0, 0]},
+    ]},
+})
+
 # (t, t^2, t^3)
 MOMENT3_DOC = json.dumps({
     "domain_dim": 1, "ambient_dim": 3,
@@ -393,7 +403,7 @@ class TestDim:
         code, out, err = run(capsys, "dim", path, "--strategy", "lattice",
                              "--cap", "3")
         assert (code, out) == (2, "")
-        assert "cap 3 below number of cells + 2 = 17" in err
+        assert "cap 3 below number of cells = 15" in err
 
     def test_cap_without_strategy(self, capsys, h3_file):
         code, out, _ = run(capsys, "dim", h3_file, "--cap", "10")
@@ -404,6 +414,23 @@ class TestDim:
         readme = (Path(__file__).parent.parent / "README.md").read_text()
         block = readme.split("$ amoebadim dim h3.json\n", 1)[1]
         code, out, _ = run(capsys, "dim", h3_file)
+        assert code == 0
+        assert json.loads(out) == json.loads(block.split("```", 1)[0])
+
+    def test_readme_verify_example(self, capsys, tmp_path):
+        # the README's `amoebadim verify h2.json line2.json` block is this
+        # program's answer on `gen hyperplane 2` and x + y + 1, with the
+        # README's own flags
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        command, block = readme.split("$ amoebadim verify ", 1)[1].split(
+            "\n", 1)
+        args = command.split()
+        assert args[:2] == ["h2.json", "line2.json"]
+        fan = str(tmp_path / "h2.json")
+        assert main(["gen", "hyperplane", "2", "--output", fan]) == 0
+        capsys.readouterr()
+        variety = write(tmp_path, "line2.json", LINE2_DOC)
+        code, out, _ = run(capsys, "verify", fan, variety, *args[2:])
         assert code == 0
         assert json.loads(out) == json.loads(block.split("```", 1)[0])
 

@@ -89,11 +89,10 @@ def reference_pair(a, b):
 
 
 def reference_lattice(sigma, cap):
-    """The closure by its definition: pairs in generation order, the join
-    then the meet of each, stopping at the cap."""
-    n = sigma.ambient_dim
-    found = sorted({Subspace.zero(n), Subspace.full(n), *sigma.cells},
-                   key=Subspace.sort_key)
+    """The closure by its definition: seeded with the cells, pairs in
+    generation order, the join then the meet of each, stopping at the
+    cap."""
+    found = list(sigma.cells)
     seen = set(found)
     complete = True
     i = 1
@@ -189,15 +188,15 @@ class TestObjective:
 
 class TestCandidateLattice:
     def test_single_cell(self):
-        cs = candidate_lattice(single_cell(2, (1, 0)), cap=3)
+        # one cell has no pairs, so it is its own closure
+        cs = candidate_lattice(single_cell(2, (1, 0)), cap=1)
         assert cs.complete
-        assert set(cs.subspaces) == {
-            Subspace.zero(2), span(2, (1, 0)), Subspace.full(2)
-        }
+        assert cs.subspaces == (span(2, (1, 0)),)
 
     def test_cap_below_minimum(self):
+        # six cells
         with pytest.raises(ValueError):
-            candidate_lattice(hyperplane(3), cap=7)
+            candidate_lattice(hyperplane(3), cap=5)
 
     def test_hyperplane_contains_intersection_line(self):
         cs = candidate_lattice(hyperplane(3), cap=100)
@@ -259,7 +258,7 @@ class TestCandidateLattice:
         rng = random.Random(seed)
         sigma = random_pure_complex(rng, rng.randint(1, 4),
                                     num_cells=rng.randint(1, 5))
-        cap = rng.randint(len(sigma.cells) + 2, 300)
+        cap = rng.randint(len(sigma.cells), 300)
         cs = candidate_lattice(sigma, cap=cap)
         assert (cs.subspaces, cs.complete) == reference_lattice(sigma, cap)
 
@@ -523,6 +522,19 @@ def forbid(monkeypatch, *names):
         monkeypatch.setattr(subspace_search, name, refuse)
 
 
+def count_calls(monkeypatch, name):
+    """The argument tuples of every call to `subspace_search.<name>`."""
+    calls = []
+    real = getattr(subspace_search, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(subspace_search, name, counted)
+    return calls
+
+
 class TestPairwiseLowerBound:
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -549,26 +561,19 @@ class TestPairwiseLowerBound:
             (value, value, True)
 
     def test_closure_built_when_cheap_candidates_miss_it(self, monkeypatch):
-        calls = []
-        real = subspace_search.candidate_lattice
-
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(subspace_search, "candidate_lattice", counted)
+        calls = count_calls(monkeypatch, "candidate_lattice")
         res = amoeba_dim(plucker())
         assert len(calls) == 1
-        assert res.candidates_evaluated == len(real(plucker()))
+        assert res.candidates_evaluated == len(candidate_lattice(plucker()))
 
     @pytest.mark.parametrize("strategy,n,cells", [
-        ("lattice(cap=3)", 5, 17), ("lattice(cap=7)", 3, 8),
+        ("lattice(cap=3)", 5, 15), ("lattice(cap=5)", 3, 6),
     ])
     def test_cap_below_cells_refused_without_closure(self, monkeypatch,
                                                      strategy, n, cells):
         forbid(monkeypatch, "candidate_lattice")
         with pytest.raises(ValueError,
-                           match=f"below number of cells \\+ 2 = {cells}"):
+                           match=f"below number of cells = {cells}"):
             amoeba_dim(tropical_hyperplane(n), strategy=strategy)
 
 
@@ -583,16 +588,21 @@ def reference_cell_join(sigma):
                         [r for cell in sigma.cells for r in cell.rows])
 
 
+def coordinate_complex(rng):
+    """3 to 6 coordinate 3-spaces of R^6 as cells.  About a quarter of
+    these need the closure, which stays finite: every sum and meet of
+    coordinate subspaces is one."""
+    axes = [tuple(int(i == j) for j in range(6)) for i in range(6)]
+    picked = rng.sample(list(combinations(axes, 3)), rng.randint(3, 6))
+    return SpanComplex(6, [span(6, *gens) for gens in picked])
+
+
 class TestIncrementalMerge:
     """Scoring the closure after the cheap candidates picks the same value
     and witness as one scan over their union."""
 
-    @given(seed=st.integers(0, 2**32 - 1))
-    @settings(max_examples=40, deadline=None)
-    def test_matches_one_scan_over_the_union(self, seed):
-        rng = random.Random(seed)
-        n = rng.randint(1, 4)
-        sigma = random_pure_complex(rng, n, num_cells=rng.randint(1, 4))
+    @staticmethod
+    def check_one_scan(sigma):
         res = amoeba_dim(sigma, strategy="lattice(cap=300)")
         # `lattice` scores the meet and join of the cells first
         best, scored = reference_search(
@@ -600,8 +610,28 @@ class TestIncrementalMerge:
             300)
         assert outcome(res) == best
         assert res.lower_bound == reference_lower_bound(sigma)
-        assert res.witness_T == reduce_torus(sigma, Subspace(n, best[2]))
+        assert res.witness_T == reduce_torus(
+            sigma, Subspace(sigma.ambient_dim, best[2]))
         assert res.candidates_evaluated == scored
+
+    @given(seed=st.integers(0, 2**32 - 1), coordinate=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_one_scan_over_the_union(self, seed, coordinate):
+        rng = random.Random(seed)
+        if coordinate:
+            sigma = coordinate_complex(rng)
+        else:
+            sigma = random_pure_complex(rng, rng.randint(1, 4),
+                                        num_cells=rng.randint(1, 4))
+        self.check_one_scan(sigma)
+
+    def test_closure_runs_match_one_scan_over_the_union(self, monkeypatch):
+        # the random complexes above almost never need the closure; a
+        # fixed batch of coordinate ones does, often enough to count
+        calls = count_calls(monkeypatch, "candidate_lattice")
+        for seed in range(200):
+            self.check_one_scan(coordinate_complex(random.Random(seed)))
+        assert len(calls) >= 30
 
     @pytest.mark.parametrize("left", [True, False])
     def test_closure_tie_beats_the_full_space(self, left):
@@ -614,7 +644,7 @@ class TestIncrementalMerge:
         axis[0 if left else 6] = 1
         assert (res.value, res.lower_bound) == (7, 6)
         assert res.witness_S == span(7, axis)
-        union = {Subspace.zero(7), Subspace.full(7),
+        union = {reference_cell_meet(sigma), reference_cell_join(sigma),
                  *candidate_lattice(sigma, 300)}
         assert res.candidates_evaluated == len(union)
         assert min(union, key=lambda sub: (objective(sigma, sub),
@@ -673,13 +703,16 @@ class TestCheapStage:
     So the search scans L and J, not {0} and R^n, and finds what a scan
     of all four finds."""
 
-    @given(st.integers(0, 2**32 - 1))
+    @given(st.integers(0, 2**32 - 1), st.booleans())
     @settings(max_examples=150, deadline=None)
-    def test_meet_and_join_dominate_zero_and_full(self, seed):
+    def test_meet_and_join_dominate_zero_and_full(self, seed, coordinate):
         rng = random.Random(seed)
-        n = rng.randint(0, 5)
-        sigma = random_pure_complex(rng, n, num_cells=rng.randint(1, 4))
-        d = sigma.dim
+        if coordinate:
+            sigma = coordinate_complex(rng)
+        else:
+            sigma = random_pure_complex(rng, rng.randint(0, 5),
+                                        num_cells=rng.randint(1, 4))
+        n, d = sigma.ambient_dim, sigma.dim
         meet, join = reference_cell_meet(sigma), reference_cell_join(sigma)
         assert objective(sigma, meet) <= 2 * d
         assert (objective(sigma, meet) == 2 * d) == (meet.dim == 0)
@@ -705,18 +738,6 @@ def seeded_complex(seed):
 class TestEnumerationOnRequest:
     """Only `exhaustive` enumerates, and it scores its whole family; the
     default search never does, in any dimension."""
-
-    @staticmethod
-    def count_enumerations(monkeypatch):
-        calls = []
-        real = subspace_search.exhaustive_candidates
-
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(subspace_search, "exhaustive_candidates", counted)
-        return calls
 
     @pytest.mark.parametrize("sigma,value,witness", [
         # bound 4 = 2d: {0}, the only subspace of dimension 0
@@ -747,12 +768,12 @@ class TestEnumerationOnRequest:
         product(SpanComplex(1, [Subspace.full(1)]), plucker()),
     ])
     def test_default_search_never_enumerates(self, monkeypatch, sigma):
-        calls = self.count_enumerations(monkeypatch)
+        calls = count_calls(monkeypatch, "exhaustive_candidates")
         assert amoeba_dim(sigma).strategy == "lattice(cap=10000)"
         assert calls == []
 
     def test_exhaustive_scores_its_whole_family(self, monkeypatch):
-        calls = self.count_enumerations(monkeypatch)
+        calls = count_calls(monkeypatch, "exhaustive_candidates")
         res = amoeba_dim(hyperplane(3), strategy="exhaustive(height=1)")
         assert calls == [(3, 1)]
         assert res.witness_S == Subspace.full(3)
@@ -787,29 +808,46 @@ class TestEnumerationOnRequest:
 
 
 class TestHugeAmbient:
-    """A 0-dimensional fan settles with no work that grows with n: neither
-    R^n's identity nor an n-fold product of coordinates is built."""
+    """A small fan in a large ambient space settles without R^n's
+    identity: the cheap stage never builds it, nor an n-fold product of
+    coordinates, and the closure starts from the cells alone."""
 
-    @pytest.mark.parametrize("strategy", [None, "exhaustive(height=0)"])
-    def test_zero_fan_in_a_million_dimensions(self, monkeypatch, strategy):
-        full, real_product = Subspace.full, subspace_search.product
+    @staticmethod
+    def refuse_large_full(monkeypatch):
+        full = Subspace.full
 
         def small_full(cls, n):
             if n > 10:
                 raise AssertionError(f"R^{n} built")
             return full(n)
 
+        monkeypatch.setattr(Subspace, "full", classmethod(small_full))
+
+    @pytest.mark.parametrize("strategy", [None, "exhaustive(height=0)"])
+    def test_zero_fan_in_a_million_dimensions(self, monkeypatch, strategy):
+        real_product = subspace_search.product
+
         def small_product(*args, repeat=1):
             if repeat > 10:
                 raise AssertionError(f"{repeat}-fold product built")
             return real_product(*args, repeat=repeat)
 
-        monkeypatch.setattr(Subspace, "full", classmethod(small_full))
+        self.refuse_large_full(monkeypatch)
         monkeypatch.setattr(subspace_search, "product", small_product)
         n = 10 ** 6
         res = amoeba_dim(SpanComplex(n, [Subspace.zero(n)]), strategy)
         assert (res.value, res.certified) == (0, True)
         assert res.candidates_evaluated == 1
+
+    def test_closure_in_a_large_ambient_space(self, monkeypatch):
+        # the Plücker fan needs the closure; a 0-dimensional fan in R^40
+        # beside it makes the ambient space R^46
+        self.refuse_large_full(monkeypatch)
+        calls = count_calls(monkeypatch, "candidate_lattice")
+        point = SpanComplex(40, [Subspace.zero(40)])
+        res = amoeba_dim(product(plucker(), point))
+        assert (res.value, res.lower_bound) == (6, 5)
+        assert len(calls) == 1
 
 
 class TestReduceTorus:
@@ -1051,3 +1089,4 @@ class TestCandidateSetType:
         assert Subspace.zero(2) in cs
         assert span(2, (1, 2)) not in cs
         assert sorted(s.dim for s in cs) == [0, 1, 1, 1, 1, 2]
+
