@@ -19,7 +19,6 @@ import argparse
 import json
 import re
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 _GEN_FAMILIES = ("hyperplane", "orbit", "curve", "torus_invariant", "product")
@@ -51,6 +50,8 @@ def parse_vector_list(text: str, ambient_dim: int) -> tuple:
     Semicolons separate vectors; each one is either the shorthand `ek`
     (`-ek` for the negative) or comma-separated rational coordinates.
     """
+    from fractions import Fraction
+
     vectors = []
     for chunk in text.split(";"):
         unit = _UNIT_VECTOR.match(chunk)

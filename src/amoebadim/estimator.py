@@ -32,8 +32,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
-from fractions import Fraction
+
+from .frozen import Frozen
 
 DEFAULT_TRIALS = 20
 DEFAULT_TOL = 1e-8
@@ -116,25 +116,22 @@ def _check_terms(terms, nvars, what, laurent):
     return tuple(cooked)
 
 
-@dataclass(frozen=True)
-class Parametrization:
+class Parametrization(Frozen):
     """Map (C*)^m -> C^n with Laurent-polynomial components.
 
     Each component is a tuple of (complex coefficient, integer exponent
     vector of length domain_dim) pairs.
     """
 
-    domain_dim: int
-    ambient_dim: int
-    components: tuple
+    _fields = ("domain_dim", "ambient_dim", "components")
 
-    def __post_init__(self):
-        _check_dim("domain_dim", self.domain_dim)
-        _check_dim("ambient_dim", self.ambient_dim)
-        comps = tuple(self.components)
-        if len(comps) != self.ambient_dim:
+    def __init__(self, domain_dim: int, ambient_dim: int, components: tuple):
+        _check_dim("domain_dim", domain_dim)
+        _check_dim("ambient_dim", ambient_dim)
+        comps = tuple(components)
+        if len(comps) != ambient_dim:
             raise VarietyFormatError(
-                f"expected {self.ambient_dim} components, got {len(comps)}"
+                f"expected {ambient_dim} components, got {len(comps)}"
             )
         cooked = []
         for i, terms in enumerate(comps):
@@ -142,39 +139,34 @@ class Parametrization:
             if not terms:
                 raise VarietyFormatError(f"component {i} has no terms")
             cooked.append(
-                _check_terms(terms, self.domain_dim, f"component {i}",
+                _check_terms(terms, domain_dim, f"component {i}",
                              laurent=True)
             )
-        object.__setattr__(self, "components", tuple(cooked))
+        self._store(domain_dim, ambient_dim, tuple(cooked))
 
 
-@dataclass(frozen=True)
-class ImplicitHypersurface:
+class ImplicitHypersurface(Frozen):
     """Zero locus of one polynomial, sampled inside the torus.
 
     A single-term polynomial never vanishes on (C*)^n, so at least two
     terms are required.
     """
 
-    ambient_dim: int
-    terms: tuple
+    _fields = ("ambient_dim", "terms")
 
-    def __post_init__(self):
-        _check_dim("ambient_dim", self.ambient_dim)
-        terms = tuple(self.terms)
+    def __init__(self, ambient_dim: int, terms: tuple):
+        _check_dim("ambient_dim", ambient_dim)
+        terms = tuple(terms)
         if len(terms) < 2:
             raise VarietyFormatError(
                 "a polynomial with fewer than two terms has no zeros in "
                 "the torus"
             )
-        object.__setattr__(
-            self, "terms",
-            _check_terms(terms, self.ambient_dim, "polynomial", laurent=False),
-        )
+        self._store(ambient_dim, _check_terms(terms, ambient_dim,
+                                              "polynomial", laurent=False))
 
 
-@dataclass(frozen=True)
-class RankEstimate:
+class RankEstimate(Frozen):
     """Generic numerical rank plus the evidence it rests on.
 
     `singular_value_gap` is the worst ratio across accepted samples
@@ -186,12 +178,15 @@ class RankEstimate:
     against the fan; it is not part of the JSON document.
     """
 
-    rank: int
-    samples_used: int
-    singular_value_gap: float
-    per_sample_ranks: tuple
-    ambient_dim: int
-    per_sample_gaps: tuple = field(default=(), compare=False)
+    _fields = ("rank", "samples_used", "singular_value_gap",
+               "per_sample_ranks", "ambient_dim", "per_sample_gaps")
+    _compare = _fields[:-1]
+
+    def __init__(self, rank: int, samples_used: int,
+                 singular_value_gap: float, per_sample_ranks: tuple,
+                 ambient_dim: int, per_sample_gaps: tuple = ()):
+        self._store(rank, samples_used, singular_value_gap,
+                    per_sample_ranks, ambient_dim, per_sample_gaps)
 
     def to_json_dict(self) -> dict:
         gap = self.singular_value_gap
@@ -203,15 +198,15 @@ class RankEstimate:
         }
 
 
-@dataclass(frozen=True)
-class CrossCheckResult:
-    combinatorial: int
-    numerical: int
-    certified: bool
-    verdict: str
+class CrossCheckResult(Frozen):
+    _fields = ("combinatorial", "numerical", "certified", "verdict")
+
+    def __init__(self, combinatorial: int, numerical: int, certified: bool,
+                 verdict: str):
+        self._store(combinatorial, numerical, certified, verdict)
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return dict(zip(self._fields, self._args(self)))
 
 
 class _Monomials:
@@ -646,7 +641,15 @@ def _coeff_to_float(raw, where):
     if isinstance(raw, bool) or not isinstance(raw, (int, float, str)):
         raise VarietyFormatError(f"{where}: coefficient entry must be a number")
     try:
-        return float(Fraction(raw) if isinstance(raw, str) else raw)
+        if isinstance(raw, str):
+            try:
+                raw = int(raw)
+            except ValueError:
+                from fractions import Fraction
+
+                raw = Fraction(raw)
+        # an int rounds to float as the equal Fraction does: correctly
+        return float(raw)
     except (ValueError, ZeroDivisionError) as exc:
         raise VarietyFormatError(
             f"{where}: cannot read {raw!r} as a rational number"

@@ -9,8 +9,8 @@ that violates this is rejected, not repaired.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
+from .frozen import Frozen
 from .rational_linalg import Subspace, _check_ambient, canonicalize, \
     direct_sum
 
@@ -27,26 +27,25 @@ class PurityError(ValueError):
         self.offending = tuple(offending)
 
 
-@dataclass(frozen=True, slots=True)
-class SpanComplex:
+class SpanComplex(Frozen):
     """Pure complex given by the spans of its maximal cells.
 
     The constructor is the only way in, and it checks and normalizes:
     every cell must live in R^ambient_dim and all cells must share one
     dimension, which becomes `dim`; duplicate cells merge (keeping a
     label if any copy has one) and the cells are sorted canonically.
-    `labels` is one string or None per cell, or None for no labels.
+    `labels` is one string or None per cell, or None for no labels; they
+    take no part in equality.
     """
 
-    ambient_dim: int
-    cells: tuple
-    labels: tuple | None = field(default=None, compare=False)
+    __slots__ = ("ambient_dim", "cells", "labels")
+    _fields = ("ambient_dim", "cells", "labels")
+    _compare = ("ambient_dim", "cells")
 
-    def __post_init__(self):
-        cells = list(self.cells)
+    def __init__(self, ambient_dim: int, cells, labels=None):
+        cells = list(cells)
         if not cells:
             raise ComplexFormatError("a complex needs at least one cell")
-        labels = self.labels
         if labels is None:
             labels = [None] * len(cells)
         elif isinstance(labels, str):
@@ -57,9 +56,9 @@ class SpanComplex:
             if label is not None and not isinstance(label, str):
                 raise ComplexFormatError(f"cell {i}: label must be a string")
         for cell in cells:
-            if cell.ambient_dim != self.ambient_dim:
+            if cell.ambient_dim != ambient_dim:
                 raise ComplexFormatError(
-                    f"cell ambient {cell.ambient_dim} != {self.ambient_dim}"
+                    f"cell ambient {cell.ambient_dim} != {ambient_dim}"
                 )
         d = cells[0].dim
         bad = [i for i, c in enumerate(cells) if c.dim != d]
@@ -75,8 +74,8 @@ class SpanComplex:
             if cell not in merged or (merged[cell] is None and label is not None):
                 merged[cell] = label
         ordered = sorted(merged, key=Subspace.sort_key)
-        object.__setattr__(self, "cells", tuple(ordered))
-        object.__setattr__(self, "labels", tuple(merged[c] for c in ordered))
+        self._store(ambient_dim, tuple(ordered),
+                    tuple(merged[c] for c in ordered))
 
     @property
     def dim(self) -> int:

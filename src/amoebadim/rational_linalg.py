@@ -18,22 +18,36 @@ thousands of row reductions.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterable
-from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
 
+from .frozen import Frozen
 
-def parse_rational(text) -> Fraction:
-    """Parse "p" or "p/q" (q > 0 after reduction). Accepts ints unchanged,
-    but not booleans."""
-    if isinstance(text, (int, Fraction)) and not isinstance(text, bool):
-        return Fraction(text)
+
+def parse_rational(text):
+    """Parse "p", "p/q" or a decimal such as "1.5", as `Fraction` reads
+    them; ints and Fractions pass, booleans do not.  Integers come back
+    as int, so `fractions` loads only for a "p/q" or decimal string."""
+    if isinstance(text, int) and not isinstance(text, bool):
+        return text
+    fractions = sys.modules.get("fractions")
+    if fractions is not None and isinstance(text, fractions.Fraction):
+        return text
     if not isinstance(text, str):
         raise ValueError(f"not a rational: {text!r}")
+    stripped = text.strip()
     try:
-        return Fraction(text.strip())
+        # int() reads exactly the integer strings that Fraction reads
+        # (digit-group underscores too, since Python 3.11)
+        return int(stripped)
+    except ValueError:
+        pass
+    from fractions import Fraction
+
+    try:
+        return Fraction(stripped)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational: {text!r}") from exc
 
@@ -140,8 +154,7 @@ def _checked_rows(rows: Iterable, ambient_dim: int) -> tuple:
     return rows
 
 
-@dataclass(frozen=True, slots=True)
-class Subspace:
+class Subspace(Frozen):
     """A rational linear subspace of R^n in canonical basis form.
 
     `rows` holds the canonical basis as integer tuples (see module
@@ -156,12 +169,14 @@ class Subspace:
     bulk holds these objects by the thousand.
     """
 
-    ambient_dim: int
-    rows: tuple
-    _hash: int | None = field(default=None, init=False, repr=False,
-                              compare=False)
-    _pivots: tuple | None = field(default=None, init=False, repr=False,
-                                  compare=False)
+    __slots__ = ("ambient_dim", "rows", "_hash", "_pivots")
+    _fields = ("ambient_dim", "rows")
+
+    def __init__(self, ambient_dim: int, rows: tuple):
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_pivots", None)
 
     @property
     def dim(self) -> int:

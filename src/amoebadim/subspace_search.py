@@ -7,10 +7,12 @@ contract: the reported value is the best objective found (an upper bound),
 the lower bound is proven, and `certified` is set exactly when the two
 meet.
 
-The lower bound is max(dim Σ, max over cell pairs of dim(C_i + C_j)).
-Proof for one pair, with k = dim(S+Σ) ≥ dim(S+C_i), dim(S+C_j):
-(S+C_i) + (S+C_j) contains C_i + C_j, and (S+C_i) ∩ (S+C_j) contains S,
-so dim(C_i + C_j) ≤ dim(S+C_i) + dim(S+C_j) − dim S ≤ 2k − dim S.
+The pairwise lower bound is max(dim Σ, max over cell pairs of
+dim(C_i + C_j)).  Proof for one pair, with k = dim(S+Σ) ≥ dim(S+C_i),
+dim(S+C_j): (S+C_i) + (S+C_j) contains C_i + C_j, and (S+C_i) ∩ (S+C_j)
+contains S, so dim(C_i + C_j) ≤ dim(S+C_i) + dim(S+C_j) − dim S ≤
+2k − dim S.  When the cheap candidates stay above it, the propagation
+bound of `bounds` (proved there) raises it where it can.
 
 The witness is the canonical minimizer: least value, then least dim S,
 then least canonical basis.  The meet L = ∩ C_i of the cells is the
@@ -55,7 +57,7 @@ takes a hard cap and reports in-band whether it reached a fixpoint.  A
 capped candidate set still yields correct upper bounds; it only weakens
 the search.  It is also the expensive part, so the search scores the
 cheap candidates L and J first and builds the closure only when they
-stay above the lower bound.
+stay above the lower bound, the propagation bound included.
 """
 
 from __future__ import annotations
@@ -67,6 +69,7 @@ from functools import reduce
 from itertools import product
 from math import gcd
 
+from .frozen import Frozen
 from .polyhedral import SpanComplex, _max_cell_sum, dim_sum_with_subspace
 from .rational_linalg import Subspace, _check_ambient, _pivots_of, sum_rows
 
@@ -84,16 +87,17 @@ class ResourceLimitError(RuntimeError):
     exit_code = 3
 
 
-@dataclass(frozen=True)
-class CandidateSet:
+class CandidateSet(Frozen):
     """The lattice closure's subspaces plus a completeness flag.
 
     `complete` means the closure reached a fixpoint; a capped closure that
     was cut off reports False.
     """
 
-    subspaces: tuple
-    complete: bool
+    _fields = ("subspaces", "complete")
+
+    def __init__(self, subspaces: tuple, complete: bool):
+        self._store(subspaces, complete)
 
     def __iter__(self):
         return iter(self.subspaces)
@@ -106,7 +110,11 @@ class CandidateSet:
 class SearchResult:
     """The best objective found, its proven lower bound and the witnesses;
     `upper_bound` and `certified` are derived, so certified holds exactly
-    when the two bounds meet."""
+    when the two bounds meet.
+
+    The one value class left a dataclass: tests call
+    `dataclasses.fields` and `dataclasses.replace` on it.
+    """
 
     value: int
     lower_bound: int
@@ -136,8 +144,7 @@ class SearchResult:
         }
 
 
-@dataclass(frozen=True)
-class NearActionReport:
+class NearActionReport(Frozen):
     """Outcome of the dimension-drop test value < min(n, 2d).
 
     `proven` says the verdict holds over all subspaces: always for a drop,
@@ -145,11 +152,11 @@ class NearActionReport:
     proven lower bound reaches the threshold.
     """
 
-    drop: bool
-    value: int
-    threshold: int
-    witness: Subspace | None
-    proven: bool
+    _fields = ("drop", "value", "threshold", "witness", "proven")
+
+    def __init__(self, drop: bool, value: int, threshold: int,
+                 witness: Subspace | None, proven: bool):
+        self._store(drop, value, threshold, witness, proven)
 
 
 def objective(sigma: SpanComplex, sub: Subspace) -> int:
@@ -288,9 +295,11 @@ def amoeba_dim(sigma: SpanComplex,
     The cheap candidates are scored first: for `lattice`, the meet
     L = ∩ C_i and the join J = Σ C_i of the cells; for `exhaustive`, its
     whole height enumeration.  {0} and R^n, which score 2d and n, only
-    seed the scan.  The lattice closure is built only when the best value
-    is still above the proven pairwise lower bound, and then only its new
-    members are scored; `candidates_evaluated` counts the strategy's own
+    seed the scan.  The lower bound is the pairwise bound; when the best
+    value is still above it, the propagation bound of `bounds`, which
+    can only raise it, replaces it.  The lattice closure is built only
+    when the best value is above that, and then only its new members
+    are scored; `candidates_evaluated` counts the strategy's own
     candidates scanned.  The witness is the canonical minimizer among
     them, {0} and R^n: smallest value, then smallest dim S, then the
     lexicographically smallest canonical basis, whatever the scoring
@@ -320,6 +329,12 @@ def amoeba_dim(sigma: SpanComplex,
     best = _score(sigma, cheap, (n, n, Subspace.full(n).rows) if n < 2 * d
                   else (2 * d, 0, ()))
     evaluated = len(cheap)
+    if best[0] > lower:
+        # imported here: searches that the pair bound settles never
+        # compile it
+        from .bounds import propagation_bound
+
+        lower = propagation_bound(sigma, lower, best[0])
     if kind == "lattice" and best[0] > lower:
         fresh = [sub for sub in candidate_lattice(sigma, param)
                  if sub not in cheap]

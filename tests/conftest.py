@@ -14,6 +14,7 @@ from pathlib import Path
 from amoebadim.rational_linalg import Subspace, canonicalize, complement_rows
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def child_env() -> dict:
@@ -146,3 +147,30 @@ def transform_complex(sigma, mat):
     return SpanComplex(
         sigma.ambient_dim, [transform_subspace(c, mat) for c in sigma.cells]
     )
+
+
+def plucker():
+    """The golden Plücker fan in R^6: four coordinate 3-spaces, any two
+    meeting in an axis.  The pairwise bound stops at 5; the propagation
+    bound reaches the value, 6."""
+    from amoebadim.polyhedral import parse_complex
+
+    return parse_complex((DATA / "plucker.fan.json").read_text())
+
+
+def coordinate_fan(n: int, *cells: str):
+    """The coordinate subspaces of R^n spanned by the axes each string
+    names, as cells: "013" spans e0, e1 and e3."""
+    from amoebadim.polyhedral import SpanComplex
+
+    axes = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    return SpanComplex(n, [canonicalize(n, [axes[int(a)] for a in cell])
+                           for cell in cells])
+
+
+def open_fan():
+    """The coordinate 3-spaces 345, 045, 023 and 013 of R^6.  {0} and
+    R^6 score 6, the value, but the pairwise and the propagation bound
+    both stop at 5, so the search builds the closure (14 members, a
+    fixpoint)."""
+    return coordinate_fan(6, "345", "045", "023", "013")

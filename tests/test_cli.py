@@ -645,6 +645,8 @@ class TestSmallAmbient:
 NUMERICAL_SIDE = {"amoebadim.estimator", "amoebadim.roots", "numpy"}
 EXACT_SIDE = {"amoebadim.rational_linalg", "amoebadim.polyhedral",
               "amoebadim.subspace_search", "amoebadim.families"}
+# standard modules a command loads only where it uses them
+STARTUP_WATCHED = ("fractions", "decimal", "dataclasses")
 
 
 class TestEntryPoint:
@@ -680,12 +682,14 @@ class TestEntryPoint:
 
     @staticmethod
     def loaded_by(tmp_path, script):
-        """The `amoebadim.*` submodules and numpy that a fresh interpreter
-        has loaded after running `script`."""
-        script += """
+        """The `amoebadim.*` submodules, numpy and the `STARTUP_WATCHED`
+        modules that a fresh interpreter has loaded after running
+        `script`."""
+        script += f"""
 import sys
 print(*sorted(m for m in sys.modules
-              if m == "numpy" or m.startswith("amoebadim.")))
+              if m in ("numpy", *{STARTUP_WATCHED!r})
+              or m.startswith("amoebadim.")))
 """
         proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
                               capture_output=True, text=True, env=child_env())
@@ -710,6 +714,30 @@ assert main({[*argv, "--output", "out.json"]!r}) == 0
         loaded = self.command_loads(tmp_path, *argv)
         assert "amoebadim.polyhedral" in loaded
         assert loaded.isdisjoint(NUMERICAL_SIDE)
+
+    # what a bare interpreter loads already cannot count against a command
+    def startup_loads(self, tmp_path, *argv):
+        return self.command_loads(tmp_path, *argv) - \
+            self.loaded_by(tmp_path, "")
+
+    def test_dim_loads_neither_fractions_nor_the_bound(self, tmp_path):
+        loaded = self.startup_loads(tmp_path, "dim",
+                                    str(DATA / "hyperplane3.fan.json"))
+        assert "amoebadim.subspace_search" in loaded
+        assert loaded.isdisjoint({"fractions", "decimal", "amoebadim.bounds"})
+
+    def test_dim_loads_the_bound_where_cell_pairs_fall_short(self, tmp_path):
+        loaded = self.startup_loads(tmp_path, "dim",
+                                    str(DATA / "plucker.fan.json"))
+        assert "amoebadim.bounds" in loaded
+        assert loaded.isdisjoint({"fractions", "decimal"})
+
+    def test_estimate_loads_neither_dataclasses_nor_fractions(self, tmp_path):
+        write(tmp_path, "moment.json", MOMENT_DOC)
+        loaded = self.startup_loads(tmp_path, "estimate", "moment.json",
+                                    "--kind", "param")
+        assert "amoebadim.estimator" in loaded
+        assert loaded.isdisjoint({"dataclasses", "fractions", "decimal"})
 
     def test_estimate_does_not_load_the_exact_search(self, tmp_path):
         write(tmp_path, "moment.json", MOMENT_DOC)

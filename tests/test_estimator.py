@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import amoebadim.estimator as estimator
 from amoebadim.estimator import (
@@ -616,6 +618,41 @@ IMPLICIT_DOC = """{
     {"coeff": ["-1", "0"], "exponents": [0, 0]}
   ]}
 }"""
+
+
+def fraction_coeff(raw):
+    """A coefficient entry read as `_coeff_to_float` read it through
+    Fraction: its float, or the (error class, message) it raised."""
+    from fractions import Fraction
+
+    try:
+        return float(Fraction(raw) if isinstance(raw, str) else raw)
+    except (ValueError, ZeroDivisionError):
+        return (VarietyFormatError,
+                f"t: cannot read {raw!r} as a rational number")
+    except OverflowError:
+        return VarietyFormatError, "t: coefficient entry out of the float range"
+
+
+def read_coeff(raw):
+    try:
+        return estimator._coeff_to_float(raw, "t")
+    except VarietyFormatError as exc:
+        return type(exc), str(exc)
+
+
+class TestCoefficientEntries:
+    @pytest.mark.parametrize("raw", [
+        "5", "1_000", " +3 ", "٣", "-0", "1e3", "3/4", "1.5", "+-1", "",
+        "1/0", "1e999", "9" * 400, "9" * 308, "-" + "9" * 4000, "9" * 5000,
+        3, -2, 1.5, 10 ** 400,
+    ])
+    def test_reads_what_fraction_reads(self, raw):
+        assert read_coeff(raw) == fraction_coeff(raw)
+
+    @given(st.integers(-2 ** 1100, 2 ** 1100))
+    def test_integer_strings_round_as_fraction_does(self, k):
+        assert read_coeff(str(k)) == fraction_coeff(str(k))
 
 
 class TestParsers:

@@ -390,6 +390,14 @@ class TestSumWithRows:
         assert line.sum_dim(r for r in [(0, 2, 0)]) == 2
 
 
+# each entry once through Fraction and once through parse_rational
+FRACTION_TABLE = [
+    "5", "1_000", " +3 ", "٣", "-0", "007", "1e3", "3/4", "2/4", "1.5",
+    "+-1", "", " ", "1/0", "1__0", "_1", "0x10", "1.5.2", "a/b", "3 / 4",
+    "9" * 400, "-" + "9" * 4000, "9" * 5000, "١٢/٤", "inf", "nan",
+]
+
+
 class TestSerialization:
     def test_integer_form(self):
         assert parse_rational("5") == 5
@@ -408,6 +416,26 @@ class TestSerialization:
     @given(st.fractions())
     def test_round_trip(self, q):
         assert parse_rational(str(q)) == q
+
+    @pytest.mark.parametrize("text", FRACTION_TABLE)
+    def test_reads_what_fraction_reads(self, text):
+        # integer strings skip Fraction; nothing else may change
+        try:
+            expected = Fraction(text.strip())
+        except (ValueError, ZeroDivisionError):
+            with pytest.raises(ValueError) as refused:
+                parse_rational(text)
+            assert str(refused.value) == f"not a rational: {text!r}"
+            return
+        got = parse_rational(text)
+        assert got == expected
+        assert type(got) is (Fraction if "/" in text or "." in text
+                             or "e" in text else int)
+
+    def test_integers_and_fractions_pass_unchanged(self):
+        half = Fraction(1, 2)
+        assert parse_rational(7) == 7 and type(parse_rational(7)) is int
+        assert parse_rational(half) is half
 
 
 class TestMatrixShape:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amoebadim import subspace_search
+from amoebadim.bounds import propagation_bound
 from amoebadim.families import torus_invariant, tropical_hyperplane
 from amoebadim.polyhedral import SpanComplex, parse_complex, product
 from amoebadim.rational_linalg import Subspace, canonicalize, direct_sum
@@ -27,8 +28,9 @@ from amoebadim.subspace_search import (
     reduce_torus,
 )
 
-from conftest import random_pure_complex, random_subspace, random_unimodular, \
-    reference_meet, transform_complex, transform_subspace
+from conftest import open_fan, plucker, random_pure_complex, \
+    random_subspace, random_unimodular, reference_meet, transform_complex, \
+    transform_subspace
 
 
 DATA = Path(__file__).parent / "data"
@@ -126,14 +128,22 @@ def reference_best(sigma, family):
     return min((objective(sigma, sub), sub.dim, sub.rows) for sub in family)
 
 
+def reference_bound(sigma, value):
+    """The search's lower bound: the propagation bound above the pairwise
+    one, for a complex whose least value found is `value`."""
+    return propagation_bound(sigma, reference_lower_bound(sigma), value)
+
+
 def reference_search(sigma, cheap, cap):
     """The lattice search by its definition: the least triple over the
-    cheap family, joined by the closure when that stays above the
-    pairwise bound; also the size of the family scored."""
+    cheap family, joined by the closure when that stays above the lower
+    bound; also the size of the family scored, and the bound."""
     family = set(cheap)
-    if reference_best(sigma, family)[0] > reference_lower_bound(sigma):
+    best = reference_best(sigma, family)
+    lower = reference_bound(sigma, best[0])
+    if best[0] > lower:
         family.update(candidate_lattice(sigma, cap))
-    return reference_best(sigma, family), len(family)
+    return reference_best(sigma, family), len(family), lower
 
 
 def outcome(res):
@@ -487,7 +497,7 @@ class TestAmoebaDim:
         res = amoeba_dim(sigma, strategy="lattice(cap=300)")
         d = sigma.dim
         assert d <= res.lower_bound <= res.value == res.upper_bound
-        assert res.lower_bound == reference_lower_bound(sigma)
+        assert res.lower_bound == reference_bound(sigma, res.value)
         assert res.value <= min(2 * d, n)
         assert objective(sigma, res.witness_S) == res.value
         assert res.witness_S.sum_dim(res.witness_T.rows) \
@@ -508,10 +518,6 @@ class TestAmoebaDim:
         achievers = [s for s in family if objective(sigma, s) == res.value]
         achievers.sort(key=Subspace.sort_key)
         assert res.witness_S == achievers[0]
-
-
-def plucker():
-    return parse_complex((DATA / "plucker.fan.json").read_text())
 
 
 def forbid(monkeypatch, *names):
@@ -546,8 +552,8 @@ class TestPairwiseLowerBound:
         oracle = amoeba_dim(sigma, strategy="exhaustive(height=2)")
         assert res.lower_bound == oracle.lower_bound <= oracle.value
 
-    def test_plucker_fan_stays_uncertified(self):
-        res = amoeba_dim(plucker())
+    def test_open_fan_stays_uncertified(self):
+        res = amoeba_dim(open_fan())
         assert (res.value, res.lower_bound, res.certified) == (6, 5, False)
 
     @pytest.mark.parametrize("sigma,value", [
@@ -562,9 +568,9 @@ class TestPairwiseLowerBound:
 
     def test_closure_built_when_cheap_candidates_miss_it(self, monkeypatch):
         calls = count_calls(monkeypatch, "candidate_lattice")
-        res = amoeba_dim(plucker())
+        res = amoeba_dim(open_fan())
         assert len(calls) == 1
-        assert res.candidates_evaluated == len(candidate_lattice(plucker()))
+        assert res.candidates_evaluated == len(candidate_lattice(open_fan()))
 
     @pytest.mark.parametrize("strategy,n,cells", [
         ("lattice(cap=3)", 5, 15), ("lattice(cap=5)", 3, 6),
@@ -605,11 +611,11 @@ class TestIncrementalMerge:
     def check_one_scan(sigma):
         res = amoeba_dim(sigma, strategy="lattice(cap=300)")
         # `lattice` scores the meet and join of the cells first
-        best, scored = reference_search(
+        best, scored, lower = reference_search(
             sigma, [reference_cell_meet(sigma), reference_cell_join(sigma)],
             300)
         assert outcome(res) == best
-        assert res.lower_bound == reference_lower_bound(sigma)
+        assert res.lower_bound == lower
         assert res.witness_T == reduce_torus(
             sigma, Subspace(sigma.ambient_dim, best[2]))
         assert res.candidates_evaluated == scored
@@ -629,16 +635,18 @@ class TestIncrementalMerge:
         # the random complexes above almost never need the closure; a
         # fixed batch of coordinate ones does, often enough to count
         calls = count_calls(monkeypatch, "candidate_lattice")
-        for seed in range(200):
+        for seed in range(240):
             self.check_one_scan(coordinate_complex(random.Random(seed)))
         assert len(calls) >= 30
 
     @pytest.mark.parametrize("left", [True, False])
     def test_closure_tie_beats_the_full_space(self, left):
-        # the Plücker fan times R^1 scores 7 on R^7 and on the extra axis,
-        # above its bound 6: the closure's line must replace R^7
+        # the open fan times R^1 scores 7 on R^7 and on the extra axis,
+        # above its bound 6: the axis must beat R^7, and the closure
+        # scored after them must keep it
         line = SpanComplex(1, [Subspace.full(1)])
-        sigma = product(line, plucker()) if left else product(plucker(), line)
+        sigma = product(line, open_fan()) if left else \
+            product(open_fan(), line)
         res = amoeba_dim(sigma, strategy="lattice(cap=300)")
         axis = [0] * 7
         axis[0 if left else 6] = 1
@@ -651,9 +659,11 @@ class TestIncrementalMerge:
                                            sub.sort_key())) == res.witness_S
 
     def test_height_zero_runs_above_the_enumeration_limit(self):
+        # the propagation bound certifies the Plücker fan times R^1 under
+        # `exhaustive` too
         line = SpanComplex(1, [Subspace.full(1)])
         res = amoeba_dim(product(plucker(), line), "exhaustive(height=0)")
-        assert (res.value, res.lower_bound) == (7, 6)
+        assert (res.value, res.lower_bound) == (7, 7)
         assert res.witness_S == Subspace.full(7)
 
 
@@ -719,7 +729,7 @@ class TestCheapStage:
         assert objective(sigma, join) <= n
         assert (objective(sigma, join) == n) == (join.dim == n)
         ends = [Subspace.zero(n), Subspace.full(n)]
-        best, _ = reference_search(sigma, [*ends, meet, join], 300)
+        best, _, _ = reference_search(sigma, [*ends, meet, join], 300)
         assert outcome(amoeba_dim(sigma, "lattice(cap=300)")) == best
         if n <= 3:
             for height in (0, 1):
@@ -765,7 +775,7 @@ class TestEnumerationOnRequest:
 
     @pytest.mark.parametrize("sigma", [
         hyperplane(2), curve_fan3(), tropical_hyperplane(5), plucker(),
-        product(SpanComplex(1, [Subspace.full(1)]), plucker()),
+        product(SpanComplex(1, [Subspace.full(1)]), plucker()), open_fan(),
     ])
     def test_default_search_never_enumerates(self, monkeypatch, sigma):
         calls = count_calls(monkeypatch, "exhaustive_candidates")
@@ -792,7 +802,7 @@ class TestEnumerationOnRequest:
         n = sigma.ambient_dim
         cheap = [reference_cell_meet(sigma),
                  *(exhaustive_candidates(n, 1) if n <= 4 else ())]
-        best, _ = reference_search(sigma, cheap, DEFAULT_CAP)
+        best, _, _ = reference_search(sigma, cheap, DEFAULT_CAP)
         assert outcome(amoeba_dim(sigma)) == best
 
     @pytest.mark.parametrize("height,sigma", [
@@ -840,14 +850,24 @@ class TestHugeAmbient:
         assert res.candidates_evaluated == 1
 
     def test_closure_in_a_large_ambient_space(self, monkeypatch):
-        # the Plücker fan needs the closure; a 0-dimensional fan in R^40
+        # the open fan needs the closure; a 0-dimensional fan in R^40
         # beside it makes the ambient space R^46
         self.refuse_large_full(monkeypatch)
         calls = count_calls(monkeypatch, "candidate_lattice")
         point = SpanComplex(40, [Subspace.zero(40)])
-        res = amoeba_dim(product(plucker(), point))
+        res = amoeba_dim(product(open_fan(), point))
         assert (res.value, res.lower_bound) == (6, 5)
         assert len(calls) == 1
+
+    def test_bound_in_a_large_ambient_space(self, monkeypatch):
+        # the propagation bound settles the Plücker fan beside the same
+        # point without building R^46 or the closure
+        self.refuse_large_full(monkeypatch)
+        forbid(monkeypatch, "candidate_lattice")
+        point = SpanComplex(40, [Subspace.zero(40)])
+        res = amoeba_dim(product(plucker(), point))
+        assert (res.value, res.lower_bound, res.candidates_evaluated) == \
+            (6, 6, 2)
 
 
 class TestReduceTorus:
@@ -935,12 +955,19 @@ class TestDetectNearAction:
         assert report.witness is None
         assert report.proven
 
-    def test_plucker_no_drop_is_unproven(self):
+    def test_open_fan_no_drop_is_unproven(self):
         # value 6 reaches the threshold, but the bound stops at 5
-        report = detect_near_action(plucker())
+        report = detect_near_action(open_fan())
         assert (report.drop, report.value, report.threshold) == \
             (False, 6, 6)
         assert not report.proven
+
+    def test_plucker_no_drop_is_proven(self):
+        # the propagation bound reaches the threshold 6
+        report = detect_near_action(plucker())
+        assert (report.drop, report.value, report.threshold) == \
+            (False, 6, 6)
+        assert report.proven
 
     def test_h2_squared_no_drop_is_proven(self):
         report = detect_near_action(product(hyperplane(2), hyperplane(2)))
