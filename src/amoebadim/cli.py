@@ -48,9 +48,9 @@ def parse_vector_list(text: str, ambient_dim: int) -> tuple:
     """Read the `e1;e2;-1,-1,-1` vector syntax.
 
     Semicolons separate vectors; each one is either the shorthand `ek`
-    (`-ek` for the negative) or comma-separated rational coordinates.
+    (`-ek` for the negative) or comma-separated `parse_rational` entries.
     """
-    from fractions import Fraction
+    from .rational_linalg import parse_rational
 
     vectors = []
     for chunk in text.split(";"):
@@ -61,8 +61,8 @@ def parse_vector_list(text: str, ambient_dim: int) -> tuple:
                 raise ValueError(
                     f"e{k} does not exist in R^{ambient_dim}"
                 )
-            vec = [Fraction(0)] * ambient_dim
-            vec[k - 1] = Fraction(-1 if unit.group(1) else 1)
+            vec = [0] * ambient_dim
+            vec[k - 1] = -1 if unit.group(1) else 1
             vectors.append(tuple(vec))
             continue
         parts = chunk.split(",")
@@ -72,8 +72,8 @@ def parse_vector_list(text: str, ambient_dim: int) -> tuple:
                 f"expected {ambient_dim}"
             )
         try:
-            vectors.append(tuple(Fraction(p.strip()) for p in parts))
-        except (ValueError, ZeroDivisionError) as exc:
+            vectors.append(tuple(map(parse_rational, parts)))
+        except ValueError as exc:
             raise ValueError(
                 f"cannot read {chunk.strip()!r} as a rational vector"
             ) from exc
@@ -191,14 +191,15 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     # the exact side is compiled before the estimator loads numpy; the
     # other order leaves the process a larger peak resident set
-    from . import subspace_search  # noqa: F401
+    from .subspace_search import _checked_strategy
     from .estimator import _check_ambient, cross_check
     from .polyhedral import parse_complex
 
     sigma = parse_complex(_read_text(args.fan))
     variety = _read_variety(args)
-    # refused here too, so a wrong pairing fails before any sampling
+    # refused here too, so a wrong pairing, cap or height fails unsampled
     _check_ambient(sigma, variety)
+    _checked_strategy(sigma, args.strategy)
     verdict = cross_check(sigma, _run_estimator(args, variety),
                           strategy=args.strategy)
     _emit_json(verdict.to_json_dict(), args.output)

@@ -638,6 +638,9 @@ def cross_check(sigma: SpanComplex, estimate: RankEstimate,
 
 
 def _coeff_to_float(raw, where):
+    """A coefficient entry as a float, read as `parse_rational` reads it:
+    a copy, so `estimate` loads no exact-side module; tests hold both to
+    one table."""
     if isinstance(raw, bool) or not isinstance(raw, (int, float, str)):
         raise VarietyFormatError(f"{where}: coefficient entry must be a number")
     try:

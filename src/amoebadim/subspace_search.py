@@ -172,6 +172,15 @@ def _check_cap(sigma: SpanComplex, cap: int) -> None:
             f"cap {cap} below number of cells = {len(sigma.cells)}")
 
 
+def _check_height(n: int, height: int) -> None:
+    """A height above `_MAX_HEIGHT[n]` is refused, not enumerated."""
+    limit = _MAX_HEIGHT[n] if n < len(_MAX_HEIGHT) else 0
+    if height > limit:
+        raise ResourceLimitError(
+            f"exhaustive enumeration refused for n={n}, "
+            f"height={height} (R^{n} admits height ≤ {limit})")
+
+
 def candidate_lattice(sigma: SpanComplex, cap: int = DEFAULT_CAP) -> CandidateSet:
     """Closure of the cell spans under pairwise sum/intersection.
 
@@ -224,12 +233,7 @@ def exhaustive_candidates(n: int, height_bound: int) -> tuple:
         raise ValueError("ambient dimension < 0")
     if height_bound < 0:
         raise ValueError("height bound < 0")
-    limit = _MAX_HEIGHT[n] if n < len(_MAX_HEIGHT) else 0
-    if height_bound > limit:
-        raise ResourceLimitError(
-            f"exhaustive enumeration refused for n={n}, "
-            f"height={height_bound} (R^{n} admits height ≤ {limit})"
-        )
+    _check_height(n, height_bound)
     vectors = _primitive_vectors(n, height_bound)
     seen = {()}
     frontier = [()]
@@ -287,6 +291,18 @@ def _parse_strategy(text: str) -> tuple:
     return kind, value, sys.intern(f"{kind}({name}={value})")
 
 
+def _checked_strategy(sigma: SpanComplex, strategy: str | None) -> tuple:
+    """`_parse_strategy` of the descriptor (None for the default), once
+    `_check_cap` or `_check_height` has admitted it on sigma."""
+    kind, param, descriptor = _parse_strategy(
+        DEFAULT_STRATEGY if strategy is None else strategy)
+    if kind == "lattice":
+        _check_cap(sigma, param)
+    else:
+        _check_height(sigma.ambient_dim, param)
+    return kind, param, descriptor
+
+
 def amoeba_dim(sigma: SpanComplex,
                strategy: str | None = None) -> SearchResult:
     """Minimize the objective over the strategy's candidates; the default
@@ -307,19 +323,16 @@ def amoeba_dim(sigma: SpanComplex,
     stop before the closure at dim J − dim L ≤ 4 yields the canonical
     minimizer over all subspaces.
 
-    Refusals come before any scoring: a cap below the number of cells
-    (ValueError), and a height the enumeration refuses (ResourceLimitError,
-    raised by `exhaustive_candidates` before it builds anything).
+    Refusals come before any scoring, from `_checked_strategy`: a cap
+    below the number of cells (ValueError), and a height the enumeration
+    refuses (ResourceLimitError).
     """
     n = sigma.ambient_dim
     d = sigma.dim
-    kind, param, descriptor = _parse_strategy(
-        DEFAULT_STRATEGY if strategy is None else strategy)
+    kind, param, descriptor = _checked_strategy(sigma, strategy)
     if kind == "lattice":
-        _check_cap(sigma, param)
-        cheap = sorted({reduce(Subspace.intersect, sigma.cells),
-                        reduce(Subspace.sum, sigma.cells)},
-                       key=Subspace.sort_key)
+        cheap = {reduce(Subspace.intersect, sigma.cells),
+                 reduce(Subspace.sum, sigma.cells)}
     else:
         cheap = exhaustive_candidates(n, param)
     lower = _pairwise_lower_bound(sigma)

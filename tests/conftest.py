@@ -1,13 +1,15 @@
 """Shared test helpers: an independent naive-Fraction row reducer and a
 meet through orthogonal complements, used as reference implementations,
-small random generators for complexes and subspaces, and the environment
-for child interpreters."""
+small random generators for complexes and subspaces, the fixtures that
+several test files build, and the environment for child interpreters."""
 
 from __future__ import annotations
 
+import json
 import os
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 from pathlib import Path
 
@@ -15,6 +17,45 @@ from amoebadim.rational_linalg import Subspace, canonicalize, complement_rows
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 DATA = Path(__file__).resolve().parent / "data"
+
+# t ↦ (t, t²)
+MOMENT_DOC = json.dumps({
+    "domain_dim": 1, "ambient_dim": 2,
+    "components": [
+        {"terms": [{"coeff": ["1", "0"], "exponents": [1]}]},
+        {"terms": [{"coeff": ["1", "0"], "exponents": [2]}]},
+    ],
+})
+
+
+def implicit_doc(n: int, *terms) -> str:
+    """An implicit-hypersurface document in R^n from (real coefficient,
+    exponents) pairs."""
+    return json.dumps({
+        "ambient_dim": n,
+        "polynomial": {"terms": [
+            {"coeff": [c, "0"], "exponents": list(e)} for c, e in terms
+        ]},
+    })
+
+
+# x + y + 1 in (C*)^2 and x + y + z + 1 in (C*)^3
+LINE2_DOC = implicit_doc(2, ("1", (1, 0)), ("1", (0, 1)), ("1", (0, 0)))
+PLANE3_DOC = implicit_doc(
+    3, ("1", (1, 0, 0)), ("1", (0, 1, 0)), ("1", (0, 0, 1)), ("1", (0, 0, 0))
+)
+
+# Rational strings, each read once through Fraction and once through each
+# reader of the rational syntax: `parse_rational`, the entries of
+# `parse_vector_list` and `_coeff_to_float`.  `_coeff_to_float` keeps its
+# own copy of the reader so that `estimate` loads no exact-side module;
+# this table keeps that copy from drifting.
+RATIONAL_STRINGS = [
+    "5", "1_000", " +3 ", "٣", "-0", "007", "1e3", "1e999", "3/4", "2/4",
+    "1.5", "+-1", "", " ", "1/0", "1__0", "_1", "0x10", "1.5.2", "a/b",
+    "3 / 4", "9" * 308, "9" * 400, "-" + "9" * 4000, "9" * 5000, "١٢/٤",
+    "inf", "nan",
+]
 
 
 def child_env() -> dict:
@@ -174,3 +215,41 @@ def open_fan():
     both stop at 5, so the search builds the closure (14 members, a
     fixpoint)."""
     return coordinate_fan(6, "345", "045", "023", "013")
+
+
+def span(n: int, *gens) -> Subspace:
+    return canonicalize(n, list(gens))
+
+
+def hyperplane(n: int):
+    """The tropical hyperplane fan in R^n, built by hand: the spans of the
+    (n − 1)-subsets of e_1, ..., e_n, −(e_1 + ... + e_n).  The same fan as
+    `families.tropical_hyperplane(n)`, without relying on it."""
+    from amoebadim.polyhedral import SpanComplex
+
+    rays = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    rays.append((-1,) * n)
+    return SpanComplex(n, [span(n, *p) for p in combinations(rays, n - 1)])
+
+
+def curve_fan3():
+    """The rays e_1, e_2, e_3 and −(e_1 + e_2 + e_3) of R^3 as cells."""
+    from amoebadim.polyhedral import SpanComplex
+
+    rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
+    return SpanComplex(3, [span(3, r) for r in rays])
+
+
+def seeded_complex(seed: int, max_n: int, cells: tuple):
+    """`random.Random(seed)`, then n in [1, max_n], then a random pure
+    complex in R^n asked for between cells[0] and cells[1] cells.
+    Returns (rng, n, sigma), the rng ready for further draws."""
+    rng = random.Random(seed)
+    n = rng.randint(1, max_n)
+    return rng, n, random_pure_complex(rng, n, num_cells=rng.randint(*cells))
+
+
+def seeded_case(seed: int, max_n: int, cells: tuple):
+    """`seeded_complex`, then a random subspace of R^n: (rng, n, sigma, sub)."""
+    rng, n, sigma = seeded_complex(seed, max_n, cells)
+    return rng, n, sigma, random_subspace(rng, n)

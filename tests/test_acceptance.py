@@ -36,17 +36,10 @@ from amoebadim.subspace_search import (
     reduce_torus,
 )
 
-from conftest import random_pure_complex, random_subspace, \
-    random_unimodular, transform_complex
+from conftest import LINE2_DOC, MOMENT_DOC, PLANE3_DOC, implicit_doc, \
+    random_pure_complex, random_subspace, random_unimodular, \
+    transform_complex
 
-
-MOMENT_DOC = json.dumps({
-    "domain_dim": 1, "ambient_dim": 2,
-    "components": [
-        {"terms": [{"coeff": ["1", "0"], "exponents": [1]}]},
-        {"terms": [{"coeff": ["1", "0"], "exponents": [2]}]},
-    ],
-})
 
 SURFACE_DOC = json.dumps({
     "domain_dim": 2, "ambient_dim": 3,
@@ -58,19 +51,6 @@ SURFACE_DOC = json.dumps({
 })
 
 
-def implicit_doc(n, *exponents):
-    return json.dumps({
-        "ambient_dim": n,
-        "polynomial": {"terms": [
-            {"coeff": [c, "0"], "exponents": list(e)} for c, e in exponents
-        ]},
-    })
-
-
-LINE2_DOC = implicit_doc(2, ("1", (1, 0)), ("1", (0, 1)), ("1", (0, 0)))
-PLANE3_DOC = implicit_doc(
-    3, ("1", (1, 0, 0)), ("1", (0, 1, 0)), ("1", (0, 0, 1)), ("1", (0, 0, 0))
-)
 HYPERBOLA_DOC = implicit_doc(2, ("1", (1, 1)), ("-1", (0, 0)))
 
 

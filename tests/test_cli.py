@@ -9,17 +9,10 @@ import pytest
 from amoebadim.cli import main, parse_vector_list
 from amoebadim.families import torus_invariant, tropical_hyperplane
 from amoebadim.polyhedral import parse_complex, product
-from amoebadim.rational_linalg import canonicalize
+from amoebadim.rational_linalg import canonicalize, parse_rational
 
-from conftest import child_env
-
-MOMENT_DOC = json.dumps({
-    "domain_dim": 1, "ambient_dim": 2,
-    "components": [
-        {"terms": [{"coeff": ["1", "0"], "exponents": [1]}]},
-        {"terms": [{"coeff": ["1", "0"], "exponents": [2]}]},
-    ],
-})
+from conftest import LINE2_DOC, MOMENT_DOC, PLANE3_DOC, RATIONAL_STRINGS, \
+    child_env, implicit_doc
 
 LINE_DOC = json.dumps({
     "domain_dim": 1, "ambient_dim": 2,
@@ -37,32 +30,10 @@ ZERO_DOC = json.dumps({
 })
 
 # y^1000000 - 1: a degree the implicit path refuses before any work
-HUGE_DEGREE_DOC = json.dumps({
-    "ambient_dim": 2,
-    "polynomial": {"terms": [
-        {"coeff": ["1", "0"], "exponents": [0, 10 ** 6]},
-        {"coeff": ["-1", "0"], "exponents": [0, 0]},
-    ]},
-})
+HUGE_DEGREE_DOC = implicit_doc(2, ("1", (0, 10 ** 6)), ("-1", (0, 0)))
 
 # x - 2 in C*: one point, an amoeba of dimension 0
-POINT_DOC = json.dumps({
-    "ambient_dim": 1,
-    "polynomial": {"terms": [
-        {"coeff": ["1", "0"], "exponents": [1]},
-        {"coeff": ["-2", "0"], "exponents": [0]},
-    ]},
-})
-
-# x + y + 1 in (C*)^2
-LINE2_DOC = json.dumps({
-    "ambient_dim": 2,
-    "polynomial": {"terms": [
-        {"coeff": ["1", "0"], "exponents": [1, 0]},
-        {"coeff": ["1", "0"], "exponents": [0, 1]},
-        {"coeff": ["1", "0"], "exponents": [0, 0]},
-    ]},
-})
+POINT_DOC = implicit_doc(1, ("1", (1,)), ("-2", (0,)))
 
 # (t, t^2, t^3)
 MOMENT3_DOC = json.dumps({
@@ -73,21 +44,11 @@ MOMENT3_DOC = json.dumps({
     ],
 })
 
-PLANE_DOC = json.dumps({
-    "ambient_dim": 3,
-    "polynomial": {"terms": [
-        {"coeff": ["1", "0"], "exponents": [1, 0, 0]},
-        {"coeff": ["1", "0"], "exponents": [0, 1, 0]},
-        {"coeff": ["1", "0"], "exponents": [0, 0, 1]},
-        {"coeff": ["1", "0"], "exponents": [0, 0, 0]},
-    ]},
-})
-
 
 def plane_doc_with(coeff=None, exponent=None):
-    """PLANE_DOC with its first term's real coefficient or first exponent
+    """PLANE3_DOC with its first term's real coefficient or first exponent
     replaced."""
-    doc = json.loads(PLANE_DOC)
+    doc = json.loads(PLANE3_DOC)
     term = doc["polynomial"]["terms"][0]
     if coeff is not None:
         term["coeff"][0] = coeff
@@ -135,12 +96,16 @@ def write(tmp_path, name, text):
     return str(path)
 
 
-@pytest.fixture
-def h3_file(tmp_path, capsys):
-    path = str(tmp_path / "h3.json")
-    assert main(["gen", "hyperplane", "3", "--output", path]) == 0
-    capsys.readouterr()
+def hyperplane_file(tmp_path, n) -> str:
+    """`gen hyperplane n` written to h<n>.json in tmp_path; its path."""
+    path = str(tmp_path / f"h{n}.json")
+    assert main(["gen", "hyperplane", str(n), "--output", path]) == 0
     return path
+
+
+@pytest.fixture
+def h3_file(tmp_path):
+    return hyperplane_file(tmp_path, 3)
 
 
 class TestParseVectorList:
@@ -174,6 +139,20 @@ class TestParseVectorList:
             parse_vector_list("one,two", 2)
         with pytest.raises(ValueError):
             parse_vector_list("1/0,1", 2)
+
+    @pytest.mark.parametrize("text", RATIONAL_STRINGS)
+    def test_entries_read_what_fraction_reads(self, text):
+        try:
+            expected = Fraction(text.strip())
+        except (ValueError, ZeroDivisionError):
+            with pytest.raises(ValueError) as refused:
+                parse_vector_list(text, 1)
+            assert str(refused.value) == \
+                f"cannot read {text.strip()!r} as a rational vector"
+            return
+        ((got,),) = parse_vector_list(text, 1)
+        assert got == expected
+        assert type(got) is type(parse_rational(text))
 
 
 class TestRunConfig:
@@ -369,26 +348,20 @@ class TestDim:
         assert "rational" in err
 
     def test_resource_limit_exit(self, capsys, tmp_path):
-        path = str(tmp_path / "h7.json")
-        assert main(["gen", "hyperplane", "7", "--output", path]) == 0
-        capsys.readouterr()
+        path = hyperplane_file(tmp_path, 7)
         code, out, _ = run(capsys, "dim", path, "--strategy", "exhaustive")
         assert (code, out) == (3, "")
 
     @pytest.mark.parametrize("n,height", [(7, "1"), (3, "4")])
     def test_refused_height_exits_3(self, capsys, tmp_path, n, height):
-        path = str(tmp_path / "h.json")
-        assert main(["gen", "hyperplane", str(n), "--output", path]) == 0
-        capsys.readouterr()
+        path = hyperplane_file(tmp_path, n)
         code, out, err = run(capsys, "dim", path, "--strategy", "exhaustive",
                              "--height", height)
         assert (code, out) == (3, "")
         assert f"refused for n={n}, height={height}" in err
 
     def test_exhaustive_height_zero_above_the_limit(self, capsys, tmp_path):
-        path = str(tmp_path / "h7.json")
-        assert main(["gen", "hyperplane", "7", "--output", path]) == 0
-        capsys.readouterr()
+        path = hyperplane_file(tmp_path, 7)
         code, out, _ = run(capsys, "dim", path, "--strategy", "exhaustive",
                            "--height", "0")
         assert code == 0
@@ -397,9 +370,7 @@ class TestDim:
     def test_cap_below_cell_count_refused(self, capsys, tmp_path):
         # the search never needs the closure on h5, but the cap is still
         # checked against its 15 cells
-        path = str(tmp_path / "h5.json")
-        assert main(["gen", "hyperplane", "5", "--output", path]) == 0
-        capsys.readouterr()
+        path = hyperplane_file(tmp_path, 5)
         code, out, err = run(capsys, "dim", path, "--strategy", "lattice",
                              "--cap", "3")
         assert (code, out) == (2, "")
@@ -426,9 +397,7 @@ class TestDim:
             "\n", 1)
         args = command.split()
         assert args[:2] == ["h2.json", "line2.json"]
-        fan = str(tmp_path / "h2.json")
-        assert main(["gen", "hyperplane", "2", "--output", fan]) == 0
-        capsys.readouterr()
+        fan = hyperplane_file(tmp_path, 2)
         variety = write(tmp_path, "line2.json", LINE2_DOC)
         code, out, _ = run(capsys, "verify", fan, variety, *args[2:])
         assert code == 0
@@ -455,7 +424,7 @@ class TestEstimate:
         assert doc["samples_used"] == 20
 
     def test_implicit_with_null_gap(self, capsys, tmp_path):
-        path = write(tmp_path, "p.json", PLANE_DOC)
+        path = write(tmp_path, "p.json", PLANE3_DOC)
         code, out, _ = run(capsys, "estimate", path, "--kind", "implicit",
                            "--seed", "1")
         doc = json.loads(out)
@@ -537,7 +506,7 @@ class TestEstimate:
 
 class TestVerify:
     def test_agreeing_pair(self, capsys, tmp_path, h3_file):
-        variety = write(tmp_path, "p.json", PLANE_DOC)
+        variety = write(tmp_path, "p.json", PLANE3_DOC)
         code, out, _ = run(capsys, "verify", h3_file, variety,
                            "--kind", "implicit", "--seed", "1")
         assert code == 0
@@ -571,7 +540,7 @@ class TestVerify:
         assert json.loads(out)["verdict"] == "agree"
 
     @pytest.mark.parametrize("kind,doc", [("param", MOMENT_DOC),
-                                          ("implicit", PLANE_DOC)])
+                                          ("implicit", PLANE3_DOC)])
     def test_ambient_dimensions_must_match(self, capsys, tmp_path, kind,
                                            doc):
         # a fan in R^1 against a variety in (C*)^2 or (C*)^3
@@ -594,7 +563,7 @@ class TestVerify:
         assert "out of the" in err
 
     def test_stable_across_seeds(self, capsys, tmp_path, h3_file):
-        variety = write(tmp_path, "p.json", PLANE_DOC)
+        variety = write(tmp_path, "p.json", PLANE3_DOC)
         for seed in ("1", "2", "3"):
             code, out, _ = run(capsys, "verify", h3_file, variety,
                                "--kind", "implicit", "--seed", seed)
@@ -666,8 +635,7 @@ class TestEntryPoint:
         assert json.loads(dim.stdout)["value"] == 3
 
     def test_package_runs_the_cli(self, tmp_path):
-        assert main(["gen", "hyperplane", "3",
-                     "--output", str(tmp_path / "h3.json")]) == 0
+        hyperplane_file(tmp_path, 3)
 
         def run_module(*argv):
             return subprocess.run([sys.executable, "-m", *argv], cwd=tmp_path,
@@ -709,8 +677,7 @@ assert main({[*argv, "--output", "out.json"]!r}) == 0
     @pytest.mark.parametrize("argv", [("gen", "hyperplane", "3"),
                                       ("dim", "h3.json")])
     def test_exact_commands_do_not_load_the_estimator(self, tmp_path, argv):
-        assert main(["gen", "hyperplane", "3",
-                     "--output", str(tmp_path / "h3.json")]) == 0
+        hyperplane_file(tmp_path, 3)
         loaded = self.command_loads(tmp_path, *argv)
         assert "amoebadim.polyhedral" in loaded
         assert loaded.isdisjoint(NUMERICAL_SIDE)
@@ -732,6 +699,22 @@ assert main({[*argv, "--output", "out.json"]!r}) == 0
         assert "amoebadim.bounds" in loaded
         assert loaded.isdisjoint({"fractions", "decimal"})
 
+    @pytest.mark.parametrize("argv", [
+        ("gen", "orbit", "4", "1,0,1,0;0,1,1,1"),
+        ("gen", "torus_invariant", "curve4.json", "e1"),
+    ], ids=("orbit", "torus_invariant"))
+    def test_integer_gen_loads_neither_fractions_nor_decimal(self, tmp_path,
+                                                             argv):
+        assert main(["gen", "curve", "4", "e2;e3;e4;0,-1,-1,-1",
+                     "--output", str(tmp_path / "curve4.json")]) == 0
+        loaded = self.startup_loads(tmp_path, *argv)
+        assert "amoebadim.families" in loaded
+        assert loaded.isdisjoint({"fractions", "decimal"})
+
+    def test_gen_loads_fractions_for_a_fraction_entry(self, tmp_path):
+        loaded = self.startup_loads(tmp_path, "gen", "orbit", "2", "1/2,1")
+        assert "fractions" in loaded
+
     def test_estimate_loads_neither_dataclasses_nor_fractions(self, tmp_path):
         write(tmp_path, "moment.json", MOMENT_DOC)
         loaded = self.startup_loads(tmp_path, "estimate", "moment.json",
@@ -751,8 +734,7 @@ assert main({[*argv, "--output", "out.json"]!r}) == 0
         ("verify", "h2.json", "huge.json", "--kind", "implicit"),
     ], ids=("estimate", "verify"))
     def test_degree_refusal_loads_no_numpy(self, tmp_path, argv):
-        assert main(["gen", "hyperplane", "2",
-                     "--output", str(tmp_path / "h2.json")]) == 0
+        hyperplane_file(tmp_path, 2)
         write(tmp_path, "huge.json", HUGE_DEGREE_DOC)
         script = f"""
 from amoebadim.cli import main
@@ -761,6 +743,23 @@ assert main({list(argv)!r}) == 3
         loaded = self.loaded_by(tmp_path, script)
         assert "amoebadim.estimator" in loaded
         assert loaded.isdisjoint({"amoebadim.roots", "numpy"})
+
+    @pytest.mark.parametrize("flags,code", [
+        (("--strategy", "exhaustive", "--height", "4"), 3),
+        (("--strategy", "lattice", "--cap", "1"), 2),
+    ], ids=("height", "cap"))
+    def test_strategy_refusal_loads_no_numpy(self, tmp_path, flags, code):
+        # verify refuses what `dim` refuses, before any sampling
+        hyperplane_file(tmp_path, 2)
+        write(tmp_path, "line2.json", LINE2_DOC)
+        argv = ["verify", "h2.json", "line2.json", "--kind", "implicit", *flags]
+        script = f"""
+from amoebadim.cli import main
+assert main({argv!r}) == {code}
+"""
+        loaded = self.loaded_by(tmp_path, script)
+        assert "amoebadim.subspace_search" in loaded
+        assert "numpy" not in loaded
 
     def test_every_export_resolves(self, tmp_path):
         script = """
@@ -797,8 +796,7 @@ else:
     ], ids=("dim", "estimate", "verify", "degree"))
     def test_refusal_exit_codes_in_a_fresh_process(self, tmp_path, argv,
                                                    code, error):
-        assert main(["gen", "hyperplane", "3",
-                     "--output", str(tmp_path / "h3.json")]) == 0
+        hyperplane_file(tmp_path, 3)
         assert main(["gen", "orbit", "1", "e1",
                      "--output", str(tmp_path / "line.json")]) == 0
         write(tmp_path, "zero.json", ZERO_DOC)

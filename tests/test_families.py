@@ -14,14 +14,10 @@ from amoebadim.families import (
     tropical_hyperplane,
 )
 from amoebadim.polyhedral import PurityError, parse_complex
-from amoebadim.rational_linalg import Subspace, canonicalize
+from amoebadim.rational_linalg import Subspace
 from amoebadim.subspace_search import amoeba_dim
 
-from conftest import random_subspace, reference_canonical
-
-
-def span(n, *gens):
-    return canonicalize(n, list(gens))
+from conftest import hyperplane, random_subspace, reference_canonical, span
 
 
 class TestTropicalHyperplane:
@@ -49,6 +45,8 @@ class TestTropicalHyperplane:
         sigma = tropical_hyperplane(n)
         assert len(sigma.cells) == count == comb(n + 1, n - 1)
         assert sigma.dim == n - 1
+        # the tests' hand-built copy is the same fan
+        assert hyperplane(n).cells == sigma.cells
 
     def test_dedup_removes_nothing(self):
         # independent enumeration of the generator subsets

@@ -1,6 +1,5 @@
 import json
 import random
-from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -19,31 +18,14 @@ from amoebadim.polyhedral import (
 from amoebadim.rational_linalg import Subspace, canonicalize
 from amoebadim.subspace_search import amoeba_dim
 
-from conftest import random_pure_complex, random_subspace, random_unimodular, \
-    transform_complex, transform_subspace
-
-
-def span(n, *gens):
-    return canonicalize(n, list(gens))
+from conftest import curve_fan3, hyperplane, random_pure_complex, \
+    random_unimodular, seeded_case, span, transform_complex, \
+    transform_subspace
 
 
 def cellwise_invariant(sigma, sub):
     """S lies in every cell span (a sufficient condition for S + |Σ| = |Σ|)."""
     return all(cell.sum(sub) == cell for cell in sigma.cells)
-
-
-def hyperplane3():
-    # 2-skeleton of the fan with rays e1, e2, e3, -(e1+e2+e3): every pair
-    # of rays spans a two-dimensional cell, six distinct planes in all.
-    rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
-    return SpanComplex(
-        3, [span(3, a, b) for a, b in combinations(rays, 2)]
-    )
-
-
-def curve_fan3():
-    rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
-    return SpanComplex(3, [span(3, r) for r in rays])
 
 
 class TestParse:
@@ -160,7 +142,7 @@ class TestParse:
             )
 
     def test_round_trip(self):
-        sigma = hyperplane3()
+        sigma = hyperplane(3)
         assert parse_complex(format_complex(sigma)) == sigma
 
     def test_round_trip_labels(self):
@@ -262,11 +244,11 @@ class TestSpanComplex:
 
 class TestDimSum:
     def test_with_zero_subspace(self):
-        assert dim_sum_with_subspace(hyperplane3(), Subspace.zero(3)) == 2
+        assert dim_sum_with_subspace(hyperplane(3), Subspace.zero(3)) == 2
 
     def test_with_transversal_line(self):
         # e1 misses the span(e2,e3) cell, so that cell's sum already fills R^3
-        assert dim_sum_with_subspace(hyperplane3(), span(3, (1, 0, 0))) == 3
+        assert dim_sum_with_subspace(hyperplane(3), span(3, (1, 0, 0))) == 3
 
     def test_with_full_space(self):
         assert dim_sum_with_subspace(curve_fan3(), Subspace.full(3)) == 3
@@ -279,25 +261,19 @@ class TestDimSum:
 
     def test_ambient_mismatch(self):
         with pytest.raises(ValueError):
-            dim_sum_with_subspace(hyperplane3(), Subspace.zero(2))
+            dim_sum_with_subspace(hyperplane(3), Subspace.zero(2))
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=150, deadline=None)
     def test_bounds(self, seed):
-        rng = random.Random(seed)
-        n = rng.randint(1, 5)
-        sigma = random_pure_complex(rng, n, num_cells=rng.randint(1, 4))
-        sub = random_subspace(rng, n)
+        _, n, sigma, sub = seeded_case(seed, 5, cells=(1, 4))
         val = dim_sum_with_subspace(sigma, sub)
         assert max(sigma.dim, sub.dim) <= val <= min(n, sigma.dim + sub.dim)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
     def test_monotone_in_subspace(self, seed):
-        rng = random.Random(seed)
-        n = rng.randint(1, 5)
-        sigma = random_pure_complex(rng, n, num_cells=rng.randint(1, 4))
-        small = random_subspace(rng, n)
+        rng, n, sigma, small = seeded_case(seed, 5, cells=(1, 4))
         extra = [rng.randint(-2, 2) for _ in range(n)]
         big = small.sum(span(n, extra))
         assert dim_sum_with_subspace(sigma, small) <= dim_sum_with_subspace(
@@ -307,10 +283,7 @@ class TestDimSum:
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
     def test_matches_per_cell_maximum(self, seed):
-        rng = random.Random(seed)
-        n = rng.randint(1, 4)
-        sigma = random_pure_complex(rng, n, num_cells=rng.randint(1, 4))
-        sub = random_subspace(rng, n)
+        _, n, sigma, sub = seeded_case(seed, 4, cells=(1, 4))
         expected = max(cell.sum(sub).dim for cell in sigma.cells)
         assert dim_sum_with_subspace(sigma, sub) == expected
 
@@ -332,7 +305,7 @@ class TestMinkowski:
         # summed cells stay two-dimensional while the coordinate planes grow
         # to fill R^3.  The sum is impure and must be refused, naming the
         # cells left behind.
-        sigma = hyperplane3()
+        sigma = hyperplane(3)
         with pytest.raises(PurityError) as exc_info:
             torus_invariant(sigma, span(3, (1, 1, 1)))
         offending = exc_info.value.offending
@@ -346,7 +319,7 @@ class TestMinkowski:
 
     def test_impure_message_names_cells(self):
         with pytest.raises(PurityError, match="cell 3"):
-            torus_invariant(hyperplane3(), span(3, (1, 1, 1)))
+            torus_invariant(hyperplane(3), span(3, (1, 1, 1)))
 
     def test_ambient_mismatch(self):
         with pytest.raises(ValueError):
@@ -355,10 +328,7 @@ class TestMinkowski:
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
     def test_dim_matches_dim_sum(self, seed):
-        rng = random.Random(seed)
-        n = rng.randint(1, 5)
-        sigma = random_pure_complex(rng, n, num_cells=rng.randint(1, 4))
-        sub = random_subspace(rng, n)
+        _, n, sigma, sub = seeded_case(seed, 5, cells=(1, 4))
         try:
             out = torus_invariant(sigma, sub)
         except PurityError:
@@ -368,10 +338,7 @@ class TestMinkowski:
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
     def test_idempotent_and_invariant(self, seed):
-        rng = random.Random(seed)
-        n = rng.randint(1, 5)
-        sigma = random_pure_complex(rng, n, num_cells=rng.randint(1, 4))
-        sub = random_subspace(rng, n)
+        _, n, sigma, sub = seeded_case(seed, 5, cells=(1, 4))
         try:
             once = torus_invariant(sigma, sub)
         except PurityError:
@@ -388,14 +355,14 @@ class TestCellwiseInvariant:
         assert cellwise_invariant(sigma, span(3, (1, 1, 1)))
 
     def test_hyperplane_skeleton_is_not(self):
-        assert not cellwise_invariant(hyperplane3(), span(3, (1, 1, 1)))
+        assert not cellwise_invariant(hyperplane(3), span(3, (1, 1, 1)))
 
     def test_zero_always(self):
-        assert cellwise_invariant(hyperplane3(), Subspace.zero(3))
+        assert cellwise_invariant(hyperplane(3), Subspace.zero(3))
 
     def test_ambient_mismatch(self):
         with pytest.raises(ValueError):
-            cellwise_invariant(hyperplane3(), Subspace.zero(4))
+            cellwise_invariant(hyperplane(3), Subspace.zero(4))
 
 
 class TestProduct:
@@ -414,7 +381,7 @@ class TestProduct:
         assert set(out.cells) == expected
 
     def test_dims_and_ambient_add(self):
-        left = hyperplane3()
+        left = hyperplane(3)
         right = SpanComplex(2, [span(2, (1, 0)), span(2, (0, 1))])
         out = product(left, right)
         assert out.ambient_dim == 5
@@ -445,10 +412,7 @@ class TestUnimodularEquivariance:
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=80, deadline=None)
     def test_dim_sum_invariant(self, seed):
-        rng = random.Random(seed)
-        n = rng.randint(1, 4)
-        sigma = random_pure_complex(rng, n, num_cells=rng.randint(1, 3))
-        sub = random_subspace(rng, n)
+        rng, n, sigma, sub = seeded_case(seed, 4, cells=(1, 3))
         mat = random_unimodular(rng, n)
         assert dim_sum_with_subspace(
             transform_complex(sigma, mat), transform_subspace(sub, mat)
@@ -457,10 +421,7 @@ class TestUnimodularEquivariance:
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_minkowski_equivariant(self, seed):
-        rng = random.Random(seed)
-        n = rng.randint(1, 4)
-        sigma = random_pure_complex(rng, n, num_cells=rng.randint(1, 3))
-        sub = random_subspace(rng, n)
+        rng, n, sigma, sub = seeded_case(seed, 4, cells=(1, 3))
         mat = random_unimodular(rng, n)
         try:
             plain = torus_invariant(sigma, sub)

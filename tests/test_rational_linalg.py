@@ -17,8 +17,8 @@ from amoebadim.rational_linalg import (
     sum_rows,
 )
 
-from conftest import child_env, complement, reference_canonical, \
-    reference_meet, reference_rref
+from conftest import RATIONAL_STRINGS, child_env, complement, \
+    reference_canonical, reference_meet, reference_rref
 
 
 def span(n, rows):
@@ -390,14 +390,6 @@ class TestSumWithRows:
         assert line.sum_dim(r for r in [(0, 2, 0)]) == 2
 
 
-# each entry once through Fraction and once through parse_rational
-FRACTION_TABLE = [
-    "5", "1_000", " +3 ", "٣", "-0", "007", "1e3", "3/4", "2/4", "1.5",
-    "+-1", "", " ", "1/0", "1__0", "_1", "0x10", "1.5.2", "a/b", "3 / 4",
-    "9" * 400, "-" + "9" * 4000, "9" * 5000, "١٢/٤", "inf", "nan",
-]
-
-
 class TestSerialization:
     def test_integer_form(self):
         assert parse_rational("5") == 5
@@ -417,7 +409,7 @@ class TestSerialization:
     def test_round_trip(self, q):
         assert parse_rational(str(q)) == q
 
-    @pytest.mark.parametrize("text", FRACTION_TABLE)
+    @pytest.mark.parametrize("text", RATIONAL_STRINGS)
     def test_reads_what_fraction_reads(self, text):
         # integer strings skip Fraction; nothing else may change
         try:

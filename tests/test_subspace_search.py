@@ -28,31 +28,15 @@ from amoebadim.subspace_search import (
     reduce_torus,
 )
 
-from conftest import open_fan, plucker, random_pure_complex, \
-    random_subspace, random_unimodular, reference_meet, transform_complex, \
+from conftest import curve_fan3, hyperplane, open_fan, plucker, \
+    random_pure_complex, random_unimodular, reference_meet, seeded_case, \
+    seeded_complex, span, transform_complex, \
     transform_subspace
 
 
 DATA = Path(__file__).parent / "data"
 GOLDEN_FANS = sorted(p.name[:-len(".fan.json")]
                      for p in DATA.glob("*.fan.json"))
-
-
-def span(n, *gens):
-    return canonicalize(n, list(gens))
-
-
-def hyperplane(n):
-    rays = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    rays.append((-1,) * n)
-    return SpanComplex(
-        n, [span(n, *p) for p in combinations(rays, n - 1)]
-    )
-
-
-def curve_fan3():
-    rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
-    return SpanComplex(3, [span(3, r) for r in rays])
 
 
 def two_planes_on_a_line():
@@ -172,10 +156,7 @@ class TestObjective:
     def test_lower_bound_and_intersection_identity(self, seed):
         # objective = dim S + 2d - 2m with m = min over cells of
         # dim(<C> ∩ S); m ≤ min(d, dim S) forces objective ≥ d either way.
-        rng = random.Random(seed)
-        n = rng.randint(1, 5)
-        sigma = random_pure_complex(rng, n, num_cells=rng.randint(1, 4))
-        sub = random_subspace(rng, n)
+        _, n, sigma, sub = seeded_case(seed, 5, cells=(1, 4))
         val = objective(sigma, sub)
         d = sigma.dim
         m = min(cell.intersect(sub).dim for cell in sigma.cells)
@@ -187,10 +168,7 @@ class TestObjective:
     def test_every_cell_pair_bounds_the_objective(self, seed):
         # (S+C_i) + (S+C_j) holds C_i + C_j and (S+C_i) ∩ (S+C_j) holds S,
         # so dim(C_i + C_j) ≤ 2·dim(S+Σ) − dim S
-        rng = random.Random(seed)
-        n = rng.randint(1, 5)
-        sigma = random_pure_complex(rng, n, num_cells=rng.randint(2, 4))
-        sub = random_subspace(rng, n)
+        _, n, sigma, sub = seeded_case(seed, 5, cells=(2, 4))
         val = objective(sigma, sub)
         for a, b in combinations(sigma.cells, 2):
             assert val >= a.sum(b).dim
@@ -265,9 +243,7 @@ class TestCandidateLattice:
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_matches_reference_on_random_complexes(self, seed):
-        rng = random.Random(seed)
-        sigma = random_pure_complex(rng, rng.randint(1, 4),
-                                    num_cells=rng.randint(1, 5))
+        rng, _, sigma = seeded_complex(seed, 4, cells=(1, 5))
         cap = rng.randint(len(sigma.cells), 300)
         cs = candidate_lattice(sigma, cap=cap)
         assert (cs.subspaces, cs.complete) == reference_lattice(sigma, cap)
@@ -278,9 +254,7 @@ class TestCandidateLattice:
         # The sum/intersection lattice generated by three subspaces is
         # finite (modularity), so with at most three cells the closure
         # must report completeness long before a generous cap.
-        rng = random.Random(seed)
-        n = rng.randint(1, 4)
-        sigma = random_pure_complex(rng, n, num_cells=rng.randint(1, 3))
+        _, n, sigma = seeded_complex(seed, 4, cells=(1, 3))
         cs = candidate_lattice(sigma, cap=10000)
         assert cs.complete
         assert len(cs) <= 40
@@ -491,9 +465,7 @@ class TestAmoebaDim:
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_result_invariants(self, seed):
-        rng = random.Random(seed)
-        n = rng.randint(1, 4)
-        sigma = random_pure_complex(rng, n, num_cells=rng.randint(1, 4))
+        _, n, sigma = seeded_complex(seed, 4, cells=(1, 4))
         res = amoeba_dim(sigma, strategy="lattice(cap=300)")
         d = sigma.dim
         assert d <= res.lower_bound <= res.value == res.upper_bound
@@ -508,9 +480,7 @@ class TestAmoebaDim:
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_value_is_true_minimum_over_candidates(self, seed):
-        rng = random.Random(seed)
-        n = rng.randint(1, 3)
-        sigma = random_pure_complex(rng, n, num_cells=rng.randint(1, 3))
+        _, n, sigma = seeded_complex(seed, 3, cells=(1, 3))
         res = amoeba_dim(sigma, strategy="exhaustive(height=1)")
         family = list(exhaustive_candidates(n, 1))
         best = min(objective(sigma, s) for s in family)
@@ -545,9 +515,7 @@ class TestPairwiseLowerBound:
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_below_the_exhaustive_oracle(self, seed):
-        rng = random.Random(seed)
-        n = rng.randint(1, 3)
-        sigma = random_pure_complex(rng, n, num_cells=rng.randint(1, 4))
+        _, n, sigma = seeded_complex(seed, 3, cells=(1, 4))
         res = amoeba_dim(sigma, strategy="lattice(cap=300)")
         oracle = amoeba_dim(sigma, strategy="exhaustive(height=2)")
         assert res.lower_bound == oracle.lower_bound <= oracle.value
@@ -623,12 +591,8 @@ class TestIncrementalMerge:
     @given(seed=st.integers(0, 2**32 - 1), coordinate=st.booleans())
     @settings(max_examples=40, deadline=None)
     def test_matches_one_scan_over_the_union(self, seed, coordinate):
-        rng = random.Random(seed)
-        if coordinate:
-            sigma = coordinate_complex(rng)
-        else:
-            sigma = random_pure_complex(rng, rng.randint(1, 4),
-                                        num_cells=rng.randint(1, 4))
+        sigma = coordinate_complex(random.Random(seed)) if coordinate else \
+            seeded_complex(seed, 4, cells=(1, 4))[2]
         self.check_one_scan(sigma)
 
     def test_closure_runs_match_one_scan_over_the_union(self, monkeypatch):
@@ -675,10 +639,7 @@ class TestMeetAndJoin:
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=150, deadline=None)
     def test_moving_into_the_interval_lowers_the_objective(self, seed):
-        rng = random.Random(seed)
-        n = rng.randint(1, 5)
-        sigma = random_pure_complex(rng, n, num_cells=rng.randint(1, 4))
-        sub = random_subspace(rng, n)
+        _, n, sigma, sub = seeded_case(seed, 5, cells=(1, 4))
         val = objective(sigma, sub)
         up = sub.sum(reference_cell_meet(sigma))
         down = sub.intersect(reference_cell_join(sigma))
@@ -688,9 +649,7 @@ class TestMeetAndJoin:
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_every_minimizer_lies_between_meet_and_join(self, seed):
-        rng = random.Random(seed)
-        n = rng.randint(1, 3)
-        sigma = random_pure_complex(rng, n, num_cells=rng.randint(1, 4))
+        rng, n, sigma = seeded_complex(seed, 3, cells=(1, 4))
         if n < 3 and rng.random() < 0.5:
             # one more axis, in every cell (so in L) or in none (so not in J)
             axis = Subspace.full(1) if rng.random() < 0.5 else \
@@ -736,13 +695,6 @@ class TestCheapStage:
                 family = [*ends, *exhaustive_candidates(n, height)]
                 res = amoeba_dim(sigma, f"exhaustive(height={height})")
                 assert outcome(res) == reference_best(sigma, family)
-
-
-def seeded_complex(seed):
-    """A random pure complex with n ≤ 4 and 1 to 6 cells."""
-    rng = random.Random(seed)
-    return random_pure_complex(rng, rng.randint(1, 4),
-                               num_cells=rng.randint(1, 6))
 
 
 class TestEnumerationOnRequest:
@@ -796,7 +748,7 @@ class TestEnumerationOnRequest:
         # stage changes no outcome, on the golden fans and on seeded
         # random ones
         if name.startswith("seed"):
-            sigma = seeded_complex(int(name[4:]))
+            _, _, sigma = seeded_complex(int(name[4:]), 4, cells=(1, 6))
         else:
             sigma = parse_complex((DATA / f"{name}.fan.json").read_text())
         n = sigma.ambient_dim
@@ -906,10 +858,7 @@ class TestReduceTorus:
     def test_contract(self, seed):
         from amoebadim.polyhedral import dim_sum_with_subspace
 
-        rng = random.Random(seed)
-        n = rng.randint(1, 4)
-        sigma = random_pure_complex(rng, n, num_cells=rng.randint(1, 4))
-        sub = random_subspace(rng, n)
+        _, n, sigma, sub = seeded_case(seed, 4, cells=(1, 4))
         t = reduce_torus(sigma, sub)
         target = dim_sum_with_subspace(sigma, sub)
         assert sub.sum_dim(t.rows) == sub.dim
@@ -938,9 +887,7 @@ class TestWitnessPair:
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_formula_identity(self, seed):
-        rng = random.Random(seed)
-        n = rng.randint(1, 4)
-        sigma = random_pure_complex(rng, n, num_cells=rng.randint(1, 3))
+        _, n, sigma = seeded_complex(seed, 4, cells=(1, 3))
         res = amoeba_dim(sigma, strategy="lattice(cap=300)")
         assert 2 * sigma.dim + 2 * res.witness_T.dim - res.witness_S.dim \
             == res.value
@@ -1002,9 +949,7 @@ class TestDetectNearAction:
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None)
     def test_witness_is_proper_and_verifies(self, seed):
-        rng = random.Random(seed)
-        n = rng.randint(1, 4)
-        sigma = random_pure_complex(rng, n, num_cells=rng.randint(1, 3))
+        _, n, sigma = seeded_complex(seed, 4, cells=(1, 3))
         report = detect_near_action(sigma)
         if not report.drop:
             assert report.witness is None
@@ -1054,9 +999,7 @@ class TestUnimodularInvariance:
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_lattice_value_invariant(self, seed):
-        rng = random.Random(seed)
-        n = rng.randint(1, 4)
-        sigma = random_pure_complex(rng, n, num_cells=rng.randint(1, 3))
+        rng, n, sigma = seeded_complex(seed, 4, cells=(1, 3))
         assert candidate_lattice(sigma, cap=10000).complete
         base = amoeba_dim(sigma, strategy="lattice(cap=10000)").value
         for _ in range(3):
@@ -1068,10 +1011,7 @@ class TestUnimodularInvariance:
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None)
     def test_objective_equivariant(self, seed):
-        rng = random.Random(seed)
-        n = rng.randint(1, 4)
-        sigma = random_pure_complex(rng, n, num_cells=rng.randint(1, 3))
-        sub = random_subspace(rng, n)
+        rng, n, sigma, sub = seeded_case(seed, 4, cells=(1, 3))
         mat = random_unimodular(rng, n)
         assert objective(transform_complex(sigma, mat),
                          transform_subspace(sub, mat)) == objective(sigma, sub)
