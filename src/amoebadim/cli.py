@@ -19,6 +19,7 @@ import argparse
 import json
 import re
 import sys
+from functools import cache
 from pathlib import Path
 
 _GEN_FAMILIES = ("hyperplane", "orbit", "curve", "torus_invariant", "product")
@@ -220,7 +221,10 @@ def _add_estimator_flags(sub):
     sub.add_argument("--seed", type=int, default=0)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and then shared;
+    it binds the `cmd_*` functions as they stand at that first call."""
     parser = argparse.ArgumentParser(
         prog="amoebadim",
         description="Dimension of amoebas from tropical data, two ways: "
@@ -273,9 +277,8 @@ def _check_estimator_flags(args: argparse.Namespace) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

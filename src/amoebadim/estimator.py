@@ -33,7 +33,7 @@ from __future__ import annotations
 import json
 import math
 
-from .frozen import Frozen
+from .frozen import Frozen, parse_rational
 
 DEFAULT_TRIALS = 20
 DEFAULT_TOL = 1e-8
@@ -638,22 +638,14 @@ def cross_check(sigma: SpanComplex, estimate: RankEstimate,
 
 
 def _coeff_to_float(raw, where):
-    """A coefficient entry as a float, read as `parse_rational` reads it:
-    a copy, so `estimate` loads no exact-side module; tests hold both to
-    one table."""
+    """A coefficient entry as a float: a JSON float as it is, an int or a
+    string as `parse_rational` reads it."""
     if isinstance(raw, bool) or not isinstance(raw, (int, float, str)):
         raise VarietyFormatError(f"{where}: coefficient entry must be a number")
     try:
-        if isinstance(raw, str):
-            try:
-                raw = int(raw)
-            except ValueError:
-                from fractions import Fraction
-
-                raw = Fraction(raw)
-        # an int rounds to float as the equal Fraction does: correctly
-        return float(raw)
-    except (ValueError, ZeroDivisionError) as exc:
+        # an int or a Fraction rounds to float correctly
+        return float(raw if isinstance(raw, float) else parse_rational(raw))
+    except ValueError as exc:
         raise VarietyFormatError(
             f"{where}: cannot read {raw!r} as a rational number"
         ) from exc

@@ -1,4 +1,5 @@
-"""Immutable value classes without `dataclasses`.
+"""Immutable value classes without `dataclasses`, and `parse_rational`:
+both here because every command loads this module, which needs no other.
 
 `Frozen` gives a subclass what `@dataclass(frozen=True)` gives: equality
 (same class only) and a hash over the fields named in `_compare` (all of
@@ -10,7 +11,34 @@ at import, and `dataclasses` pulls in `inspect`, which an estimate
 never needs.
 """
 
+import sys
 from operator import attrgetter
+
+
+def parse_rational(text):
+    """Parse "p", "p/q" or a decimal such as "1.5", as `Fraction` reads
+    them; ints and Fractions pass, booleans do not.  Integers come back
+    as int, so `fractions` loads only for a "p/q" or decimal string."""
+    if isinstance(text, int) and not isinstance(text, bool):
+        return text
+    fractions = sys.modules.get("fractions")
+    if fractions is not None and isinstance(text, fractions.Fraction):
+        return text
+    if not isinstance(text, str):
+        raise ValueError(f"not a rational: {text!r}")
+    stripped = text.strip()
+    try:
+        # int() reads exactly the integer strings that Fraction reads
+        # (digit-group underscores too, since Python 3.11)
+        return int(stripped)
+    except ValueError:
+        pass
+    from fractions import Fraction
+
+    try:
+        return Fraction(stripped)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"not a rational: {text!r}") from exc
 
 
 class Frozen:

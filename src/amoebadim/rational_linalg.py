@@ -18,38 +18,11 @@ thousands of row reductions.
 
 from __future__ import annotations
 
-import sys
 from collections.abc import Iterable
 from functools import cache
 from math import gcd, lcm
 
-from .frozen import Frozen
-
-
-def parse_rational(text):
-    """Parse "p", "p/q" or a decimal such as "1.5", as `Fraction` reads
-    them; ints and Fractions pass, booleans do not.  Integers come back
-    as int, so `fractions` loads only for a "p/q" or decimal string."""
-    if isinstance(text, int) and not isinstance(text, bool):
-        return text
-    fractions = sys.modules.get("fractions")
-    if fractions is not None and isinstance(text, fractions.Fraction):
-        return text
-    if not isinstance(text, str):
-        raise ValueError(f"not a rational: {text!r}")
-    stripped = text.strip()
-    try:
-        # int() reads exactly the integer strings that Fraction reads
-        # (digit-group underscores too, since Python 3.11)
-        return int(stripped)
-    except ValueError:
-        pass
-    from fractions import Fraction
-
-    try:
-        return Fraction(stripped)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational: {text!r}") from exc
+from .frozen import Frozen, parse_rational
 
 
 def _int_rows(rows: Iterable) -> list:

@@ -1,7 +1,8 @@
 """Shared test helpers: an independent naive-Fraction row reducer and a
 meet through orthogonal complements, used as reference implementations,
 small random generators for complexes and subspaces, the fixtures that
-several test files build, and the environment for child interpreters."""
+several test files build, an in-process command-line runner, and the
+environment for child interpreters."""
 
 from __future__ import annotations
 
@@ -45,17 +46,33 @@ PLANE3_DOC = implicit_doc(
     3, ("1", (1, 0, 0)), ("1", (0, 1, 0)), ("1", (0, 0, 1)), ("1", (0, 0, 0))
 )
 
-# Rational strings, each read once through Fraction and once through each
-# reader of the rational syntax: `parse_rational`, the entries of
-# `parse_vector_list` and `_coeff_to_float`.  `_coeff_to_float` keeps its
-# own copy of the reader so that `estimate` loads no exact-side module;
-# this table keeps that copy from drifting.
+# Rational strings, each read once through Fraction and once through
+# `parse_rational` and each caller that wraps it: the entries of
+# `parse_vector_list` and `_coeff_to_float`.  The table pins the syntax
+# and every caller's message for what it refuses.
 RATIONAL_STRINGS = [
     "5", "1_000", " +3 ", "٣", "-0", "007", "1e3", "1e999", "3/4", "2/4",
     "1.5", "+-1", "", " ", "1/0", "1__0", "_1", "0x10", "1.5.2", "a/b",
     "3 / 4", "9" * 308, "9" * 400, "-" + "9" * 4000, "9" * 5000, "١٢/٤",
     "inf", "nan",
 ]
+
+
+def short_id(value):
+    """A parametrize id: pytest's own for a value of at most 12
+    characters, else its first three characters and its length, so
+    "9" * 5000 shows as "999...5000"."""
+    text = str(value)
+    return None if len(text) <= 12 else f"{text[:3]}...{len(text)}"
+
+
+def run_cli(capsys, *argv):
+    """`cli.main` on argv in this interpreter: (exit code, stdout, stderr)."""
+    from amoebadim.cli import main
+
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
 def child_env() -> dict:

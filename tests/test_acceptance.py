@@ -12,7 +12,6 @@ import json
 import random
 import time
 
-from amoebadim.cli import main
 from amoebadim.estimator import (
     ImplicitHypersurface,
     Parametrization,
@@ -37,7 +36,7 @@ from amoebadim.subspace_search import (
 )
 
 from conftest import LINE2_DOC, MOMENT_DOC, PLANE3_DOC, implicit_doc, \
-    random_pure_complex, random_subspace, random_unimodular, \
+    random_pure_complex, random_subspace, random_unimodular, run_cli, \
     transform_complex
 
 
@@ -54,12 +53,6 @@ SURFACE_DOC = json.dumps({
 HYPERBOLA_DOC = implicit_doc(2, ("1", (1, 1)), ("-1", (0, 0)))
 
 
-def run_cli(capsys, *argv):
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out
-
-
 def test_a1_hypersurface_values(capsys, tmp_path):
     worst = 0.0
     for n, expected in ((2, 2), (3, 3), (4, 4), (5, 5)):
@@ -67,7 +60,7 @@ def test_a1_hypersurface_values(capsys, tmp_path):
         assert run_cli(capsys, "gen", "hyperplane", str(n),
                        "--output", fan)[0] == 0
         started = time.perf_counter()
-        code, out = run_cli(capsys, "dim", fan)
+        code, out, _ = run_cli(capsys, "dim", fan)
         elapsed = time.perf_counter() - started
         worst = max(worst, elapsed)
         assert code == 0
@@ -87,7 +80,7 @@ def test_a2_orbit_values(capsys, tmp_path):
         fan = str(tmp_path / f"orbit{n}{k}.json")
         assert run_cli(capsys, "gen", "orbit", str(n), vectors,
                        "--output", fan)[0] == 0
-        code, out = run_cli(capsys, "dim", fan)
+        code, out, _ = run_cli(capsys, "dim", fan)
         doc = json.loads(out)
         assert code == 0
         assert doc["value"] == k, (n, k)
@@ -103,7 +96,7 @@ def test_a3_torus_invariant_additivity(capsys, tmp_path):
                    "--output", curve)[0] == 0
     assert run_cli(capsys, "gen", "torus_invariant", curve, "e1",
                    "--output", shifted)[0] == 0
-    code, out = run_cli(capsys, "dim", shifted)
+    code, out, _ = run_cli(capsys, "dim", shifted)
     assert code == 0
     assert json.loads(out)["value"] == 1 + 2
 
@@ -180,8 +173,8 @@ def test_a5_verify_agreement(capsys, tmp_path):
     started = time.perf_counter()
     for fan, variety, kind in pairs:
         for seed in ("1", "2", "3"):
-            code, out = run_cli(capsys, "verify", fan, variety,
-                                "--kind", kind, "--seed", seed)
+            code, out, _ = run_cli(capsys, "verify", fan, variety,
+                                   "--kind", kind, "--seed", seed)
             assert code == 0, (fan, variety, seed)
             assert json.loads(out)["verdict"] == "agree", (fan, variety,
                                                            seed)

@@ -6,13 +6,13 @@ from pathlib import Path
 
 import pytest
 
-from amoebadim.cli import main, parse_vector_list
+from amoebadim.cli import build_parser, main, parse_vector_list
 from amoebadim.families import torus_invariant, tropical_hyperplane
 from amoebadim.polyhedral import parse_complex, product
 from amoebadim.rational_linalg import canonicalize, parse_rational
 
-from conftest import LINE2_DOC, MOMENT_DOC, PLANE3_DOC, RATIONAL_STRINGS, \
-    child_env, implicit_doc
+from conftest import DATA, LINE2_DOC, MOMENT_DOC, PLANE3_DOC, \
+    RATIONAL_STRINGS, child_env, implicit_doc, run_cli, short_id
 
 LINE_DOC = json.dumps({
     "domain_dim": 1, "ambient_dim": 2,
@@ -64,8 +64,6 @@ OUT_OF_RANGE_DOCS = {
     "exponent": plane_doc_with(exponent=10**30),
 }
 
-DATA = Path(__file__).parent / "data"
-
 # Fan files under tests/data, written by `gen` (the Plücker fan by hand),
 # each with the exact `dim` output it gave when it was recorded.
 GOLDEN = ("hyperplane3", "hyperplane4", "curve3", "orbit4", "h2xh2",
@@ -82,12 +80,6 @@ GOLDEN_GEN = {
     "curve4_e1": [("curve", "4", "e2;e3;e4;0,-1,-1,-1"),
                   ("torus_invariant", "{0}", "e1")],
 }
-
-
-def run(capsys, *argv):
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
 
 
 def write(tmp_path, name, text):
@@ -140,7 +132,7 @@ class TestParseVectorList:
         with pytest.raises(ValueError):
             parse_vector_list("1/0,1", 2)
 
-    @pytest.mark.parametrize("text", RATIONAL_STRINGS)
+    @pytest.mark.parametrize("text", RATIONAL_STRINGS, ids=short_id)
     def test_entries_read_what_fraction_reads(self, text):
         try:
             expected = Fraction(text.strip())
@@ -155,7 +147,7 @@ class TestParseVectorList:
         assert type(got) is type(parse_rational(text))
 
 
-class TestRunConfig:
+class TestFlagChecks:
     """Flag checks exit 2, and they run before any input file is read."""
 
     def test_range_validation(self, capsys, tmp_path):
@@ -170,42 +162,43 @@ class TestRunConfig:
             ("dim", absent, "--strategy", "exhaustive", "--height", "-1"),
             ("dim", absent, "--strategy", "combined"),
         ):
-            code, out, err = run(capsys, *argv)
+            code, out, err = run_cli(capsys, *argv)
             assert (code, out) == (2, "")
             assert "cannot read" not in err
             if "--seed" in argv:
                 assert "seed" in err
 
     def test_flags_need_strategy(self, capsys, h3_file):
-        code, out, err = run(capsys, "dim", h3_file, "--cap", "10")
+        code, out, err = run_cli(capsys, "dim", h3_file, "--cap", "10")
         assert (code, out) == (2, "")
         assert "--strategy" in err
 
     def test_kind_specific_flags(self, capsys, h3_file):
-        code, out, err = run(capsys, "dim", h3_file, "--strategy", "lattice",
-                             "--height", "2")
+        code, out, err = run_cli(capsys, "dim", h3_file, "--strategy",
+                                 "lattice", "--height", "2")
         assert (code, out) == (2, "")
         assert "height" in err
-        code, out, err = run(capsys, "dim", h3_file, "--strategy",
-                             "exhaustive", "--cap", "10")
+        code, out, err = run_cli(capsys, "dim", h3_file, "--strategy",
+                                 "exhaustive", "--cap", "10")
         assert (code, out) == (2, "")
         assert "cap" in err
 
 
 class TestGen:
     def test_hyperplane(self, capsys):
-        code, out, err = run(capsys, "gen", "hyperplane", "3")
+        code, out, err = run_cli(capsys, "gen", "hyperplane", "3")
         assert code == 0
         assert parse_complex(out) == tropical_hyperplane(3)
 
     def test_orbit(self, capsys):
-        code, out, _ = run(capsys, "gen", "orbit", "2", "1,2")
+        code, out, _ = run_cli(capsys, "gen", "orbit", "2", "1,2")
         assert code == 0
         doc = json.loads(out)
         assert doc == {"ambient_dim": 2, "cells": [{"span": [["1", "2"]]}]}
 
     def test_curve_with_unit_syntax(self, capsys):
-        code, out, _ = run(capsys, "gen", "curve", "3", "e1;e2;e3;-1,-1,-1")
+        code, out, _ = run_cli(capsys, "gen", "curve", "3",
+                               "e1;e2;e3;-1,-1,-1")
         assert code == 0
         assert len(json.loads(out)["cells"]) == 4
 
@@ -217,7 +210,7 @@ class TestGen:
                       {"span": [["0", "0", "0", "1"]]},
                       {"span": [["0", "-1", "-1", "-1"]]}],
         }))
-        code, out, _ = run(capsys, "gen", "torus_invariant", fan, "e1")
+        code, out, _ = run_cli(capsys, "gen", "torus_invariant", fan, "e1")
         assert code == 0
         expected = torus_invariant(
             parse_complex((tmp_path / "c.json").read_text()),
@@ -226,14 +219,15 @@ class TestGen:
         assert parse_complex(out) == expected
 
     def test_product(self, capsys, tmp_path, h3_file):
-        code, out, _ = run(capsys, "gen", "product", h3_file, h3_file)
+        code, out, _ = run_cli(capsys, "gen", "product", h3_file, h3_file)
         assert code == 0
         h3 = tropical_hyperplane(3)
         assert parse_complex(out) == product(h3, h3)
 
     def test_output_file(self, capsys, tmp_path):
         path = str(tmp_path / "out.json")
-        code, out, _ = run(capsys, "gen", "hyperplane", "2", "--output", path)
+        code, out, _ = run_cli(capsys, "gen", "hyperplane", "2",
+                               "--output", path)
         assert code == 0
         assert out == ""
         assert parse_complex((tmp_path / "out.json").read_text()) == \
@@ -244,14 +238,14 @@ class TestGen:
         path = str(tmp_path / "missing" / "out.json")
         argv = ["gen", "hyperplane", "2"] if command == "gen" \
             else ["dim", h3_file]
-        code, out, err = run(capsys, *argv, "--output", path)
+        code, out, err = run_cli(capsys, *argv, "--output", path)
         assert (code, out) == (2, "")
         assert err.startswith(f"error: cannot write {path}: ")
         assert "Traceback" not in err
 
     def test_deterministic(self, capsys):
-        a = run(capsys, "gen", "hyperplane", "4")
-        b = run(capsys, "gen", "hyperplane", "4")
+        a = run_cli(capsys, "gen", "hyperplane", "4")
+        b = run_cli(capsys, "gen", "hyperplane", "4")
         assert a == b
 
     @pytest.mark.parametrize("argv", [
@@ -266,7 +260,7 @@ class TestGen:
         ("gen", "orbit", "0", "1"),
     ])
     def test_bad_parameters(self, capsys, argv):
-        code, out, err = run(capsys, *argv)
+        code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
 
@@ -283,8 +277,8 @@ class TestGen:
             (DATA / f"{name}.fan.json").read_bytes()
 
     def test_torus_invariant_purity_failure(self, capsys, h3_file):
-        code, out, err = run(capsys, "gen", "torus_invariant", h3_file,
-                             "1,1,1")
+        code, out, err = run_cli(capsys, "gen", "torus_invariant", h3_file,
+                                 "1,1,1")
         assert code == 2
         assert out == ""
         assert "impure" in err
@@ -292,7 +286,7 @@ class TestGen:
 
 class TestDim:
     def test_hyperplane_file(self, capsys, h3_file):
-        code, out, _ = run(capsys, "dim", h3_file)
+        code, out, _ = run_cli(capsys, "dim", h3_file)
         assert code == 0
         doc = json.loads(out)
         assert list(doc) == [
@@ -308,22 +302,22 @@ class TestDim:
             "ambient_dim": 3,
             "cells": [{"span": [["1", "0", "1"], ["0", "1", "1"]]}],
         }))
-        code, out, _ = run(capsys, "dim", fan)
+        code, out, _ = run_cli(capsys, "dim", fan)
         doc = json.loads(out)
         assert (code, doc["value"], doc["certified"]) == (0, 2, True)
 
     def test_strategy_flags_reach_the_search(self, capsys, h3_file):
-        code, out, _ = run(capsys, "dim", h3_file, "--strategy",
-                           "exhaustive", "--height", "2")
+        code, out, _ = run_cli(capsys, "dim", h3_file, "--strategy",
+                               "exhaustive", "--height", "2")
         assert code == 0
         assert json.loads(out)["strategy"] == "exhaustive(height=2)"
-        code, out, _ = run(capsys, "dim", h3_file, "--strategy", "lattice",
-                           "--cap", "50")
+        code, out, _ = run_cli(capsys, "dim", h3_file, "--strategy", "lattice",
+                               "--cap", "50")
         assert json.loads(out)["strategy"] == "lattice(cap=50)"
 
     def test_byte_identical_reruns(self, capsys, h3_file):
-        a = run(capsys, "dim", h3_file)
-        b = run(capsys, "dim", h3_file)
+        a = run_cli(capsys, "dim", h3_file)
+        b = run_cli(capsys, "dim", h3_file)
         assert a == b
 
     def test_impure_file_rejected(self, capsys, tmp_path):
@@ -332,38 +326,38 @@ class TestDim:
             "cells": [{"span": [["1", "0"]]},
                       {"span": [["1", "0"], ["0", "1"]]}],
         }))
-        code, out, err = run(capsys, "dim", fan)
+        code, out, err = run_cli(capsys, "dim", fan)
         assert (code, out) == (2, "")
         assert err != ""
 
     def test_missing_file(self, capsys, tmp_path):
-        code, out, _ = run(capsys, "dim", str(tmp_path / "absent.json"))
+        code, out, _ = run_cli(capsys, "dim", str(tmp_path / "absent.json"))
         assert (code, out) == (2, "")
 
     def test_boolean_entries_rejected(self, capsys, tmp_path):
         fan = write(tmp_path, "bool.json",
                     '{"ambient_dim": 2, "cells": [{"span": [[true, false]]}]}')
-        code, out, err = run(capsys, "dim", fan)
+        code, out, err = run_cli(capsys, "dim", fan)
         assert (code, out) == (2, "")
         assert "rational" in err
 
     def test_resource_limit_exit(self, capsys, tmp_path):
         path = hyperplane_file(tmp_path, 7)
-        code, out, _ = run(capsys, "dim", path, "--strategy", "exhaustive")
+        code, out, _ = run_cli(capsys, "dim", path, "--strategy", "exhaustive")
         assert (code, out) == (3, "")
 
     @pytest.mark.parametrize("n,height", [(7, "1"), (3, "4")])
     def test_refused_height_exits_3(self, capsys, tmp_path, n, height):
         path = hyperplane_file(tmp_path, n)
-        code, out, err = run(capsys, "dim", path, "--strategy", "exhaustive",
-                             "--height", height)
+        code, out, err = run_cli(capsys, "dim", path, "--strategy",
+                                 "exhaustive", "--height", height)
         assert (code, out) == (3, "")
         assert f"refused for n={n}, height={height}" in err
 
     def test_exhaustive_height_zero_above_the_limit(self, capsys, tmp_path):
         path = hyperplane_file(tmp_path, 7)
-        code, out, _ = run(capsys, "dim", path, "--strategy", "exhaustive",
-                           "--height", "0")
+        code, out, _ = run_cli(capsys, "dim", path, "--strategy", "exhaustive",
+                               "--height", "0")
         assert code == 0
         assert json.loads(out)["value"] == 7
 
@@ -371,20 +365,20 @@ class TestDim:
         # the search never needs the closure on h5, but the cap is still
         # checked against its 15 cells
         path = hyperplane_file(tmp_path, 5)
-        code, out, err = run(capsys, "dim", path, "--strategy", "lattice",
-                             "--cap", "3")
+        code, out, err = run_cli(capsys, "dim", path, "--strategy", "lattice",
+                                 "--cap", "3")
         assert (code, out) == (2, "")
         assert "cap 3 below number of cells = 15" in err
 
     def test_cap_without_strategy(self, capsys, h3_file):
-        code, out, _ = run(capsys, "dim", h3_file, "--cap", "10")
+        code, out, _ = run_cli(capsys, "dim", h3_file, "--cap", "10")
         assert (code, out) == (2, "")
 
     def test_readme_example(self, capsys, h3_file):
         # the README's `amoebadim dim h3.json` block is this program's answer
         readme = (Path(__file__).parent.parent / "README.md").read_text()
         block = readme.split("$ amoebadim dim h3.json\n", 1)[1]
-        code, out, _ = run(capsys, "dim", h3_file)
+        code, out, _ = run_cli(capsys, "dim", h3_file)
         assert code == 0
         assert json.loads(out) == json.loads(block.split("```", 1)[0])
 
@@ -399,13 +393,13 @@ class TestDim:
         assert args[:2] == ["h2.json", "line2.json"]
         fan = hyperplane_file(tmp_path, 2)
         variety = write(tmp_path, "line2.json", LINE2_DOC)
-        code, out, _ = run(capsys, "verify", fan, variety, *args[2:])
+        code, out, _ = run_cli(capsys, "verify", fan, variety, *args[2:])
         assert code == 0
         assert json.loads(out) == json.loads(block.split("```", 1)[0])
 
     @pytest.mark.parametrize("name", GOLDEN)
     def test_golden_output(self, capsys, name):
-        code, out, _ = run(capsys, "dim", str(DATA / f"{name}.fan.json"))
+        code, out, _ = run_cli(capsys, "dim", str(DATA / f"{name}.fan.json"))
         assert code == 0
         assert out == (DATA / f"{name}.dim.json").read_text()
 
@@ -413,8 +407,8 @@ class TestDim:
 class TestEstimate:
     def test_param(self, capsys, tmp_path):
         path = write(tmp_path, "m.json", MOMENT_DOC)
-        code, out, _ = run(capsys, "estimate", path, "--kind", "param",
-                           "--seed", "1")
+        code, out, _ = run_cli(capsys, "estimate", path, "--kind", "param",
+                               "--seed", "1")
         assert code == 0
         doc = json.loads(out)
         assert list(doc) == [
@@ -425,8 +419,8 @@ class TestEstimate:
 
     def test_implicit_with_null_gap(self, capsys, tmp_path):
         path = write(tmp_path, "p.json", PLANE3_DOC)
-        code, out, _ = run(capsys, "estimate", path, "--kind", "implicit",
-                           "--seed", "1")
+        code, out, _ = run_cli(capsys, "estimate", path, "--kind", "implicit",
+                               "--seed", "1")
         doc = json.loads(out)
         assert (code, doc["rank"]) == (0, 3)
         assert doc["singular_value_gap"] is None
@@ -435,8 +429,8 @@ class TestEstimate:
         path = write(tmp_path, "m.json", MOMENT_DOC)
         outs = set()
         for seed in ("1", "2", "3"):
-            code, out, _ = run(capsys, "estimate", path, "--kind", "param",
-                               "--seed", seed)
+            code, out, _ = run_cli(capsys, "estimate", path, "--kind", "param",
+                                   "--seed", seed)
             assert code == 0
             outs.add(out)
             assert json.loads(out)["rank"] == 1
@@ -444,25 +438,25 @@ class TestEstimate:
 
     def test_deterministic(self, capsys, tmp_path):
         path = write(tmp_path, "m.json", MOMENT_DOC)
-        a = run(capsys, "estimate", path, "--kind", "param", "--seed", "9")
-        b = run(capsys, "estimate", path, "--kind", "param", "--seed", "9")
+        a = run_cli(capsys, "estimate", path, "--kind", "param", "--seed", "9")
+        b = run_cli(capsys, "estimate", path, "--kind", "param", "--seed", "9")
         assert a == b
 
     def test_kind_is_required(self, capsys, tmp_path):
         path = write(tmp_path, "m.json", MOMENT_DOC)
-        code, out, _ = run(capsys, "estimate", path)
+        code, out, _ = run_cli(capsys, "estimate", path)
         assert (code, out) == (2, "")
 
     def test_parameter_validation(self, capsys, tmp_path):
         path = write(tmp_path, "m.json", MOMENT_DOC)
-        assert run(capsys, "estimate", path, "--kind", "param",
-                   "--trials", "0")[0] == 2
-        assert run(capsys, "estimate", path, "--kind", "param",
-                   "--tol", "2")[0] == 2
+        assert run_cli(capsys, "estimate", path, "--kind", "param",
+                       "--trials", "0")[0] == 2
+        assert run_cli(capsys, "estimate", path, "--kind", "param",
+                       "--tol", "2")[0] == 2
 
     def test_all_samples_rejected(self, capsys, tmp_path):
         path = write(tmp_path, "z.json", ZERO_DOC)
-        code, out, err = run(capsys, "estimate", path, "--kind", "param")
+        code, out, err = run_cli(capsys, "estimate", path, "--kind", "param")
         assert (code, out) == (4, "")
         assert "rejected" in err
 
@@ -474,7 +468,8 @@ class TestEstimate:
                 {"coeff": ["3", "0"], "exponents": [1, 1]},
             ]},
         }))
-        code, out, err = run(capsys, "estimate", path, "--kind", "implicit")
+        code, out, err = run_cli(capsys, "estimate", path,
+                                 "--kind", "implicit")
         assert (code, out) == (4, "")
         assert "rejected" in err
 
@@ -486,20 +481,21 @@ class TestEstimate:
                 {"coeff": ["1", "0"], "exponents": [0, 0]},
             ]},
         }))
-        code, out, _ = run(capsys, "estimate", path, "--kind", "implicit",
-                           "--seed", "1")
+        code, out, _ = run_cli(capsys, "estimate", path, "--kind", "implicit",
+                               "--seed", "1")
         assert code == 0
         assert json.loads(out)["per_sample_ranks"] == [1] * 20
 
     def test_wrong_kind_for_file(self, capsys, tmp_path):
         path = write(tmp_path, "m.json", MOMENT_DOC)
-        code, out, _ = run(capsys, "estimate", path, "--kind", "implicit")
+        code, out, _ = run_cli(capsys, "estimate", path, "--kind", "implicit")
         assert (code, out) == (2, "")
 
     @pytest.mark.parametrize("case", sorted(OUT_OF_RANGE_DOCS))
     def test_out_of_range_numbers(self, capsys, tmp_path, case):
         path = write(tmp_path, "p.json", OUT_OF_RANGE_DOCS[case])
-        code, out, err = run(capsys, "estimate", path, "--kind", "implicit")
+        code, out, err = run_cli(capsys, "estimate", path,
+                                 "--kind", "implicit")
         assert (code, out) == (2, "")
         assert "out of the" in err
 
@@ -507,8 +503,8 @@ class TestEstimate:
 class TestVerify:
     def test_agreeing_pair(self, capsys, tmp_path, h3_file):
         variety = write(tmp_path, "p.json", PLANE3_DOC)
-        code, out, _ = run(capsys, "verify", h3_file, variety,
-                           "--kind", "implicit", "--seed", "1")
+        code, out, _ = run_cli(capsys, "verify", h3_file, variety,
+                               "--kind", "implicit", "--seed", "1")
         assert code == 0
         doc = json.loads(out)
         assert list(doc) == [
@@ -519,8 +515,8 @@ class TestVerify:
 
     def test_mismatch_still_prints_json(self, capsys, tmp_path, h3_file):
         variety = write(tmp_path, "m.json", MOMENT3_DOC)
-        code, out, _ = run(capsys, "verify", h3_file, variety,
-                           "--kind", "param", "--seed", "1")
+        code, out, _ = run_cli(capsys, "verify", h3_file, variety,
+                               "--kind", "param", "--seed", "1")
         assert code == 5
         doc = json.loads(out)
         assert doc["verdict"] == "mismatch"
@@ -533,9 +529,9 @@ class TestVerify:
                       {"span": [["1", "1"]]}],
         }))
         variety = write(tmp_path, "l.json", LINE_DOC)
-        code, out, _ = run(capsys, "verify", fan, variety, "--kind", "param",
-                           "--strategy", "exhaustive", "--height", "1",
-                           "--seed", "2")
+        code, out, _ = run_cli(capsys, "verify", fan, variety,
+                               "--kind", "param", "--strategy", "exhaustive",
+                               "--height", "1", "--seed", "2")
         assert code == 0
         assert json.loads(out)["verdict"] == "agree"
 
@@ -549,24 +545,24 @@ class TestVerify:
         }))
         variety = write(tmp_path, "v.json", doc)
         ambient = json.loads(doc)["ambient_dim"]
-        code, out, err = run(capsys, "verify", fan, variety, "--kind", kind,
-                             "--seed", "1")
+        code, out, err = run_cli(capsys, "verify", fan, variety,
+                                 "--kind", kind, "--seed", "1")
         assert (code, out) == (2, "")
         assert "R^1" in err and f"(C*)^{ambient}" in err
 
     @pytest.mark.parametrize("case", sorted(OUT_OF_RANGE_DOCS))
     def test_out_of_range_numbers(self, capsys, tmp_path, h3_file, case):
         variety = write(tmp_path, "p.json", OUT_OF_RANGE_DOCS[case])
-        code, out, err = run(capsys, "verify", h3_file, variety,
-                             "--kind", "implicit")
+        code, out, err = run_cli(capsys, "verify", h3_file, variety,
+                                 "--kind", "implicit")
         assert (code, out) == (2, "")
         assert "out of the" in err
 
     def test_stable_across_seeds(self, capsys, tmp_path, h3_file):
         variety = write(tmp_path, "p.json", PLANE3_DOC)
         for seed in ("1", "2", "3"):
-            code, out, _ = run(capsys, "verify", h3_file, variety,
-                               "--kind", "implicit", "--seed", seed)
+            code, out, _ = run_cli(capsys, "verify", h3_file, variety,
+                                   "--kind", "implicit", "--seed", seed)
             assert code == 0
             assert json.loads(out)["verdict"] == "agree"
 
@@ -579,7 +575,7 @@ class TestSmallAmbient:
         fan = write(tmp_path, "r0.json", json.dumps({
             "ambient_dim": 0, "cells": [{"span": []}],
         }))
-        code, out, _ = run(capsys, "dim", fan)
+        code, out, _ = run_cli(capsys, "dim", fan)
         assert (code, json.loads(out)["value"]) == (0, 0)
 
     @pytest.mark.parametrize("strategy", ["lattice", "exhaustive"])
@@ -587,13 +583,13 @@ class TestSmallAmbient:
         fan = write(tmp_path, "r1.json", json.dumps({
             "ambient_dim": 1, "cells": [{"span": [["1"]]}],
         }))
-        code, out, _ = run(capsys, "dim", fan, "--strategy", strategy)
+        code, out, _ = run_cli(capsys, "dim", fan, "--strategy", strategy)
         assert (code, json.loads(out)["value"]) == (0, 1)
 
     def test_estimate_of_a_point(self, capsys, tmp_path):
         path = write(tmp_path, "x.json", POINT_DOC)
-        code, out, _ = run(capsys, "estimate", path, "--kind", "implicit",
-                           "--seed", "1")
+        code, out, _ = run_cli(capsys, "estimate", path, "--kind", "implicit",
+                               "--seed", "1")
         assert (code, json.loads(out)["rank"]) == (0, 0)
 
     def test_verify_a_point(self, capsys, tmp_path):
@@ -605,8 +601,8 @@ class TestSmallAmbient:
         variety = write(tmp_path, "x.json", POINT_DOC)
         verdicts = []
         for fan in (zero, line):
-            code, out, _ = run(capsys, "verify", fan, variety,
-                               "--kind", "implicit", "--seed", "1")
+            code, out, _ = run_cli(capsys, "verify", fan, variety,
+                                   "--kind", "implicit", "--seed", "1")
             verdicts.append((code, json.loads(out)["verdict"]))
         assert verdicts == [(0, "agree"), (5, "mismatch")]
 
@@ -616,6 +612,20 @@ EXACT_SIDE = {"amoebadim.rational_linalg", "amoebadim.polyhedral",
               "amoebadim.subspace_search", "amoebadim.families"}
 # standard modules a command loads only where it uses them
 STARTUP_WATCHED = ("fractions", "decimal", "dataclasses")
+
+# One call of each kind that `main` answers, with its exit code: the four
+# commands, a usage error, --help and a refusal, in an order that puts
+# each failure between two successes.
+SHARED_PARSER_CALLS = (
+    (("gen", "hyperplane", "3"), 0),
+    (("dim",), 2),
+    (("dim", "h3.json"), 0),
+    (("--help",), 0),
+    (("estimate", "moment.json", "--kind", "param"), 0),
+    (("dim", "h3.json", "--strategy", "exhaustive", "--height", "4"), 3),
+    (("verify", "h2.json", "line2.json", "--kind", "implicit",
+      "--seed", "1"), 0),
+)
 
 
 class TestEntryPoint:
@@ -807,6 +817,42 @@ else:
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == \
             (code, "", f"error: {error}\n")
+
+    @staticmethod
+    def main_in_one_interpreter(tmp_path, calls):
+        """(exit code, stdout, stderr) of `main` on each argv in `calls`,
+        one after another in one fresh interpreter."""
+        script = f"""
+import contextlib, io, json
+from amoebadim.cli import main
+results = []
+for argv in {list(calls)!r}:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    results.append((code, out.getvalue(), err.getvalue()))
+print(json.dumps(results))
+"""
+        proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                              capture_output=True, text=True, env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        return [tuple(result) for result in json.loads(proc.stdout)]
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_calls_sharing_the_parser_answer_as_alone(self, tmp_path):
+        hyperplane_file(tmp_path, 2)
+        hyperplane_file(tmp_path, 3)
+        write(tmp_path, "moment.json", MOMENT_DOC)
+        write(tmp_path, "line2.json", LINE2_DOC)
+        calls = [argv for argv, _ in SHARED_PARSER_CALLS]
+        shared = self.main_in_one_interpreter(tmp_path, calls)
+        alone = [self.main_in_one_interpreter(tmp_path, [argv])[0]
+                 for argv in calls]
+        assert shared == alone
+        assert [code for code, _, _ in shared] == \
+            [code for _, code in SHARED_PARSER_CALLS]
 
     def test_no_arguments_is_a_usage_error(self, capsys):
         assert main([]) == 2

@@ -30,7 +30,7 @@ from amoebadim.families import curve_fan, orbit_subspace, tropical_hyperplane
 from amoebadim.rational_linalg import canonicalize
 from amoebadim.roots import polynomial_roots
 
-from conftest import RATIONAL_STRINGS
+from conftest import RATIONAL_STRINGS, short_id
 
 
 def param(m, n, *components):
@@ -644,7 +644,8 @@ def read_coeff(raw):
 
 
 class TestCoefficientEntries:
-    @pytest.mark.parametrize("raw", RATIONAL_STRINGS + [3, -2, 1.5, 10 ** 400])
+    @pytest.mark.parametrize("raw", RATIONAL_STRINGS + [3, -2, 1.5, 10 ** 400],
+                             ids=short_id)
     def test_reads_what_fraction_reads(self, raw):
         assert read_coeff(raw) == fraction_coeff(raw)
 

@@ -1,4 +1,3 @@
-import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -18,17 +17,13 @@ from amoebadim.rational_linalg import (
 )
 
 from conftest import RATIONAL_STRINGS, child_env, complement, \
-    reference_canonical, reference_meet, reference_rref
-
-
-def span(n, rows):
-    return canonicalize(n, rows)
+    reference_canonical, reference_meet, reference_rref, short_id
 
 
 def rref(n, rows):
     """Canonical basis rows divided by their leading entries."""
     out = []
-    for row in span(n, rows).rows:
+    for row in canonicalize(n, rows).rows:
         lead = next(x for x in row if x)
         out.append(tuple(Fraction(x, lead) for x in row))
     return tuple(out)
@@ -75,21 +70,21 @@ class TestRref:
 
 class TestCanonicalize:
     def test_spanning_pair(self):
-        sub = span(3, [(2, 0, 0), (1, 1, 0)])
+        sub = canonicalize(3, [(2, 0, 0), (1, 1, 0)])
         assert sub.rows == ((1, 0, 0), (0, 1, 0))
 
     def test_empty_generators_give_zero(self):
-        sub = span(2, [])
+        sub = canonicalize(2, [])
         assert sub.dim == 0
 
     def test_rational_entries_clear_to_primitive(self):
-        sub = span(2, [("1/2", "1/3")])
+        sub = canonicalize(2, [("1/2", "1/3")])
         assert sub.rows == ((3, 2),)
-        assert span(2, [("1/2", 1)]) == span(2, [(1, 2)])
+        assert canonicalize(2, [("1/2", 1)]) == canonicalize(2, [(1, 2)])
 
     def test_column_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            span(3, [(1, 0)])
+            canonicalize(3, [(1, 0)])
         with pytest.raises(ValueError):
             canonicalize(2, [[1, 0, 0]])
 
@@ -101,14 +96,14 @@ class TestCanonicalize:
     @given(int_matrix())
     def test_matches_reference(self, case):
         n, rows = case
-        assert span(n, rows).rows == reference_canonical(rows, n)
+        assert canonicalize(n, rows).rows == reference_canonical(rows, n)
 
     @settings(max_examples=200)
     @given(int_matrix(max_n=4, max_rows=4), st.randoms(use_true_random=False))
     def test_invariant_under_row_operations(self, case, rnd):
         """Same row span -> same canonical basis."""
         n, rows = case
-        base = span(n, rows)
+        base = canonicalize(n, rows)
         mixed = [list(r) for r in rows]
         rnd.shuffle(mixed)
         for _ in range(4):
@@ -117,14 +112,14 @@ class TestCanonicalize:
                 if i != j:
                     c = rnd.choice([-2, -1, 1, 2, 3])
                     mixed[i] = [a + c * b for a, b in zip(mixed[i], mixed[j])]
-        assert span(n, mixed).rows == base.rows
+        assert canonicalize(n, mixed).rows == base.rows
 
     @settings(max_examples=200)
     @given(int_matrix())
     def test_idempotent(self, case):
         n, rows = case
-        once = span(n, rows)
-        assert span(n, once.rows).rows == once.rows
+        once = canonicalize(n, rows)
+        assert canonicalize(n, once.rows).rows == once.rows
 
     @settings(max_examples=200)
     @given(int_matrix())
@@ -134,7 +129,7 @@ class TestCanonicalize:
         from math import gcd
 
         n, rows = case
-        sub = span(n, rows)
+        sub = canonicalize(n, rows)
         pivots = []
         for row in sub.rows:
             lead = next(i for i, x in enumerate(row) if x)
@@ -152,15 +147,16 @@ class TestCanonicalize:
 
 class TestSumIntersect:
     def test_direct_sum(self):
-        got = span(3, [(1, 0, 0)]).sum(span(3, [(0, 1, 0)]))
+        got = canonicalize(3, [(1, 0, 0)]).sum(canonicalize(3, [(0, 1, 0)]))
         assert got.rows == ((1, 0, 0), (0, 1, 0))
 
     def test_sum_with_zero_is_identity(self):
-        u = span(3, [(1, 2, 3)])
+        u = canonicalize(3, [(1, 2, 3)])
         assert u.sum(Subspace.zero(3)) == u
 
     def test_lines_spanning_plane(self):
-        assert span(2, [(1, 1)]).sum(span(2, [(1, -1)])) == Subspace.full(2)
+        assert canonicalize(2, [(1, 1)]).sum(canonicalize(2, [(1, -1)])) \
+            == Subspace.full(2)
 
     def test_sum_takes_no_meet(self, monkeypatch):
         # two planes in R^4 that meet in the line of (1, 1, 1, 1): their
@@ -169,21 +165,23 @@ class TestSumIntersect:
             raise AssertionError("intersect_rows was called")
 
         monkeypatch.setattr(rational_linalg, "intersect_rows", refuse)
-        u = span(4, [(1, 1, 0, 0), (0, 0, 1, 1)])
-        v = span(4, [(1, 1, 1, 1), (1, 0, 0, 0)])
-        assert u.sum(v) == span(4, [(1, 0, 0, 0), (0, 1, 0, 0),
+        u = canonicalize(4, [(1, 1, 0, 0), (0, 0, 1, 1)])
+        v = canonicalize(4, [(1, 1, 1, 1), (1, 0, 0, 0)])
+        assert u.sum(v) == canonicalize(4, [(1, 0, 0, 0), (0, 1, 0, 0),
                                     (0, 0, 1, 1)])
 
     def test_intersect_coordinate_planes(self):
-        got = span(3, [(1, 0, 0), (0, 1, 0)]).intersect(span(3, [(1, 0, 0), (0, 0, 1)]))
+        got = canonicalize(3, [(1, 0, 0), (0, 1, 0)]).intersect(
+            canonicalize(3, [(1, 0, 0), (0, 0, 1)]))
         assert got.rows == ((1, 0, 0),)
 
     def test_intersect_with_full_is_identity(self):
-        u = span(3, [(1, 2, 3), (0, 1, 1)])
+        u = canonicalize(3, [(1, 2, 3), (0, 1, 1)])
         assert u.intersect(Subspace.full(3)) == u
 
     def test_skew_planes_meet_in_diagonal(self):
-        got = span(3, [(1, 1, 0), (0, 0, 1)]).intersect(span(3, [(1, 0, 0), (0, 1, 1)]))
+        got = canonicalize(3, [(1, 1, 0), (0, 0, 1)]).intersect(
+            canonicalize(3, [(1, 0, 0), (0, 1, 1)]))
         assert got.rows == ((1, 1, 1),)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -192,16 +190,17 @@ class TestSumIntersect:
         identity = [[int(i == j) for j in range(n)] for i in range(n)]
         assert canonicalize(n, identity) is Subspace.full(n)
         assert canonicalize(n, []) is Subspace.zero(n)
-        axis, diagonal = span(n, [identity[0]]), span(n, [[1] * n])
+        axis = canonicalize(n, [identity[0]])
+        diagonal = canonicalize(n, [[1] * n])
         if n > 1:
             assert axis.intersect(diagonal) is Subspace.zero(n)
-        assert span(n, identity[1:]).sum(diagonal) is Subspace.full(n)
+        assert canonicalize(n, identity[1:]).sum(diagonal) is Subspace.full(n)
 
     def test_ambient_mismatch(self):
         with pytest.raises(ValueError):
-            span(2, [(1, 0)]).sum(span(3, [(1, 0, 0)]))
+            canonicalize(2, [(1, 0)]).sum(canonicalize(3, [(1, 0, 0)]))
         with pytest.raises(ValueError):
-            span(2, [(1, 0)]).intersect(span(3, [(1, 0, 0)]))
+            canonicalize(2, [(1, 0)]).intersect(canonicalize(3, [(1, 0, 0)]))
 
     @settings(max_examples=400)
     @given(int_matrix(max_n=5, max_rows=4), st.data())
@@ -209,8 +208,8 @@ class TestSumIntersect:
         n, rows = case
         other = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n),
                                    min_size=0, max_size=4))
-        u = span(n, rows)
-        v = span(n, other)
+        u = canonicalize(n, rows)
+        v = canonicalize(n, other)
         total, meet = u.sum_intersect(v)
         assert total.dim + meet.dim == u.dim + v.dim
         assert total.sum(u) == total and total.sum(v) == total
@@ -224,13 +223,16 @@ class TestSumIntersect:
 
 class TestComplement:
     def test_axis_line(self):
-        assert complement(span(3, [(1, 0, 0)])) == ((0, 1, 0), (0, 0, 1))
+        assert complement(canonicalize(3, [(1, 0, 0)])) == \
+            ((0, 1, 0), (0, 0, 1))
 
     def test_diagonal_line(self):
-        assert complement(span(3, [(1, 1, 1)])) == ((1, 0, -1), (0, 1, -1))
+        assert complement(canonicalize(3, [(1, 1, 1)])) == \
+            ((1, 0, -1), (0, 1, -1))
 
     def test_scaled_pivots(self):
-        assert complement(span(3, [(2, 0, 1), (0, 3, 1)])) == ((3, 2, -6),)
+        assert complement(canonicalize(3, [(2, 0, 1), (0, 3, 1)])) == \
+            ((3, 2, -6),)
 
     def test_zero_and_full(self):
         assert complement(Subspace.zero(3)) == Subspace.full(3).rows
@@ -239,7 +241,7 @@ class TestComplement:
         assert complement_rows(Subspace.full(2).rows, 2, (0, 1)) == ()
 
     def test_derived_bases_are_cached(self):
-        u = span(4, [(1, 2, 3, 4), (0, 1, 0, 1)])
+        u = canonicalize(4, [(1, 2, 3, 4), (0, 1, 0, 1)])
         assert u.pivots == (0, 1)
         assert u.pivots is u.pivots
         assert u == Subspace(4, u.rows)  # caches take no part in equality
@@ -250,14 +252,14 @@ class TestComplement:
         """dim + codim = n, every cross pairing orthogonal, and together
         the two bases span everything; that pins the complement down."""
         n, rows = case
-        u = span(n, rows)
+        u = canonicalize(n, rows)
         w = complement(u)
         assert u.dim + len(w) == n
         for r in u.rows:
             for s in w:
                 assert sum(x * y for x, y in zip(r, s)) == 0
-        assert span(n, u.rows + w) == Subspace.full(n)
-        assert complement(span(n, w)) == u.rows
+        assert canonicalize(n, u.rows + w) == Subspace.full(n)
+        assert complement(canonicalize(n, w)) == u.rows
 
     @settings(max_examples=300)
     @given(int_matrix(max_n=5, max_rows=4), st.data())
@@ -265,22 +267,22 @@ class TestComplement:
         n, rows = case
         other = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n),
                                    min_size=0, max_size=4))
-        u = span(n, rows)
-        v = span(n, other)
+        u = canonicalize(n, rows)
+        v = canonicalize(n, other)
         assert reference_meet(u, v) == u.intersect(v)
 
 
 class TestSumRows:
     def test_growth(self):
-        u = span(3, [(1, 0, 0)])
+        u = canonicalize(3, [(1, 0, 0)])
         assert sum_rows(u.ech_pairs, ((0, 1, 0),), 3) == ((1, 0, 0), (0, 1, 0))
 
     def test_contained_rows_return_none(self):
-        u = span(3, [(1, 0, 0), (0, 1, 0)])
+        u = canonicalize(3, [(1, 0, 0), (0, 1, 0)])
         assert sum_rows(u.ech_pairs, ((2, 3, 0),), 3) is None
 
     def test_growth_to_full(self):
-        u = span(2, [(1, 1)])
+        u = canonicalize(2, [(1, 1)])
         assert sum_rows(u.ech_pairs, ((1, -1),), 2) == ((1, 0), (0, 1))
 
     @settings(max_examples=300)
@@ -289,9 +291,9 @@ class TestSumRows:
         n, rows = case
         extra = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n),
                                    min_size=0, max_size=3))
-        u = span(n, rows)
+        u = canonicalize(n, rows)
         got = sum_rows(u.ech_pairs, [tuple(r) for r in extra], n)
-        want = u.sum(span(n, extra))
+        want = u.sum(canonicalize(n, extra))
         if got is None:
             assert want == u
         else:
@@ -300,7 +302,7 @@ class TestSumRows:
 
 class TestIntersectRows:
     def test_trivial_meets(self):
-        a = span(3, [(1, 2, 3)])
+        a = canonicalize(3, [(1, 2, 3)])
         assert intersect_rows(a.rows, (), 3, a.pivots) == ()
         assert intersect_rows((), a.rows, 3, ()) == ()
         assert intersect_rows(a.rows, a.rows, 3, a.pivots) == a.rows
@@ -316,8 +318,8 @@ class TestIntersectRows:
         n, rows = case
         other = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n),
                                    min_size=0, max_size=4))
-        u = span(n, rows)
-        want = reference_meet(u, span(n, other)).rows
+        u = canonicalize(n, rows)
+        want = reference_meet(u, canonicalize(n, other)).rows
         assert intersect_rows(u.rows, other, n, u.pivots) == want
 
 
@@ -329,14 +331,14 @@ def contains(u, vec):
 
 class TestMembership:
     def test_axis_membership(self):
-        assert contains(span(2, [(1, 0)]), (3, 0))
-        assert not contains(span(2, [(1, 0)]), (0, 1))
+        assert contains(canonicalize(2, [(1, 0)]), (3, 0))
+        assert not contains(canonicalize(2, [(1, 0)]), (0, 1))
 
     def test_rational_multiple(self):
         # a rational vector enters through canonicalize
-        line = span(2, [("1/2", 1)])
-        assert contains(span(2, [(1, 2)]), line.rows[0])
-        assert not contains(span(2, [(1, 3)]), line.rows[0])
+        line = canonicalize(2, [("1/2", 1)])
+        assert contains(canonicalize(2, [(1, 2)]), line.rows[0])
+        assert not contains(canonicalize(2, [(1, 3)]), line.rows[0])
 
     def test_zero_vector_everywhere(self):
         assert contains(Subspace.zero(3), (0, 0, 0))
@@ -351,11 +353,11 @@ class TestMembership:
     def test_membership_iff_orthogonal_to_complement(self, case, vec):
         n, rows = case
         vec = vec[:n] + [0] * (n - len(vec))
-        u = span(n, rows)
+        u = canonicalize(n, rows)
         orthogonal = all(sum(x * y for x, y in zip(vec, w)) == 0
                          for w in complement(u))
         assert contains(u, vec) == orthogonal
-        assert contains(u, vec) == (u.sum(span(n, [vec])).dim == u.dim)
+        assert contains(u, vec) == (u.sum(canonicalize(n, [vec])).dim == u.dim)
 
 
 class TestSumDim:
@@ -367,13 +369,13 @@ class TestSumDim:
         n, rows = case
         other = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n),
                                    min_size=0, max_size=4))
-        u = span(n, rows)
+        u = canonicalize(n, rows)
         assert u.sum_dim(other) == len(reference_canonical(rows + other, n))
 
     @pytest.mark.parametrize("row", [(0, 1), (0, 1, 0, 5)])
     def test_row_length_mismatch_rejected(self, row):
         with pytest.raises(ValueError, match=f"row length {len(row)}"):
-            span(3, [(1, 0, 0)]).sum_dim([row])
+            canonicalize(3, [(1, 0, 0)]).sum_dim([row])
         with pytest.raises(ValueError, match=f"row length {len(row)}"):
             canonicalize(3, [(1, 0, 0), row])
 
@@ -381,12 +383,12 @@ class TestSumDim:
 class TestSumWithRows:
     def test_row_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="row length 2 != ambient 3"):
-            span(3, [(1, 0, 0)]).sum_with_rows([(0, 1)])
+            canonicalize(3, [(1, 0, 0)]).sum_with_rows([(0, 1)])
 
     def test_rows_may_be_any_iterable(self):
-        line = span(3, [(1, 0, 0)])
+        line = canonicalize(3, [(1, 0, 0)])
         grown = line.sum_with_rows(iter([(0, 1, 0)]))
-        assert grown == span(3, [(1, 0, 0), (0, 1, 0)])
+        assert grown == canonicalize(3, [(1, 0, 0), (0, 1, 0)])
         assert line.sum_dim(r for r in [(0, 2, 0)]) == 2
 
 
@@ -409,7 +411,7 @@ class TestSerialization:
     def test_round_trip(self, q):
         assert parse_rational(str(q)) == q
 
-    @pytest.mark.parametrize("text", RATIONAL_STRINGS)
+    @pytest.mark.parametrize("text", RATIONAL_STRINGS, ids=short_id)
     def test_reads_what_fraction_reads(self, text):
         # integer strings skip Fraction; nothing else may change
         try:
@@ -433,17 +435,17 @@ class TestSerialization:
 class TestMatrixShape:
     def test_ragged_rejected(self):
         with pytest.raises(ValueError):
-            span(2, [[1, 2], [1]])
+            canonicalize(2, [[1, 2], [1]])
 
     def test_empty_needs_cols(self):
         # an empty generator set takes its ambient dimension from the caller
-        assert span(3, []) == Subspace.zero(3)
-        assert span(0, []).rows == ()
+        assert canonicalize(3, []) == Subspace.zero(3)
+        assert canonicalize(0, []).rows == ()
 
     def test_subspace_helpers(self):
         assert Subspace.full(3).dim == 3
         assert Subspace.zero(3).rows == ()
-        u = span(3, [(0, 2, 4)])
+        u = canonicalize(3, [(0, 2, 4)])
         assert u.rows == ((0, 1, 2),)
         assert u.sum_dim(Subspace.zero(3).rows) == u.dim
         assert Subspace.full(3).sum_dim(u.rows) == 3

@@ -3,7 +3,6 @@ import json
 import random
 from functools import reduce
 from itertools import combinations
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -28,13 +27,11 @@ from amoebadim.subspace_search import (
     reduce_torus,
 )
 
-from conftest import curve_fan3, hyperplane, open_fan, plucker, \
+from conftest import DATA, curve_fan3, hyperplane, open_fan, plucker, \
     random_pure_complex, random_unimodular, reference_meet, seeded_case, \
-    seeded_complex, span, transform_complex, \
-    transform_subspace
+    seeded_complex, span, transform_complex, transform_subspace
 
 
-DATA = Path(__file__).parent / "data"
 GOLDEN_FANS = sorted(p.name[:-len(".fan.json")]
                      for p in DATA.glob("*.fan.json"))
 
