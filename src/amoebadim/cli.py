@@ -78,8 +78,6 @@ def parse_vector_list(text: str, ambient_dim: int) -> tuple:
             raise ValueError(
                 f"cannot read {chunk.strip()!r} as a rational vector"
             ) from exc
-    if not vectors:
-        raise ValueError("empty vector list")
     return tuple(vectors)
 
 
@@ -192,7 +190,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     # the exact side is compiled before the estimator loads numpy; the
     # other order leaves the process a larger peak resident set
-    from .subspace_search import _checked_strategy
+    from .subspace_search import _checked_strategy, amoeba_dim
     from .estimator import _check_ambient, cross_check
     from .polyhedral import parse_complex
 
@@ -201,8 +199,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # refused here too, so a wrong pairing, cap or height fails unsampled
     _check_ambient(sigma, variety)
     _checked_strategy(sigma, args.strategy)
-    verdict = cross_check(sigma, _run_estimator(args, variety),
-                          strategy=args.strategy)
+    estimate = _run_estimator(args, variety)
+    verdict = cross_check(amoeba_dim(sigma, args.strategy), estimate)
     _emit_json(verdict.to_json_dict(), args.output)
     return 0 if verdict.verdict == "agree" else 5
 

@@ -23,9 +23,10 @@ certifies anything; cross_check reports disagreement instead of hiding
 it, and an unlucky run shows up as a mismatch verdict, not a wrong
 silent answer.
 
-numpy (and `roots`) are imported by the kernels that use them, so the
-exact side of the package never loads them.  Likewise the exact search
-is imported by `cross_check` only, so sampling alone never compiles it.
+`cross_check(result, estimate)` compares the `SearchResult` of the exact
+search with a `RankEstimate`; the caller runs the search, so this module
+imports nothing from the exact side.  numpy (and `roots`) are imported by
+the kernels that use them, so the exact side never loads them either.
 """
 
 from __future__ import annotations
@@ -602,32 +603,30 @@ def estimate_rank_implicit(h: ImplicitHypersurface,
     return _estimate(block_matrices, n, trials, tol, seed)
 
 
-def _check_ambient(sigma: SpanComplex, variety) -> None:
-    """Refuse a fan and a variety, or an estimate of one, from different
-    ambient spaces: the amoeba of a variety in (C*)^n lives in R^n."""
-    if variety.ambient_dim != sigma.ambient_dim:
+def _check_ambient(space, variety) -> None:
+    """Refuse a fan (or a subspace of its R^n) and a variety, or an
+    estimate of one, from different ambient spaces: the amoeba of a
+    variety in (C*)^n lives in R^n."""
+    if variety.ambient_dim != space.ambient_dim:
         raise ValueError(
-            f"the fan lives in R^{sigma.ambient_dim} but the variety in "
+            f"the fan lives in R^{space.ambient_dim} but the variety in "
             f"(C*)^{variety.ambient_dim}"
         )
 
 
-def cross_check(sigma: SpanComplex, estimate: RankEstimate,
-                strategy: str | None = None) -> CrossCheckResult:
-    """Compare the combinatorial value on sigma with a numerical estimate.
+def cross_check(result: SearchResult,
+                estimate: RankEstimate) -> CrossCheckResult:
+    """Compare the combinatorial value of a search with a numerical estimate.
 
-    Raises ValueError when the fan and the sampled variety live in
-    different ambient spaces.  Beyond that, the caller vouches that sigma
-    belongs to the sampled variety; under that assumption the two numbers
-    must agree, and a mismatch means a wrong input pairing, an unlucky
-    sampling run, or a capped search that missed the optimum.  Nothing is
-    averaged away: both numbers and the certification flag are reported
-    as they are.
+    Raises ValueError when the searched fan and the sampled variety live
+    in different ambient spaces.  Beyond that, the caller vouches that the
+    fan belongs to the sampled variety; under that assumption the two
+    numbers must agree, and a mismatch means a wrong input pairing, an
+    unlucky sampling run, or a capped search that missed the optimum.
+    Nothing is averaged away: both numbers and the certification flag are
+    reported as they are.
     """
-    from .subspace_search import amoeba_dim
-
-    _check_ambient(sigma, estimate)
-    result = amoeba_dim(sigma, strategy=strategy)
+    _check_ambient(result.witness_S, estimate)
     verdict = "agree" if result.value == estimate.rank else "mismatch"
     return CrossCheckResult(
         combinatorial=result.value,

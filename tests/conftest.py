@@ -228,9 +228,10 @@ def coordinate_fan(n: int, *cells: str):
 
 def open_fan():
     """The coordinate 3-spaces 345, 045, 023 and 013 of R^6.  {0} and
-    R^6 score 6, the value, but the pairwise and the propagation bound
-    both stop at 5, so the search builds the closure (14 members, a
-    fixpoint)."""
+    R^6 score 6, the value the search returns, but the pairwise and the
+    propagation bound both stop at 5, so the search builds the closure
+    (14 members, a fixpoint).  The minimum is 5, attained by
+    span(e0, e3, e4), which the closure misses."""
     return coordinate_fan(6, "345", "045", "023", "013")
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from amoebadim import subspace_search
 from amoebadim.bounds import _Family, propagation_bound
+from amoebadim.families import tropical_hyperplane
 from amoebadim.polyhedral import SpanComplex, product
 from amoebadim.rational_linalg import Subspace, canonicalize
 from amoebadim.subspace_search import _pairwise_lower_bound, amoeba_dim
@@ -107,6 +108,12 @@ class TestRules:
         lo, hi = bounds
         for a, k, b, w in zip(lo, x, hi, family.members):
             assert max(a, reference_meet(w, forced).dim) <= k <= b
+
+    def test_modular_rule_refutes_a_hyperplane_pair(self):
+        # t = m = 2 in R^3: two cells (planes, join R^3, meet a line) hold
+        # S whole, so the modular rule needs x_join >= 2 + 2 - 1 = 3, above
+        # the range bound hi = 2: refuted before any forced sum
+        assert _Family(tropical_hyperplane(3)).propagate(2, 2) is None
 
     def test_forced_sum_refutes_a_plucker_pair(self):
         # S inside every cell (t = m = 1): only the forced sum of the six

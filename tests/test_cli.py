@@ -125,12 +125,19 @@ class TestParseVectorList:
     def test_wrong_arity(self):
         with pytest.raises(ValueError, match="coordinates"):
             parse_vector_list("1,2,3", 2)
+        # an empty list still splits into chunks, each of which is read
+        for text in ("", ";"):
+            with pytest.raises(ValueError,
+                               match="vector '' has 1 coordinates, expected 2"):
+                parse_vector_list(text, 2)
 
     def test_garbage(self):
         with pytest.raises(ValueError):
             parse_vector_list("one,two", 2)
         with pytest.raises(ValueError):
             parse_vector_list("1/0,1", 2)
+        with pytest.raises(ValueError, match="cannot read '' as a rational"):
+            parse_vector_list("", 1)
 
     @pytest.mark.parametrize("text", RATIONAL_STRINGS, ids=short_id)
     def test_entries_read_what_fraction_reads(self, text):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from amoebadim.estimator import (
 from amoebadim.families import curve_fan, orbit_subspace, tropical_hyperplane
 from amoebadim.rational_linalg import canonicalize
 from amoebadim.roots import polynomial_roots
+from amoebadim.subspace_search import amoeba_dim
 
 from conftest import RATIONAL_STRINGS, short_id
 
@@ -558,27 +560,28 @@ class TestRankEstimateType:
 class TestCrossCheck:
     def test_hyperplane_against_implicit_plane(self):
         est = estimate_rank_implicit(PLANE_IMPL, trials=20, seed=1)
-        out = cross_check(tropical_hyperplane(3), est)
+        out = cross_check(amoeba_dim(tropical_hyperplane(3)), est)
         assert out == CrossCheckResult(3, 3, True, "agree")
 
     def test_orbit_against_moment_curve(self):
         est = estimate_rank(MOMENT, trials=20, seed=1)
-        out = cross_check(orbit_subspace(2, [(1, 2)]), est)
+        out = cross_check(amoeba_dim(orbit_subspace(2, [(1, 2)])), est)
         assert out == CrossCheckResult(1, 1, True, "agree")
 
     def test_tropical_line_against_line(self):
         est = estimate_rank(LINE, trials=20, seed=1)
-        out = cross_check(curve_fan(2, [(1, 0), (0, 1), (-1, -1)]), est)
+        fan = curve_fan(2, [(1, 0), (0, 1), (-1, -1)])
+        out = cross_check(amoeba_dim(fan), est)
         assert out == CrossCheckResult(2, 2, True, "agree")
 
     def test_hyperbola_pair(self):
         est = estimate_rank_implicit(HYPERBOLA, trials=20, seed=1)
-        out = cross_check(orbit_subspace(2, [(1, -1)]), est)
+        out = cross_check(amoeba_dim(orbit_subspace(2, [(1, -1)])), est)
         assert out == CrossCheckResult(1, 1, True, "agree")
 
     def test_deliberate_mismatch(self):
         est = estimate_rank(MOMENT3, trials=20, seed=1)
-        out = cross_check(tropical_hyperplane(3), est)
+        out = cross_check(amoeba_dim(tropical_hyperplane(3)), est)
         assert out.verdict == "mismatch"
         assert (out.combinatorial, out.numerical) == (3, 1)
 
@@ -588,13 +591,7 @@ class TestCrossCheck:
         assert est.ambient_dim == 2
         with pytest.raises(ValueError, match=r"R\^3 but the variety in "
                                              r"\(C\*\)\^2"):
-            cross_check(tropical_hyperplane(3), est)
-
-    def test_strategy_passes_through(self):
-        est = estimate_rank(LINE, trials=10, seed=1)
-        out = cross_check(curve_fan(2, [(1, 0), (0, 1), (-1, -1)]), est,
-                          strategy="exhaustive(height=1)")
-        assert out.verdict == "agree"
+            cross_check(amoeba_dim(tropical_hyperplane(3)), est)
 
     def test_json_shape(self):
         doc = CrossCheckResult(2, 2, False, "agree").to_json_dict()
@@ -620,6 +617,11 @@ IMPLICIT_DOC = """{
     {"coeff": ["-1", "0"], "exponents": [0, 0]}
   ]}
 }"""
+
+
+def with_key(doc, key, value):
+    """The variety document doc with its top-level key set to value."""
+    return json.dumps({**json.loads(doc), key: value})
 
 
 def fraction_coeff(raw):
@@ -674,36 +676,61 @@ class TestParsers:
         phi = parse_parametrization(doc)
         assert phi.components[0][0][0] == complex(1, 0.5)
 
-    @pytest.mark.parametrize("mangle", [
-        lambda d: d[:-2],                                   # truncated JSON
-        lambda d: "[" + d + "]",                            # not an object
-        lambda d: d.replace('"domain_dim": 1,', ""),        # missing key
-        lambda d: d.replace('"domain_dim": 1', '"domain_dim": true'),
-        lambda d: d.replace('"domain_dim": 1', '"domain_dim": 0'),
-        lambda d: d.replace('"exponents": [1]', '"exponents": [1, 2]'),
-        lambda d: d.replace('"exponents": [1]', '"exponents": [1.5]'),
-        lambda d: d.replace('["1", "0"]', '["1"]', 1),
-        lambda d: d.replace('["1", "0"]', '["1/0", "0"]', 1),
-        lambda d: d.replace('["1", "0"]', '["one", "0"]', 1),
-        lambda d: d.replace('["1", "0"]', '[true, "0"]', 1),
-        lambda d: d.replace('["1", "0"]', '[1e999, "0"]', 1),
-        lambda d: d.replace('"terms": [{"coeff": ["1", "0"], '
-                            '"exponents": [1]}]', '"terms": []'),
+    @pytest.mark.parametrize("mangle,message", [
+        (lambda d: d[:-2], "not valid JSON"),               # truncated JSON
+        (lambda d: "[" + d + "]", "top level must be an object"),
+        (lambda d: d.replace('"domain_dim": 1,', ""),       # missing key
+         "missing keys: domain_dim"),
+        (lambda d: d.replace('"domain_dim": 1', '"domain_dim": true'),
+         "domain_dim must be a positive integer"),
+        (lambda d: d.replace('"domain_dim": 1', '"domain_dim": 0'),
+         "domain_dim must be a positive integer"),
+        (lambda d: d.replace('"exponents": [1]', '"exponents": [1, 2]'),
+         "component 0: term 0 has 2 exponents, expected 1"),
+        (lambda d: d.replace('"exponents": [1]', '"exponents": [1.5]'),
+         "component 0: non-integer exponent"),
+        (lambda d: d.replace('["1", "0"]', '["1"]', 1),
+         'component 0: term 0 needs "coeff": [re, im]'),
+        (lambda d: d.replace('["1", "0"]', '["1/0", "0"]', 1),
+         "component 0 term 0: cannot read '1/0' as a rational number"),
+        (lambda d: d.replace('["1", "0"]', '["one", "0"]', 1),
+         "component 0 term 0: cannot read 'one' as a rational number"),
+        (lambda d: d.replace('["1", "0"]', '[true, "0"]', 1),
+         "component 0 term 0: coefficient entry must be a number"),
+        (lambda d: d.replace('["1", "0"]', '[1e999, "0"]', 1),
+         "component 0: term 0 coefficient not finite"),
+        (lambda d: d.replace('"terms": [{"coeff": ["1", "0"], '
+                             '"exponents": [1]}]', '"terms": []'),
+         "component 0 has no terms"),
+        (lambda d: with_key(d, "components", {}),
+         '"components" must be a list'),
+        (lambda d: with_key(d, "components", [[]]),
+         "component 0 must be an object"),
     ])
-    def test_malformed_parametrization(self, mangle):
-        with pytest.raises(VarietyFormatError):
+    def test_malformed_parametrization(self, mangle, message):
+        with pytest.raises(VarietyFormatError, match=re.escape(message)):
             parse_parametrization(mangle(PARAM_DOC))
 
-    @pytest.mark.parametrize("mangle", [
-        lambda d: d.replace('"ambient_dim": 2,', ""),
-        lambda d: d.replace('"polynomial": {"terms"', '"polynomial": ["terms"')
-                   .replace("]}\n}", "]]\n}"),
-        lambda d: d.replace('"exponents": [1, 1]', '"exponents": [1, -1]'),
-        lambda d: d.replace(',\n    {"coeff": ["-1", "0"], '
-                            '"exponents": [0, 0]}', ""),
+    @pytest.mark.parametrize("mangle,message", [
+        (lambda d: d.replace('"ambient_dim": 2,', ""),
+         "missing keys: ambient_dim"),
+        (lambda d: with_key(d, "polynomial", [
+            {"coeff": [1, 0], "exponents": [1, 0]}]),
+         '"polynomial" must be an object'),
+        (lambda d: d.replace('"exponents": [1, 1]', '"exponents": [1, -1]'),
+         "polynomial: negative exponent in a polynomial"),
+        (lambda d: d.replace(',\n    {"coeff": ["-1", "0"], '
+                             '"exponents": [0, 0]}', ""),
+         "a polynomial with fewer than two terms has no zeros in the torus"),
+        (lambda d: with_key(d, "polynomial", {"terms": {}}),
+         'polynomial: "terms" must be a list'),
+        (lambda d: with_key(d, "polynomial", {"terms": [1]}),
+         "polynomial: term 0 must be an object"),
+        (lambda d: with_key(d, "polynomial", {"terms": [{"coeff": [1, 0]}]}),
+         'polynomial: term 0 needs an "exponents" list'),
     ])
-    def test_malformed_implicit(self, mangle):
-        with pytest.raises(VarietyFormatError):
+    def test_malformed_implicit(self, mangle, message):
+        with pytest.raises(VarietyFormatError, match=re.escape(message)):
             parse_implicit(mangle(IMPLICIT_DOC))
 
     def test_component_count_checked(self):

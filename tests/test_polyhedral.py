@@ -106,6 +106,11 @@ class TestParse:
         with pytest.raises(ComplexFormatError):
             parse_complex('{"ambient_dim": 2, "cells": [{"label": "a"}]}')
 
+    def test_span_must_be_list_of_rows(self):
+        with pytest.raises(ComplexFormatError,
+                           match='cell 0: "span" must be a list of rows'):
+            parse_complex('{"ambient_dim": 2, "cells": [{"span": [1, 2]}]}')
+
     def test_bad_entry(self):
         with pytest.raises(ComplexFormatError):
             parse_complex(

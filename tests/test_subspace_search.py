@@ -900,7 +900,8 @@ class TestDetectNearAction:
         assert report.proven
 
     def test_open_fan_no_drop_is_unproven(self):
-        # value 6 reaches the threshold, but the bound stops at 5
+        # the search returns 6, the threshold, but the bound stops at 5
+        # (the minimum is 5, at span(e0, e3, e4), outside the closure)
         report = detect_near_action(open_fan())
         assert (report.drop, report.value, report.threshold) == \
             (False, 6, 6)
