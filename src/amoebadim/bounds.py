@@ -109,8 +109,6 @@ class _Family:
                     if lo[q] - top < hi[q]:
                         hi[q] = lo[q] - top
                         changed = True
-            if any(a > b for a, b in zip(lo, hi)):
-                return None
             fresh = [w for w, k in enumerate(dims)
                      if lo[w] == k and w not in forced]
             if fresh:
@@ -125,6 +123,7 @@ class _Family:
                     if inside > lo[w]:
                         lo[w] = inside
                         changed = True
-                if any(a > b for a, b in zip(lo, hi)):
-                    return None
+            # both passes only tighten, so crossed bounds stay crossed
+            if any(a > b for a, b in zip(lo, hi)):
+                return None
         return lo, hi

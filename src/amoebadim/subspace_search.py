@@ -112,8 +112,8 @@ class SearchResult:
     `upper_bound` and `certified` are derived, so certified holds exactly
     when the two bounds meet.
 
-    The one value class left a dataclass: tests call
-    `dataclasses.fields` and `dataclasses.replace` on it.
+    The one value class left a dataclass: the benchmark's own test
+    (`perfbench/test_perfbench.py`) calls `dataclasses.replace` on it.
     """
 
     value: int
@@ -433,14 +433,13 @@ def reduce_torus(sigma: SpanComplex, sub: Subspace) -> Subspace:
     return Subspace.of(n, tuple(kept))
 
 
-def detect_near_action(sigma: SpanComplex,
-                       strategy: str | None = None) -> NearActionReport:
+def detect_near_action(sigma: SpanComplex) -> NearActionReport:
     """Dimension-drop test: value < min(n, 2d)?
 
     When the drop holds, the witness scores below both 2d and n, so it
     is neither {0} nor R^n, which score 2d and n.
     """
-    result = amoeba_dim(sigma, strategy)
+    result = amoeba_dim(sigma)
     threshold = min(sigma.ambient_dim, 2 * sigma.dim)
     drop = result.value < threshold
     return NearActionReport(

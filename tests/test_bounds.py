@@ -17,7 +17,7 @@ from amoebadim.rational_linalg import Subspace, canonicalize
 from amoebadim.subspace_search import _pairwise_lower_bound, amoeba_dim
 
 from conftest import coordinate_fan, open_fan, plucker, random_pure_complex, \
-    random_subspace, reference_meet
+    random_subspace, reference_meet, span
 
 
 def counts(family, sub):
@@ -114,6 +114,21 @@ class TestRules:
         # S whole, so the modular rule needs x_join >= 2 + 2 - 1 = 3, above
         # the range bound hi = 2: refuted before any forced sum
         assert _Family(tropical_hyperplane(3)).propagate(2, 2) is None
+
+    def test_forced_containment_crosses_the_bounds(self):
+        # t = 3, m = 2 in R^5: the rules leave x <= 2 on the fourth cell
+        # C but force into S its meets with the other three, three lines
+        # whose sum is C itself; so C lies in S and x_C = 3 crosses that
+        # bound, which only forced containment reveals
+        sigma = SpanComplex(5, [
+            span(5, (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 0, 1)),
+            span(5, (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0)),
+            span(5, (1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0)),
+            span(5, (1, 0, 0, 2, 0), (0, 1, 0, 2, 1), (0, 0, 1, -1, 0)),
+        ])
+        assert _Family(sigma).propagate(3, 2) is None
+        res = amoeba_dim(sigma)
+        assert (res.value, res.lower_bound, res.certified) == (5, 5, True)
 
     def test_forced_sum_refutes_a_plucker_pair(self):
         # S inside every cell (t = m = 1): only the forced sum of the six

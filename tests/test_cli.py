@@ -825,6 +825,18 @@ else:
         assert (proc.returncode, proc.stdout, proc.stderr) == \
             (code, "", f"error: {error}\n")
 
+    def test_runtime_error_without_exit_code_propagates(self, monkeypatch,
+                                                        capsys, h3_file):
+        # only a refusal carries an exit code; `cmd_dim` imports
+        # `amoeba_dim` at call time, so the cached parser sees the patch
+        def boom(sigma, strategy=None):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("amoebadim.subspace_search.amoeba_dim", boom)
+        with pytest.raises(RuntimeError, match="^boom$"):
+            main(["dim", h3_file])
+        assert capsys.readouterr() == ("", "")
+
     @staticmethod
     def main_in_one_interpreter(tmp_path, calls):
         """(exit code, stdout, stderr) of `main` on each argv in `calls`,

@@ -1,6 +1,9 @@
 """The two sides of the package stay apart: the numerical side (sampling
 and root finding) imports nothing of the exact search, and the exact side
-never loads the estimator or numpy.  `cli` is where the two meet.
+never loads the estimator or numpy.  `cli` is where the two meet.  No
+module but `subspace_search`, for `SearchResult` alone, imports
+`dataclasses`, so none puts it and the `inspect` it pulls in back on a
+command's start-up path.
 
 The modules are read as source, not imported, and every import counts,
 those inside function bodies included."""
@@ -13,6 +16,8 @@ import pytest
 import amoebadim
 
 PACKAGE = Path(amoebadim.__file__).parent
+BEYOND_THE_SEARCH = sorted(path.stem for path in PACKAGE.glob("*.py")
+                           if path.stem != "subspace_search")
 NUMERICAL = ("estimator", "roots")
 EXACT = ("subspace_search", "bounds", "polyhedral", "rational_linalg",
          "families")
@@ -54,3 +59,8 @@ def test_exact_side_imports_no_estimator_or_numpy(name):
 def test_imports_are_found_in_function_bodies():
     # estimator imports numpy and roots only inside its kernels
     assert {"numpy", "roots", "frozen"} <= imported_modules("estimator")
+
+
+@pytest.mark.parametrize("name", BEYOND_THE_SEARCH)
+def test_only_the_search_imports_dataclasses(name):
+    assert "dataclasses" not in imported_modules(name)

@@ -1,4 +1,4 @@
-import dataclasses
+import inspect
 import json
 import random
 from functools import reduce
@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import amoebadim
 from amoebadim import subspace_search
 from amoebadim.bounds import propagation_bound
 from amoebadim.families import torus_invariant, tropical_hyperplane
@@ -447,14 +448,16 @@ class TestAmoebaDim:
     def test_upper_bound_and_certified_are_derived(self):
         # only the value and the lower bound are stored, so no result can
         # claim `certified` while the two differ
-        assert [f.name for f in dataclasses.fields(SearchResult)] == [
+        stored = list(inspect.signature(SearchResult).parameters)
+        assert stored == [
             "value", "lower_bound", "witness_S", "witness_T", "strategy",
             "candidates_evaluated",
         ]
         res = amoeba_dim(plucker())
+        fields = {name: getattr(res, name) for name in stored}
         keys = list(res.to_json_dict())
         for value in range(res.lower_bound - 1, res.lower_bound + 2):
-            moved = dataclasses.replace(res, value=value)
+            moved = SearchResult(**{**fields, "value": value})
             assert moved.upper_bound == value
             assert moved.certified == (value == res.lower_bound)
             assert list(moved.to_json_dict()) == keys
@@ -891,6 +894,17 @@ class TestWitnessPair:
 
 
 class TestDetectNearAction:
+    def test_only_amoeba_dim_takes_a_strategy(self):
+        # the drop test runs the default search; a caller that wants
+        # another strategy calls `amoeba_dim` itself
+        assert list(inspect.signature(detect_near_action).parameters) == \
+            ["sigma"]
+        takes = [name for name in amoebadim.__all__
+                 if inspect.isfunction(getattr(amoebadim, name))
+                 and "strategy" in inspect.signature(
+                     getattr(amoebadim, name)).parameters]
+        assert takes == ["amoeba_dim"]
+
     def test_hyperplane3_has_none(self):
         report = detect_near_action(hyperplane(3))
         assert not report.drop
