@@ -45,16 +45,20 @@ def sum_rows(ech_pairs, rows, ambient_dim: int, _dim_only: bool = False):
     columns they added.
     With `_dim_only` the result is the dimension of the joined span,
     which the forward pass already knows, and the back pass is skipped.
+    A nonzero reduced row that brings the rank to n returns at once (n,
+    or the shared rows of R^n): R^n has one canonical basis, so its
+    normalization, its insertion, the rows after it and the back pass
+    could not change the answer.
     This is the package's only elimination loop; every other reduction
     calls it.
     """
     n = ambient_dim
     ech = list(ech_pairs)
     m = len(ech)
+    if m == n:
+        return n if _dim_only else None
     new_pos: list = []
     for row in rows:
-        if m == n:
-            break
         for pc, prow in ech:
             a = row[pc]
             if a:
@@ -67,6 +71,8 @@ def sum_rows(ech_pairs, rows, ambient_dim: int, _dim_only: bool = False):
                 break
         if pc < 0:
             continue
+        if m + 1 == n:
+            return n if _dim_only else Subspace.full(n).rows
         g = gcd(*row)
         if row[pc] < 0:
             g = -g
@@ -84,8 +90,6 @@ def sum_rows(ech_pairs, rows, ambient_dim: int, _dim_only: bool = False):
         return m
     if not new_pos:
         return None
-    if m == n:
-        return Subspace.full(n).rows
     for p in sorted(new_pos, reverse=True):
         pc, prow = ech[p]
         b = prow[pc]

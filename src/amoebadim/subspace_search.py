@@ -223,11 +223,12 @@ def exhaustive_candidates(n: int, height_bound: int) -> tuple:
     canonical rows fed to `sum_rows`; each Subspace is built once, at the
     end.  A height above `_MAX_HEIGHT[n]` is refused before any work.
     Sizes (n, height: members), as this enumeration counts them: 1, 3: 2;
-    2, 1: 6; 2, 2: 10; 2, 3: 18; 3, 1: 40; 3, 2: 400; 3, 3: 3,364 (2-3 s);
-    4, 1: 1,084; 5, 1: 190,264 (2 to 4 minutes).  (4, 2) and (6, 1)
-    each have over 200,000.  The family at height h lies in the one at
-    h + 1, and the family in R^n, padded with zeros, in the one in
-    R^(n+1); so every other refused pair with height ≤ 3 is larger still.
+    2, 1: 6; 2, 2: 10; 2, 3: 18; 3, 1: 40; 3, 2: 400; 3, 3: 3,364 (1-2 s);
+    4, 1: 1,084; 5, 1: 190,264 (about 2 minutes), timed in-process on a
+    shared 2-vCPU host.  (4, 2) and (6, 1) each have over 200,000.  The
+    family at height h lies in the one at h + 1, and the family in R^n,
+    padded with zeros, in the one in R^(n+1); so every other refused pair
+    with height ≤ 3 is larger still.
     """
     if n < 0:
         raise ValueError("ambient dimension < 0")

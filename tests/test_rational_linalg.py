@@ -3,7 +3,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from amoebadim import rational_linalg
@@ -39,6 +39,30 @@ def int_matrix(draw, max_n=5, max_rows=6):
     rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n),
                          min_size=k, max_size=k))
     return n, rows
+
+
+@st.composite
+def matrix_and_rows(draw, max_rows, max_extra):
+    """(n, rows, extra): an int_matrix case and up to max_extra more rows
+    of its width; a tuple, so `@example` can pin a case."""
+    n, rows = draw(int_matrix(max_rows=max_rows))
+    extra = draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                          max_size=max_extra))
+    return n, rows, extra
+
+
+# cases whose extra rows complete R^n before the last of them, which
+# random draws at n = 4 and 5 seldom give
+COMPLETED_EARLY = [
+    (4, [[1, 0, 2, 0], [0, 3, 0, 1]],
+     [[0, 0, 1, 0], [2, 0, 0, -4], [1, 1, 1, 1]]),
+    (5, [[1, 1, 0, 0, 0], [0, 0, 2, 0, 1], [0, 1, 0, 1, 0]],
+     [[1, 0, 0, 0, 0], [0, 0, 0, 3, -6], [9, -9, 0, 1, 2]]),
+    (4, [[0, 2, 0, 0]],
+     [[1, 0, 0, 0], [0, 0, -1, 1], [0, 0, 5, 0], [3, 0, 0, 7]]),
+    (5, [[1, 0, 0, 0, 1], [0, 1, 0, 0, 1], [0, 0, 0, 1, 1]],
+     [[2, 2, 0, 0, 4], [0, 0, 1, 0, 0], [0, 0, 0, 2, -1], [0, 5, 5, 5, 0]]),
+]
 
 
 class TestRref:
@@ -203,11 +227,9 @@ class TestSumIntersect:
             canonicalize(2, [(1, 0)]).intersect(canonicalize(3, [(1, 0, 0)]))
 
     @settings(max_examples=400)
-    @given(int_matrix(max_n=5, max_rows=4), st.data())
-    def test_rank_nullity(self, case, data):
-        n, rows = case
-        other = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n),
-                                   min_size=0, max_size=4))
+    @given(matrix_and_rows(max_rows=4, max_extra=4))
+    def test_rank_nullity(self, case):
+        n, rows, other = case
         u = canonicalize(n, rows)
         v = canonicalize(n, other)
         total, meet = u.sum_intersect(v)
@@ -262,11 +284,9 @@ class TestComplement:
         assert complement(canonicalize(n, w)) == u.rows
 
     @settings(max_examples=300)
-    @given(int_matrix(max_n=5, max_rows=4), st.data())
-    def test_meet_via_complements(self, case, data):
-        n, rows = case
-        other = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n),
-                                   min_size=0, max_size=4))
+    @given(matrix_and_rows(max_rows=4, max_extra=4))
+    def test_meet_via_complements(self, case):
+        n, rows, other = case
         u = canonicalize(n, rows)
         v = canonicalize(n, other)
         assert reference_meet(u, v) == u.intersect(v)
@@ -285,12 +305,39 @@ class TestSumRows:
         u = canonicalize(2, [(1, 1)])
         assert sum_rows(u.ech_pairs, ((1, -1),), 2) == ((1, 0), (0, 1))
 
+    def test_row_completing_the_space_returns_at_once(self):
+        # (0, 1, -1) completes R^3 in the middle of the list; the row
+        # after it is left unread
+        u = canonicalize(3, [(1, 0, 0)])
+        rows = iter([(2, 0, 0), (0, 1, 1), (0, 1, -1), (5, 7, 9)])
+        assert sum_rows(u.ech_pairs, rows, 3) is Subspace.full(3).rows
+        assert next(rows) == (5, 7, 9)
+
+    def test_row_completing_the_space_counts_n(self):
+        u = canonicalize(4, [(1, 0, 0, 1), (0, 1, 0, 0)])
+        rows = [(0, 0, 2, 0), (1, 0, 0, 0), (3, 3, 3, 3)]
+        assert u.sum_dim(rows) == 4
+
+    def test_row_completing_the_space_is_not_normalized(self, monkeypatch):
+        plane = canonicalize(3, [(1, 0, 0), (0, 1, 0)])
+        calls = []
+        real = rational_linalg.gcd
+
+        def counting_gcd(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(rational_linalg, "gcd", counting_gcd)
+        assert sum_rows(plane.ech_pairs, ((1, 1, 2),), 3) \
+            is Subspace.full(3).rows
+        assert calls == []
+
     @settings(max_examples=300)
-    @given(int_matrix(max_n=5, max_rows=3), st.data())
-    def test_agrees_with_subspace_sum(self, case, data):
-        n, rows = case
-        extra = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n),
-                                   min_size=0, max_size=3))
+    @given(matrix_and_rows(max_rows=3, max_extra=3))
+    @example(COMPLETED_EARLY[0])
+    @example(COMPLETED_EARLY[1])
+    def test_agrees_with_subspace_sum(self, case):
+        n, rows, extra = case
         u = canonicalize(n, rows)
         got = sum_rows(u.ech_pairs, [tuple(r) for r in extra], n)
         want = u.sum(canonicalize(n, extra))
@@ -311,13 +358,11 @@ class TestIntersectRows:
             == full.rows
 
     @settings(max_examples=300)
-    @given(int_matrix(max_n=5, max_rows=4), st.data())
-    def test_matches_dual_route(self, case, data):
+    @given(matrix_and_rows(max_rows=4, max_extra=4))
+    def test_matches_dual_route(self, case):
         """Zassenhaus at double width against (A⊥ + B⊥)⊥; the b rows need
         not be canonical."""
-        n, rows = case
-        other = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n),
-                                   min_size=0, max_size=4))
+        n, rows, other = case
         u = canonicalize(n, rows)
         want = reference_meet(u, canonicalize(n, other)).rows
         assert intersect_rows(u.rows, other, n, u.pivots) == want
@@ -362,13 +407,13 @@ class TestMembership:
 
 class TestSumDim:
     @settings(max_examples=300)
-    @given(int_matrix(max_n=5, max_rows=4), st.data())
-    def test_matches_dimension_of_the_sum(self, case, data):
+    @given(matrix_and_rows(max_rows=4, max_extra=4))
+    @example(COMPLETED_EARLY[2])
+    @example(COMPLETED_EARLY[3])
+    def test_matches_dimension_of_the_sum(self, case):
         # sum_dim stops after the forward pass; the count must still be
         # the rank of the reduced sum
-        n, rows = case
-        other = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n),
-                                   min_size=0, max_size=4))
+        n, rows, other = case
         u = canonicalize(n, rows)
         assert u.sum_dim(other) == len(reference_canonical(rows + other, n))
 

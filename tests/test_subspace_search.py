@@ -3,6 +3,7 @@ import json
 import random
 from functools import reduce
 from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -29,8 +30,9 @@ from amoebadim.subspace_search import (
 )
 
 from conftest import DATA, curve_fan3, hyperplane, open_fan, plucker, \
-    random_pure_complex, random_unimodular, reference_meet, seeded_case, \
-    seeded_complex, span, transform_complex, transform_subspace
+    random_pure_complex, random_unimodular, reference_canonical, \
+    reference_meet, seeded_case, seeded_complex, span, transform_complex, \
+    transform_subspace
 
 
 GOLDEN_FANS = sorted(p.name[:-len(".fan.json")]
@@ -294,6 +296,20 @@ class TestExhaustiveCandidates:
             ((1, 1),),
             ((1, 0), (0, 1)),
         }
+
+    @pytest.mark.parametrize("height", [1, 2])
+    def test_n3_members_are_spans_of_at_most_two_vectors(self, height):
+        # in R^3 a member is {0}, R^3, or the span of one or two vectors;
+        # the reference elimination gives each span's canonical rows
+        r = range(-height, height + 1)
+        vectors = [(a, b, c) for a in r for b in r for c in r
+                   if gcd(a, b, c) == 1]
+        family = {(), Subspace.full(3).rows}
+        family.update(reference_canonical([v], 3) for v in vectors)
+        family.update(reference_canonical([v, w], 3)
+                      for v, w in combinations(vectors, 2))
+        want = sorted(family, key=lambda rows: (len(rows), rows))
+        assert [s.rows for s in exhaustive_candidates(3, height)] == want
 
     # the sizes the `exhaustive_candidates` docstring records; (5, 1),
     # 190,264 members, takes minutes and is left out
