@@ -13,6 +13,7 @@ flags produce byte-identical output.
 
 Each command imports the modules it runs, so `gen` and `dim` never
 compile the estimator and `estimate` never compiles the exact search.
+Each command also checks its own flags before it reads any input file.
 """
 
 import argparse
@@ -40,6 +41,16 @@ def _strategy_descriptor(args: argparse.Namespace) -> str | None:
 
     _parse_strategy(descriptor)
     return descriptor
+
+
+def _check_estimator_flags(args: argparse.Namespace) -> None:
+    from .estimator import DEFAULT_TOL, DEFAULT_TRIALS, _check_estimator_params
+
+    if args.trials is None:
+        args.trials = DEFAULT_TRIALS
+    if args.tol is None:
+        args.tol = DEFAULT_TOL
+    _check_estimator_params(args.trials, args.tol, args.seed)
 
 
 _UNIT_VECTOR = re.compile(r"\s*(-?)e([0-9]+)\s*\Z")
@@ -110,6 +121,7 @@ def _int_param(raw: str, what: str) -> int:
 
 
 def cmd_dim(args: argparse.Namespace) -> int:
+    args.strategy = _strategy_descriptor(args)
     from .polyhedral import parse_complex
     from .subspace_search import amoeba_dim
 
@@ -165,29 +177,28 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_variety(args: argparse.Namespace):
-    from .estimator import parse_implicit, parse_parametrization
+def _read_variety(args: argparse.Namespace) -> tuple:
+    """The variety file read as `--kind` says, and the estimator for it."""
+    from .estimator import estimate_rank, estimate_rank_implicit, \
+        parse_implicit, parse_parametrization
 
     text = _read_text(args.variety)
     if args.kind == "param":
-        return parse_parametrization(text)
-    return parse_implicit(text)
-
-
-def _run_estimator(args: argparse.Namespace, variety):
-    from .estimator import estimate_rank, estimate_rank_implicit
-
-    run = estimate_rank if args.kind == "param" else estimate_rank_implicit
-    return run(variety, trials=args.trials, tol=args.tol, seed=args.seed)
+        return parse_parametrization(text), estimate_rank
+    return parse_implicit(text), estimate_rank_implicit
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
-    variety = _read_variety(args)
-    _emit_json(_run_estimator(args, variety).to_json_dict(), args.output)
+    _check_estimator_flags(args)
+    variety, run = _read_variety(args)
+    estimate = run(variety, trials=args.trials, tol=args.tol, seed=args.seed)
+    _emit_json(estimate.to_json_dict(), args.output)
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    _check_estimator_flags(args)
+    args.strategy = _strategy_descriptor(args)
     # the exact side is compiled before the estimator loads numpy; the
     # other order leaves the process a larger peak resident set
     from .subspace_search import _checked_strategy, amoeba_dim
@@ -195,11 +206,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     from .polyhedral import parse_complex
 
     sigma = parse_complex(_read_text(args.fan))
-    variety = _read_variety(args)
+    variety, run = _read_variety(args)
     # refused here too, so a wrong pairing, cap or height fails unsampled
     _check_ambient(sigma, variety)
     _checked_strategy(sigma, args.strategy)
-    estimate = _run_estimator(args, variety)
+    estimate = run(variety, trials=args.trials, tol=args.tol, seed=args.seed)
     verdict = cross_check(amoeba_dim(sigma, args.strategy), estimate)
     _emit_json(verdict.to_json_dict(), args.output)
     return 0 if verdict.verdict == "agree" else 5
@@ -264,28 +275,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_estimator_flags(args: argparse.Namespace) -> None:
-    from .estimator import DEFAULT_TOL, DEFAULT_TRIALS, _check_estimator_params
-
-    if args.trials is None:
-        args.trials = DEFAULT_TRIALS
-    if args.tol is None:
-        args.tol = DEFAULT_TOL
-    _check_estimator_params(args.trials, args.tol, args.seed)
-
-
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        # check the flags before any input file is read; the strategy
-        # flags become one search descriptor, None for the default
-        if args.command in ("estimate", "verify"):
-            _check_estimator_flags(args)
-        if args.command in ("dim", "verify"):
-            args.strategy = _strategy_descriptor(args)
         return args.run(args)
     except RuntimeError as exc:
         # a refusal carries its exit code; any other error propagates

@@ -27,15 +27,23 @@ class PurityError(ValueError):
         self.offending = tuple(offending)
 
 
+def _check_ambient_dim(n) -> None:
+    """Refuse an ambient dimension that is not a nonnegative int."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ComplexFormatError('"ambient_dim" must be an integer')
+    if n < 0:
+        raise ComplexFormatError("ambient_dim < 0")
+
+
 class SpanComplex(Frozen):
     """Pure complex given by the spans of its maximal cells.
 
     The constructor is the only way in, and it checks and normalizes:
-    every cell must live in R^ambient_dim and all cells must share one
-    dimension, which becomes `dim`; duplicate cells merge (keeping a
-    label if any copy has one) and the cells are sorted canonically.
-    `labels` is one string or None per cell, or None for no labels; they
-    take no part in equality.
+    ambient_dim must be an int n >= 0, every cell must live in R^n and
+    all cells must share one dimension, which becomes `dim`; duplicate
+    cells merge (keeping a label if any copy has one) and the cells are
+    sorted canonically.  `labels` is one string or None per cell, or None
+    for no labels; they take no part in equality.
     """
 
     __slots__ = ("ambient_dim", "cells", "labels")
@@ -43,6 +51,7 @@ class SpanComplex(Frozen):
     _compare = ("ambient_dim", "cells")
 
     def __init__(self, ambient_dim: int, cells, labels=None):
+        _check_ambient_dim(ambient_dim)
         cells = list(cells)
         if not cells:
             raise ComplexFormatError("a complex needs at least one cell")
@@ -98,10 +107,7 @@ def parse_complex(text: str) -> SpanComplex:
     if not isinstance(doc, dict):
         raise ComplexFormatError("top level must be an object")
     n = doc.get("ambient_dim")
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ComplexFormatError('"ambient_dim" must be an integer')
-    if n < 0:
-        raise ComplexFormatError("ambient_dim < 0")
+    _check_ambient_dim(n)
     raw_cells = doc.get("cells")
     if not isinstance(raw_cells, list) or not raw_cells:
         raise ComplexFormatError('"cells" must be a nonempty list')

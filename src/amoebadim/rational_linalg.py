@@ -204,8 +204,12 @@ class Subspace(Frozen):
         return zip(self.pivots, self.rows)
 
     def sum(self, other: "Subspace") -> "Subspace":
+        """self + other; `self` itself when other adds nothing.
+        Raises ValueError for a row whose length is not ambient_dim."""
         _check_ambient(self, other)
-        return self.sum_with_rows(other.rows)
+        n = self.ambient_dim
+        out = sum_rows(self.ech_pairs, _checked_rows(other.rows, n), n)
+        return self if out is None else Subspace.of(n, out)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         return self.sum_intersect(other)[1]
@@ -223,7 +227,7 @@ class Subspace(Frozen):
             return other, self
         if not other.rows or self.dim == n:
             return self, other
-        total = self.sum_with_rows(other.rows)
+        total = self.sum(other)
         ds = total.dim
         di = self.dim + other.dim - ds
         if di == 0:
@@ -234,14 +238,6 @@ class Subspace(Frozen):
             return total, other
         return total, Subspace(n, intersect_rows(self.rows, other.rows, n,
                                                  self.pivots))
-
-    def sum_with_rows(self, rows: Iterable) -> "Subspace":
-        """Span of this subspace plus extra integer rows (fast path: this
-        basis is already reduced, only the new rows get eliminated).
-        Raises ValueError for a row whose length is not ambient_dim."""
-        n = self.ambient_dim
-        out = sum_rows(self.ech_pairs, _checked_rows(rows, n), n)
-        return self if out is None else Subspace.of(n, out)
 
     def sum_dim(self, rows: Iterable) -> int:
         """dim(self + span(rows)); the hot path of the dimension search.
@@ -257,6 +253,8 @@ class Subspace(Frozen):
 def canonicalize(ambient_dim: int, generators) -> Subspace:
     """Canonical Subspace spanned by the given rational rows; an empty
     generator set gives the zero subspace."""
+    if not isinstance(ambient_dim, int) or isinstance(ambient_dim, bool):
+        raise ValueError('"ambient_dim" must be an integer')
     if ambient_dim < 0:
         raise ValueError("ambient_dim < 0")
     int_rows = _checked_rows(_int_rows(generators), ambient_dim)

@@ -277,7 +277,7 @@ def _parse_strategy(text: str) -> tuple:
     Accepts e.g. "lattice", "lattice(cap=500)", "exhaustive(height=2)".
     Returns (kind, its parameter's value, canonical descriptor string).
     """
-    m = _STRATEGY_RE.match(text)
+    m = isinstance(text, str) and _STRATEGY_RE.match(text)
     if not m:
         raise ValueError(f"invalid strategy {text!r}")
     kind, key, raw = m.groups()
@@ -426,7 +426,7 @@ def reduce_torus(sigma: SpanComplex, sub: Subspace) -> Subspace:
     for v in sub.rows:
         if len(grown.rows) == target:
             break
-        bigger = grown.sum_with_rows((v,))
+        bigger = grown.sum(Subspace(n, (v,)))
         if bigger is grown:
             continue
         kept.append(v)

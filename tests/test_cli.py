@@ -168,12 +168,20 @@ class TestFlagChecks:
             ("dim", absent, "--strategy", "lattice", "--cap", "0"),
             ("dim", absent, "--strategy", "exhaustive", "--height", "-1"),
             ("dim", absent, "--strategy", "combined"),
+            ("verify", absent, absent, "--kind", "param",
+             "--strategy", "lattice", "--cap", "0"),
+            ("verify", absent, absent, "--kind", "param", "--cap", "3"),
+            # the estimator flags are checked before the strategy flags
+            ("verify", absent, absent, "--kind", "param", "--trials", "0",
+             "--strategy", "lattice", "--cap", "0"),
         ):
             code, out, err = run_cli(capsys, *argv)
             assert (code, out) == (2, "")
             assert "cannot read" not in err
             if "--seed" in argv:
                 assert "seed" in err
+            if "--trials" in argv:
+                assert "trials" in err and "cap" not in err
 
     def test_flags_need_strategy(self, capsys, h3_file):
         code, out, err = run_cli(capsys, "dim", h3_file, "--cap", "10")

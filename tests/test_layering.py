@@ -3,7 +3,8 @@ and root finding) imports nothing of the exact search, and the exact side
 never loads the estimator or numpy.  `cli` is where the two meet.  No
 module but `subspace_search`, for `SearchResult` alone, imports
 `dataclasses`, so none puts it and the `inspect` it pulls in back on a
-command's start-up path.
+command's start-up path.  `cli.main` names no command: each command
+checks its own flags.
 
 The modules are read as source, not imported, and every import counts,
 those inside function bodies included."""
@@ -64,3 +65,13 @@ def test_imports_are_found_in_function_bodies():
 @pytest.mark.parametrize("name", BEYOND_THE_SEARCH)
 def test_only_the_search_imports_dataclasses(name):
     assert "dataclasses" not in imported_modules(name)
+
+
+def test_main_names_no_command():
+    # each command checks its own flags; `main` only parses and runs
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    main = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    strings = {node.value for node in ast.walk(main)
+               if isinstance(node, ast.Constant)}
+    assert strings.isdisjoint({"dim", "gen", "estimate", "verify"})

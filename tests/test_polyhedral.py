@@ -180,6 +180,17 @@ class TestSpanComplex:
         with pytest.raises(ComplexFormatError):
             SpanComplex(3, [span(2, (1, 0))])
 
+    @pytest.mark.parametrize("n", [1.0, True, "1", None])
+    def test_non_integer_ambient(self, n):
+        # format_complex would write a file parse_complex refuses
+        with pytest.raises(ComplexFormatError,
+                           match='"ambient_dim" must be an integer'):
+            SpanComplex(n, [span(1, (1,))])
+
+    def test_negative_ambient(self):
+        with pytest.raises(ComplexFormatError, match="ambient_dim < 0"):
+            SpanComplex(-1, [Subspace(-1, ())])
+
     def test_label_count_mismatch(self):
         with pytest.raises(ComplexFormatError):
             SpanComplex(2, [span(2, (1, 0))], labels=["a", "b"])

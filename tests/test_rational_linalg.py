@@ -116,6 +116,13 @@ class TestCanonicalize:
         with pytest.raises(ValueError):
             canonicalize(-1, [])
 
+    @pytest.mark.parametrize("n", [2.0, True, "2", None])
+    def test_non_integer_ambient_rejected(self, n):
+        # refused alike with one generator or a spanning pair
+        for generators in ([[1, 0]], [[1, 0], [0, 1]]):
+            with pytest.raises(ValueError, match="must be an integer"):
+                canonicalize(n, generators)
+
     @settings(max_examples=300)
     @given(int_matrix())
     def test_matches_reference(self, case):
@@ -178,6 +185,12 @@ class TestSumIntersect:
         u = canonicalize(3, [(1, 2, 3)])
         assert u.sum(Subspace.zero(3)) == u
 
+    def test_sum_adding_nothing_returns_self(self):
+        # reduce_torus tells a vector that grows nothing by `is`
+        u = canonicalize(3, [(1, 2, 3), (0, 1, 1)])
+        for other in (Subspace.zero(3), canonicalize(3, [(2, 5, 7)]), u):
+            assert u.sum(other) is u
+
     def test_lines_spanning_plane(self):
         assert canonicalize(2, [(1, 1)]).sum(canonicalize(2, [(1, -1)])) \
             == Subspace.full(2)
@@ -225,6 +238,12 @@ class TestSumIntersect:
             canonicalize(2, [(1, 0)]).sum(canonicalize(3, [(1, 0, 0)]))
         with pytest.raises(ValueError):
             canonicalize(2, [(1, 0)]).intersect(canonicalize(3, [(1, 0, 0)]))
+
+    def test_row_length_mismatch_rejected(self):
+        # a hand-built basis whose rows are too short for its ambient
+        short = Subspace(3, ((0, 1),))
+        with pytest.raises(ValueError, match="row length 2 != ambient 3"):
+            canonicalize(3, [(1, 0, 0)]).sum(short)
 
     @settings(max_examples=400)
     @given(matrix_and_rows(max_rows=4, max_extra=4))
@@ -424,16 +443,8 @@ class TestSumDim:
         with pytest.raises(ValueError, match=f"row length {len(row)}"):
             canonicalize(3, [(1, 0, 0), row])
 
-
-class TestSumWithRows:
-    def test_row_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="row length 2 != ambient 3"):
-            canonicalize(3, [(1, 0, 0)]).sum_with_rows([(0, 1)])
-
     def test_rows_may_be_any_iterable(self):
         line = canonicalize(3, [(1, 0, 0)])
-        grown = line.sum_with_rows(iter([(0, 1, 0)]))
-        assert grown == canonicalize(3, [(1, 0, 0), (0, 1, 0)])
         assert line.sum_dim(r for r in [(0, 2, 0)]) == 2
 
 
@@ -502,7 +513,7 @@ class TestMatrixShape:
         assert public == [
             "ambient_dim", "dim", "ech_pairs", "full", "intersect", "of",
             "pivots", "rows", "sort_key", "sum", "sum_dim", "sum_intersect",
-            "sum_with_rows", "zero",
+            "zero",
         ]
 
 

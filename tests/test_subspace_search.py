@@ -350,7 +350,7 @@ class TestExhaustiveCandidates:
         vectors = [(0, 1), (1, -1), (1, 0), (1, 1)]
         for sub in family:
             for v in vectors:
-                assert sub.sum_with_rows((v,)) in family
+                assert sub.sum(canonicalize(2, [v])) in family
 
 
 class TestAmoebaDim:
@@ -418,6 +418,7 @@ class TestAmoebaDim:
         "lattice(cap=5,cap=7)", "exhaustive(cap=5)", "lattice(height=500)",
         "lattice(cap=5,)", "lattice(,cap=5)", "lattice(cap=+5)",
         "lattice(cap=1_000)", "exhaustive(height=\u0663)", "lattice()",
+        5, b"lattice", ["lattice"],
     ])
     def test_invalid_strategy(self, bad):
         with pytest.raises(ValueError):
