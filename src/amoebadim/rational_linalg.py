@@ -29,6 +29,8 @@ def _int_rows(rows: Iterable) -> list:
     """Clear denominators row by row (row spans are scale-invariant)."""
     out = []
     for row in rows:
+        if isinstance(row, (str, bytes)):  # characters are not entries
+            raise ValueError(f"row {row!r} is a string, not a list")
         fr = [parse_rational(x) for x in row]
         l = lcm(*(x.denominator for x in fr))
         out.append([int(x * l) for x in fr])

@@ -57,7 +57,9 @@ takes a hard cap and reports in-band whether it reached a fixpoint.  A
 capped candidate set still yields correct upper bounds; it only weakens
 the search.  It is also the expensive part, so the search scores the
 cheap candidates L and J first and builds the closure only when they
-stay above the lower bound, the propagation bound included.
+stay above the lower bound, the propagation bound included.  Only
+`_parse_strategy` and `_checked_strategy` raise: a strategy is admitted
+once, before any work, and the generators take what they are given.
 """
 
 from __future__ import annotations
@@ -164,23 +166,6 @@ def objective(sigma: SpanComplex, sub: Subspace) -> int:
     return 2 * dim_sum_with_subspace(sigma, sub) - sub.dim
 
 
-def _check_cap(sigma: SpanComplex, cap: int) -> None:
-    """The closure starts from the cells; a cap below their number is
-    refused, not truncated."""
-    if cap < len(sigma.cells):
-        raise ValueError(
-            f"cap {cap} below number of cells = {len(sigma.cells)}")
-
-
-def _check_height(n: int, height: int) -> None:
-    """A height above `_MAX_HEIGHT[n]` is refused, not enumerated."""
-    limit = _MAX_HEIGHT[n] if n < len(_MAX_HEIGHT) else 0
-    if height > limit:
-        raise ResourceLimitError(
-            f"exhaustive enumeration refused for n={n}, "
-            f"height={height} (R^{n} admits height ≤ {limit})")
-
-
 def candidate_lattice(sigma: SpanComplex, cap: int = DEFAULT_CAP) -> CandidateSet:
     """Closure of the cell spans under pairwise sum/intersection.
 
@@ -191,9 +176,9 @@ def candidate_lattice(sigma: SpanComplex, cap: int = DEFAULT_CAP) -> CandidateSe
     depth-first order lets them explode.  Stops at a fixpoint or after
     `cap` distinct subspaces, whichever comes first, and says which one
     happened.  The cells seed it as they come, canonical and sorted; {0}
-    and R^n are members only when a sum or meet yields them.
+    and R^n are members only when a sum or meet yields them.  The caller
+    admits the cap: at least the number of cells.
     """
-    _check_cap(sigma, cap)
     found = list(sigma.cells)
     seen = set(found)
     complete = True
@@ -221,7 +206,7 @@ def exhaustive_candidates(n: int, height_bound: int) -> tuple:
 
     Grown breadth-first one primitive generator at a time, as bare
     canonical rows fed to `sum_rows`; each Subspace is built once, at the
-    end.  A height above `_MAX_HEIGHT[n]` is refused before any work.
+    end.  `_checked_strategy` admits the height: at most `_MAX_HEIGHT[n]`.
     Sizes (n, height: members), as this enumeration counts them: 1, 3: 2;
     2, 1: 6; 2, 2: 10; 2, 3: 18; 3, 1: 40; 3, 2: 400; 3, 3: 3,364 (1-2 s);
     4, 1: 1,084; 5, 1: 190,264 (about 2 minutes), timed in-process on a
@@ -230,11 +215,6 @@ def exhaustive_candidates(n: int, height_bound: int) -> tuple:
     padded with zeros, in the one in R^(n+1); so every other refused pair
     with height ≤ 3 is larger still.
     """
-    if n < 0:
-        raise ValueError("ambient dimension < 0")
-    if height_bound < 0:
-        raise ValueError("height bound < 0")
-    _check_height(n, height_bound)
     vectors = _primitive_vectors(n, height_bound)
     seen = {()}
     frontier = [()]
@@ -294,13 +274,19 @@ def _parse_strategy(text: str) -> tuple:
 
 def _checked_strategy(sigma: SpanComplex, strategy: str | None) -> tuple:
     """`_parse_strategy` of the descriptor (None for the default), once
-    `_check_cap` or `_check_height` has admitted it on sigma."""
+    its parameter is admitted on sigma.  The closure starts from the
+    cells, so a cap below their number is refused, not truncated; a
+    height above `_MAX_HEIGHT[n]` is refused, not enumerated."""
     kind, param, descriptor = _parse_strategy(
         DEFAULT_STRATEGY if strategy is None else strategy)
-    if kind == "lattice":
-        _check_cap(sigma, param)
-    else:
-        _check_height(sigma.ambient_dim, param)
+    n, cells = sigma.ambient_dim, len(sigma.cells)
+    if kind == "lattice" and param < cells:
+        raise ValueError(f"cap {param} below number of cells = {cells}")
+    limit = _MAX_HEIGHT[n] if n < len(_MAX_HEIGHT) else 0
+    if kind == "exhaustive" and param > limit:
+        raise ResourceLimitError(
+            f"exhaustive enumeration refused for n={n}, "
+            f"height={param} (R^{n} admits height ≤ {limit})")
     return kind, param, descriptor
 
 

@@ -4,7 +4,8 @@ never loads the estimator or numpy.  `cli` is where the two meet.  No
 module but `subspace_search`, for `SearchResult` alone, imports
 `dataclasses`, so none puts it and the `inspect` it pulls in back on a
 command's start-up path.  `cli.main` names no command: each command
-checks its own flags.
+checks its own flags.  In `subspace_search` only `_parse_strategy` and
+`_checked_strategy` raise, so a strategy is admitted in one place.
 
 The modules are read as source, not imported, and every import counts,
 those inside function bodies included."""
@@ -75,3 +76,13 @@ def test_main_names_no_command():
     strings = {node.value for node in ast.walk(main)
                if isinstance(node, ast.Constant)}
     assert strings.isdisjoint({"dim", "gen", "estimate", "verify"})
+
+
+def test_only_the_strategy_readers_raise():
+    # the candidate generators take an admitted cap or height
+    tree = ast.parse((PACKAGE / "subspace_search.py").read_text())
+    raisers = {node.name for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef)
+               and any(isinstance(inner, ast.Raise)
+                       for inner in ast.walk(node))}
+    assert raisers == {"_parse_strategy", "_checked_strategy"}

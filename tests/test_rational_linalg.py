@@ -112,6 +112,12 @@ class TestCanonicalize:
         with pytest.raises(ValueError):
             canonicalize(2, [[1, 0, 0]])
 
+    @pytest.mark.parametrize("row", ["12", b"\x01\x02"])
+    def test_string_row_rejected(self, row):
+        # a row is a list of entries, not the characters of a string
+        with pytest.raises(ValueError, match="is a string"):
+            canonicalize(2, [row])
+
     def test_negative_ambient_rejected(self):
         with pytest.raises(ValueError):
             canonicalize(-1, [])

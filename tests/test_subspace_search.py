@@ -1,6 +1,7 @@
 import inspect
 import json
 import random
+import re
 from functools import reduce
 from itertools import combinations
 from math import gcd
@@ -181,11 +182,6 @@ class TestCandidateLattice:
         assert cs.complete
         assert cs.subspaces == (span(2, (1, 0)),)
 
-    def test_cap_below_minimum(self):
-        # six cells
-        with pytest.raises(ValueError):
-            candidate_lattice(hyperplane(3), cap=5)
-
     def test_hyperplane_contains_intersection_line(self):
         cs = candidate_lattice(hyperplane(3), cap=100)
         assert span(3, (1, 0, 0)) in set(cs.subspaces)
@@ -320,28 +316,11 @@ class TestExhaustiveCandidates:
     def test_counts(self, n, height, count):
         assert len(exhaustive_candidates(n, height)) == count
 
-    def test_refuses_large_requests(self, monkeypatch):
-        # every refused pair with n ≤ 7 and height ≤ 3, and one height
-        # above 3; a refusal builds nothing
-        forbid(monkeypatch, "sum_rows", "_primitive_vectors")
-        refused = [(4, 2), (4, 3), (5, 2), (5, 3),
-                   *((n, h) for n in (6, 7) for h in (1, 2, 3)), (3, 4)]
-        for n, height in refused:
-            with pytest.raises(ResourceLimitError,
-                               match=f"refused for n={n}, height={height} "):
-                exhaustive_candidates(n, height)
-
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_ends_are_the_shared_instances(self, n):
         family = exhaustive_candidates(n, 1)
         assert family[0] is Subspace.zero(n)
         assert family[-1] is Subspace.full(n)
-
-    def test_bad_parameters(self):
-        with pytest.raises(ValueError):
-            exhaustive_candidates(-1, 1)
-        with pytest.raises(ValueError):
-            exhaustive_candidates(2, -1)
 
     def test_closed_under_subsets_of_generators(self):
         # every member is spanned by primitive height-1 vectors, and adding
@@ -774,15 +753,21 @@ class TestEnumerationOnRequest:
         best, _, _ = reference_search(sigma, cheap, DEFAULT_CAP)
         assert outcome(amoeba_dim(sigma)) == best
 
-    @pytest.mark.parametrize("height,sigma", [
-        (4, hyperplane(3)), (1, tropical_hyperplane(7)),
+    # every refused pair with n ≤ 7 and height ≤ 3, and one height above
+    # 3; `_checked_strategy` refuses each before anything is enumerated
+    @pytest.mark.parametrize("n,height", [
+        (4, 2), (4, 3), (5, 2), (5, 3),
+        *((n, h) for n in (6, 7) for h in (1, 2, 3)), (3, 4),
     ])
-    def test_refused_height_raises_before_scoring(self, monkeypatch, height,
-                                                  sigma):
-        forbid(monkeypatch, "candidate_lattice", "_score")
-        n = sigma.ambient_dim
-        with pytest.raises(ResourceLimitError,
-                           match=f"refused for n={n}, height={height}"):
+    def test_refused_height_raises_before_scoring(self, monkeypatch, n,
+                                                  height):
+        sigma = tropical_hyperplane(n)
+        forbid(monkeypatch, "exhaustive_candidates", "candidate_lattice",
+               "_score")
+        limit = {3: 3, 4: 1, 5: 1}.get(n, 0)
+        message = (f"exhaustive enumeration refused for n={n}, "
+                   f"height={height} (R^{n} admits height ≤ {limit})")
+        with pytest.raises(ResourceLimitError, match=re.escape(message)):
             amoeba_dim(sigma, strategy=f"exhaustive(height={height})")
 
 
