@@ -464,7 +464,11 @@ def _ranks_and_gaps(matrices: np.ndarray, tol: float):
 def _check_estimator_params(trials, tol, seed):
     if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
         raise ValueError("trials must be a positive integer")
-    if isinstance(tol, bool) or not 0.0 < tol < 1.0:
+    try:
+        tol_ok = not isinstance(tol, bool) and 0.0 < tol < 1.0
+    except TypeError:  # a tol that does not compare with floats
+        tol_ok = False
+    if not tol_ok:
         raise ValueError("tol must lie strictly between 0 and 1")
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ValueError("seed must be a non-negative integer")
@@ -474,9 +478,8 @@ def _estimate(block_matrices, ambient_dim, trials, tol, seed) -> RankEstimate:
     """Run `block_matrices` on blocks of streams and rank what it keeps.
 
     Sample k always draws the numbers of child k of SeedSequence(seed),
-    whatever block it falls in.
+    whatever block it falls in.  The caller has checked the parameters.
     """
-    _check_estimator_params(trials, tol, seed)
     ranks = []
     gaps = []
     for start in range(0, trials, BLOCK):
@@ -507,6 +510,7 @@ def estimate_rank(phi: Parametrization, trials: int = DEFAULT_TRIALS,
     results do not depend on evaluation order.  Samples are evaluated
     and ranked in blocks of BLOCK.
     """
+    _check_estimator_params(trials, tol, seed)
     poly = _Monomials(phi.components, phi.domain_dim)
 
     def block_matrices(streams):
@@ -548,6 +552,7 @@ def estimate_rank_implicit(h: ImplicitHypersurface,
     diagonal 1/x_i pattern of the free coordinates.  A degree in x_k
     above _MAX_DEGREE raises DegreeLimitError before any work.
     """
+    _check_estimator_params(trials, tol, seed)
     n = h.ambient_dim
     terms, solved = _solved_form(h)
     degree = max(e[solved] for _, e in terms)

@@ -144,9 +144,8 @@ def format_complex(sigma: SpanComplex) -> str:
 def dim_sum_with_subspace(sigma: SpanComplex, sub: Subspace) -> int:
     """dim(S + Sigma) = max over cells C of dim(<C> + S).
 
-    The Minkowski sum of a subspace with a pure complex is again a pure
-    complex whose cells are the summed spans, so its dimension is the
-    largest summed-span dimension.
+    S + Sigma is the union of the summed spans <C> + S, so its dimension
+    is the largest summed-span dimension.
     """
     _check_ambient(sigma, sub)
     return _max_cell_sum(sigma.cells, sub, sigma.ambient_dim)[0]
@@ -154,11 +153,11 @@ def dim_sum_with_subspace(sigma: SpanComplex, sub: Subspace) -> int:
 
 def _max_cell_sum(cells, sub: Subspace, stop: int) -> tuple:
     """Largest dim(<C> + S) over the cells, scanned in order, and the
-    first cell attaining it (None when that is 0); the scan ends once the
-    running maximum reaches `stop`, so a result of at least `stop` only
-    says the maximum is that large."""
+    first cell attaining it; the scan ends once the running maximum
+    reaches `stop`, so a result of at least `stop` only says the maximum
+    is that large."""
     s = len(sub.rows)
-    best, first = 0, None
+    best, first = 0, cells[0]
     for cell in cells:
         if len(cell.rows) >= s:
             got = cell.sum_dim(sub.rows)

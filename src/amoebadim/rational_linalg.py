@@ -27,10 +27,14 @@ from .frozen import Frozen, parse_rational
 
 def _int_rows(rows: Iterable) -> list:
     """Clear denominators row by row (row spans are scale-invariant)."""
+    if not isinstance(rows, Iterable):
+        raise ValueError(f"generators {rows!r} are not a list of rows")
     out = []
     for row in rows:
         if isinstance(row, (str, bytes)):  # characters are not entries
             raise ValueError(f"row {row!r} is a string, not a list")
+        if not isinstance(row, Iterable):
+            raise ValueError(f"row {row!r} is not a list")
         fr = [parse_rational(x) for x in row]
         l = lcm(*(x.denominator for x in fr))
         out.append([int(x * l) for x in fr])
@@ -206,11 +210,15 @@ class Subspace(Frozen):
         return zip(self.pivots, self.rows)
 
     def sum(self, other: "Subspace") -> "Subspace":
-        """self + other; `self` itself when other adds nothing.
-        Raises ValueError for a row whose length is not ambient_dim."""
+        """self + other: `self` itself when other adds nothing, else
+        `other` itself, without elimination, when self is {0} or other is
+        R^n.  Raises ValueError for a row whose length is not ambient_dim."""
         _check_ambient(self, other)
         n = self.ambient_dim
-        out = sum_rows(self.ech_pairs, _checked_rows(other.rows, n), n)
+        rows = _checked_rows(other.rows, n)
+        if (not self.rows and rows) or len(rows) == n > self.dim:
+            return other
+        out = sum_rows(self.ech_pairs, rows, n)
         return self if out is None else Subspace.of(n, out)
 
     def intersect(self, other: "Subspace") -> "Subspace":
@@ -219,16 +227,11 @@ class Subspace(Frozen):
     def sum_intersect(self, other: "Subspace") -> tuple:
         """(self + other, self ∩ other) in one pass.
 
-        {0} and R^n are answered without elimination; otherwise one
-        elimination gives the sum and, only when the intersection is
-        proper, one Zassenhaus elimination gives it.
+        The sum comes from `sum`, and the dimension count gives the meet
+        as {0}, self or other whenever it is one of those; only a proper
+        meet costs a Zassenhaus elimination.
         """
-        _check_ambient(self, other)
         n = self.ambient_dim
-        if not self.rows or other.dim == n:
-            return other, self
-        if not other.rows or self.dim == n:
-            return self, other
         total = self.sum(other)
         ds = total.dim
         di = self.dim + other.dim - ds
@@ -287,14 +290,10 @@ def complement_rows(rows, ambient_dim: int, pivots) -> tuple:
     those columns are cleared everywhere else and each free column yields
     one integer kernel vector by back-substitution: put the lcm of the
     pivot entries in the free slot and solve each pivot coordinate
-    independently.
+    independently.  No rows leave every column free, giving R^n's unit
+    vectors; n rows leave none, giving no rows.
     """
     n = ambient_dim
-    k = len(rows)
-    if k == 0:
-        return Subspace.full(n).rows
-    if k == n:
-        return ()
     leads = [r[p] for r, p in zip(rows, pivots)]
     big = lcm(*leads)
     taken = set(pivots)
@@ -309,7 +308,7 @@ def complement_rows(rows, ambient_dim: int, pivots) -> tuple:
             if x:
                 v[p] = -x * (big // l)
         out.append(v)
-    return sum_rows((), out, n)
+    return sum_rows((), out, n) or ()
 
 
 def direct_sum(a: Subspace, b: Subspace) -> Subspace:

@@ -221,8 +221,6 @@ def exhaustive_candidates(n: int, height_bound: int) -> tuple:
     while frontier:
         grown = []
         for rows in frontier:
-            if len(rows) == n:
-                continue
             ech = tuple(zip(_pivots_of(rows), rows))
             for v in vectors:
                 bigger = sum_rows(ech, (v,), n)
@@ -406,8 +404,6 @@ def reduce_torus(sigma: SpanComplex, sub: Subspace) -> Subspace:
     _check_ambient(sigma, sub)
     n = sigma.ambient_dim
     target, grown = _max_cell_sum(sigma.cells, sub, n)
-    if target == sigma.dim:
-        return Subspace.zero(n)
     kept = []
     for v in sub.rows:
         if len(grown.rows) == target:

@@ -786,6 +786,38 @@ assert main({argv!r}) == {code}
         assert "amoebadim.subspace_search" in loaded
         assert "numpy" not in loaded
 
+    @pytest.mark.parametrize("call", [
+        "estimate_rank(parse_parametrization(MOMENT), trials=0)",
+        "estimate_rank_implicit(parse_implicit(LINE2), seed=-1)",
+        "estimate_rank_implicit(parse_implicit(LINE2), tol='x')",
+    ], ids=("trials", "seed", "tol"))
+    def test_parameter_refusal_loads_no_numpy(self, tmp_path, call):
+        # the library estimators refuse a bad parameter before any work
+        script = f"""
+from amoebadim.estimator import estimate_rank, estimate_rank_implicit, \\
+    parse_implicit, parse_parametrization
+MOMENT, LINE2 = {MOMENT_DOC!r}, {LINE2_DOC!r}
+try:
+    {call}
+except ValueError:
+    pass
+else:
+    raise AssertionError("not refused")
+"""
+        loaded = self.loaded_by(tmp_path, script)
+        assert "amoebadim.estimator" in loaded
+        assert loaded.isdisjoint({"amoebadim.roots", "numpy"})
+
+    def test_dir_imports_no_submodule(self, monkeypatch):
+        # in-process, with the submodules hidden from sys.modules, so a
+        # `dir` that resolved an export would import one afresh
+        import amoebadim
+
+        for name in [m for m in sys.modules if m.startswith("amoebadim.")]:
+            monkeypatch.delitem(sys.modules, name)
+        assert set(amoebadim.__all__) <= set(dir(amoebadim))
+        assert not [m for m in sys.modules if m.startswith("amoebadim.")]
+
     def test_every_export_resolves(self, tmp_path):
         script = """
 import sys

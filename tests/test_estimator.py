@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -210,6 +211,16 @@ class TestEstimateRank:
             estimate_rank(MOMENT, tol=0.0)
         with pytest.raises(ValueError):
             estimate_rank(MOMENT, tol=1.0)
+        # a tol that does not compare with floats is refused alike
+        for tol in (None, "x"):
+            with pytest.raises(ValueError, match="tol"):
+                estimate_rank(MOMENT, tol=tol)
+            with pytest.raises(ValueError, match="tol"):
+                estimate_rank_implicit(HYPERBOLA, tol=tol)
+
+    def test_rational_and_numpy_tol_accepted(self):
+        for tol in (Fraction(1, 10 ** 8), np.float64(1e-8)):
+            assert estimate_rank(MOMENT, trials=5, tol=tol, seed=1).rank == 1
 
     def test_boolean_parameters_rejected(self):
         # bool is an int subclass, but True samples are not a count

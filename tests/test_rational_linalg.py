@@ -1,3 +1,4 @@
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -17,7 +18,8 @@ from amoebadim.rational_linalg import (
 )
 
 from conftest import RATIONAL_STRINGS, child_env, complement, \
-    reference_canonical, reference_meet, reference_rref, short_id
+    random_subspace, reference_canonical, reference_meet, reference_rref, \
+    short_id
 
 
 def rref(n, rows):
@@ -118,6 +120,12 @@ class TestCanonicalize:
         with pytest.raises(ValueError, match="is a string"):
             canonicalize(2, [row])
 
+    @pytest.mark.parametrize("generators", [[5], [None], 5],
+                             ids=("int row", "None row", "int generators"))
+    def test_non_iterable_rejected(self, generators):
+        with pytest.raises(ValueError, match="not a list"):
+            canonicalize(2, generators)
+
     def test_negative_ambient_rejected(self):
         with pytest.raises(ValueError):
             canonicalize(-1, [])
@@ -196,6 +204,30 @@ class TestSumIntersect:
         u = canonicalize(3, [(1, 2, 3), (0, 1, 1)])
         for other in (Subspace.zero(3), canonicalize(3, [(2, 5, 7)]), u):
             assert u.sum(other) is u
+
+    def test_trivial_sums_return_an_operand(self, monkeypatch):
+        # {0} + X and X + R^n are X and R^n themselves, without elimination;
+        # fresh instances, so `is` tells the operand from a shared one
+        x = canonicalize(3, [(1, 2, 3)])
+        zero, full = Subspace(3, ()), Subspace(3, Subspace.full(3).rows)
+        with monkeypatch.context() as m:
+            m.setattr(rational_linalg, "sum_rows", None)
+            assert zero.sum(x) is x
+            assert x.sum(full) is full
+        assert x.sum(zero) is x
+        assert Subspace.full(3).sum(full) is Subspace.full(3)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_zero_and_full_on_either_side(self, n):
+        rng = random.Random(n)
+        ends = (Subspace(n, ()), Subspace(n, Subspace.full(n).rows))
+        others = ends + tuple(random_subspace(rng, n) for _ in range(4))
+        for end in ends:
+            for other in others:
+                for u, v in ((end, other), (other, end)):
+                    join, meet = u.sum_intersect(v)
+                    assert join == canonicalize(n, u.rows + v.rows)
+                    assert meet == reference_meet(u, v)
 
     def test_lines_spanning_plane(self):
         assert canonicalize(2, [(1, 1)]).sum(canonicalize(2, [(1, -1)])) \
@@ -281,11 +313,11 @@ class TestComplement:
         assert complement(canonicalize(3, [(2, 0, 1), (0, 3, 1)])) == \
             ((3, 2, -6),)
 
-    def test_zero_and_full(self):
-        assert complement(Subspace.zero(3)) == Subspace.full(3).rows
-        assert complement(Subspace.full(3)) == ()
-        assert complement_rows((), 2, ()) == ((1, 0), (0, 1))
-        assert complement_rows(Subspace.full(2).rows, 2, (0, 1)) == ()
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_zero_and_full(self, n):
+        full = Subspace.full(n)
+        assert complement_rows((), n, ()) == full.rows
+        assert complement_rows(full.rows, n, full.pivots) == ()
 
     def test_derived_bases_are_cached(self):
         u = canonicalize(4, [(1, 2, 3, 4), (0, 1, 0, 1)])

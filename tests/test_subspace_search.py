@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import json
 import random
@@ -315,6 +316,21 @@ class TestExhaustiveCandidates:
     ])
     def test_counts(self, n, height, count):
         assert len(exhaustive_candidates(n, height)) == count
+
+    def test_families_are_pinned(self):
+        # every admitted (n, height) up to (4, 1) but (3, 3), member by
+        # member and in order, so no change to the walk alters a family
+        # unseen
+        digest = hashlib.sha256()
+        for n in range(5):
+            for height in range(subspace_search._MAX_HEIGHT[n] + 1):
+                if (n, height) == (3, 3):
+                    continue
+                family = exhaustive_candidates(n, height)
+                digest.update(repr(
+                    (n, height, [s.rows for s in family])).encode())
+        assert digest.hexdigest() == ("42872c9130c9c32b278ef7982c52ffc1"
+                                      "e3d2320074178d49c7443365bca96868")
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_ends_are_the_shared_instances(self, n):
@@ -828,6 +844,17 @@ class TestReduceTorus:
     def test_base_case(self):
         sigma = curve_fan3()
         assert reduce_torus(sigma, Subspace.zero(3)).dim == 0
+
+    @pytest.mark.parametrize("sigma,sub", [
+        (hyperplane(3), Subspace(3, ())),
+        (SpanComplex(3, [span(3, (1, 0, 0), (0, 1, 0)),
+                         span(3, (1, 0, 0), (0, 0, 1))]),
+         span(3, (1, 0, 0))),
+        (SpanComplex(2, [Subspace(2, ())]), Subspace(2, ())),
+    ], ids=("zero in d=2", "common axis in d=2", "zero in d=0"))
+    def test_nothing_added_gives_the_shared_zero(self, sigma, sub):
+        # S inside every cell: T is {0}, as the very shared instance
+        assert reduce_torus(sigma, sub) is Subspace.zero(sigma.ambient_dim)
 
     def test_single_cell_plane(self):
         t = reduce_torus(single_cell(2, (1, 0)), Subspace.full(2))
